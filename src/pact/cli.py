@@ -16,7 +16,6 @@ Re-running with the same merged config reproduces byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -41,7 +40,6 @@ from .generator import (
 )
 from .leaf_process import (
     gn_path,
-    p_inf,
     read_trajectory_csv,
     variance_gn,
     write_curve_csv,
@@ -54,9 +52,12 @@ from .limit_laws import (
     sample_d_theta_multi,
     write_pmf_csv,
 )
-from .model_core import ChangePointSchedule, SeededRng, validate_schedule
+from .model_core import ChangePointSchedule, SeededRng, validate_schedule, write_csv
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
+# smallest accepted value of each count a subcommand reads from its config
+_MINIMUM = {"n": 2, "reps": 1, "threads": 1, "draws": 1, "kmax": 1, "curve_points": 1,
+            "upsilon_reps": 1}
 
 
 @dataclass
@@ -109,7 +110,7 @@ _DEFAULTS: dict[str, dict] = {
              "beta": [1.0], "gamma": [0.5], "t_grid": [0.25, 0.5, 0.75, 1.0],
              "upsilon_reps": 200},
     "maxdeg": {"reps": 50, "seed": 42, "threads": 1, "alpha": 0.0, "beta": [],
-               "gamma": [], "n_list": [10000, 100000], "k": 1},
+               "gamma": [], "n_list": [10000, 100000]},
 }
 
 
@@ -224,16 +225,8 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
         eps = float(cfg["epsilon"])
         grid = np.linspace(eps, 1.0, int(cfg["curve_points"]))
         dvals = np.asarray(limit_D(grid, schedule, eps))
-        _write_limit_curve_csv(grid, dvals, out_dir / "d_limit.csv")
+        write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
     return [{"seed": seed, "stream_id": 0}]
-
-
-def _write_limit_curve_csv(ts, vals, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "d"])
-        for t, v in zip(ts, vals):
-            writer.writerow([repr(float(t)), repr(float(v))])
 
 
 # ---------------------------------------------------------------- estimate
@@ -255,15 +248,10 @@ def cmd_estimate(cfg: dict, out_dir: Path) -> list[dict]:
         tag = f"{i:03d}"
         write_report_json(report, out_dir / f"report_{tag}.json")
         write_dn_csv(curve, out_dir / f"dn_curve_{tag}.csv", d_lim)
-        rows.append((Path(traj_path).name, report))
-    with open(out_dir / "gamma_hats.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["file", "gamma_hat", "dn_star", "detected"])
-        for name, rep in rows:
-            writer.writerow(
-                [name, "" if rep.gamma_hat is None else repr(rep.gamma_hat),
-                 repr(rep.dn_star), int(rep.detected)]
-            )
+        rows.append((Path(traj_path).name, "" if report.gamma_hat is None else report.gamma_hat,
+                     report.dn_star, int(report.detected)))
+    write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
+              list(zip(*rows)))
     return []
 
 
@@ -283,15 +271,12 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
     tasks = [(schedule.to_json(), n, seed, rep, t_grid) for rep in range(reps)]
     rows = np.asarray(_pool_map(_fclt_rep, tasks, int(cfg["threads"])))
 
-    with open(out_dir / "gn_moments.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_gn", "var_gn", "target_var", "reps"])
-        for j, t in enumerate(t_grid):
-            writer.writerow(
-                [repr(t), repr(float(rows[:, j].mean())),
-                 repr(float(rows[:, j].var(ddof=1))),
-                 repr(variance_gn(t, schedule)), reps]
-            )
+    moments = [
+        (t, float(rows[:, j].mean()), float(rows[:, j].var(ddof=1)), variance_gn(t, schedule), reps)
+        for j, t in enumerate(t_grid)
+    ]
+    write_csv(out_dir / "gn_moments.csv", ["t", "mean_gn", "var_gn", "target_var", "reps"],
+              list(zip(*moments)))
 
     seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
     if schedule.num_change_points == 1:
@@ -316,18 +301,15 @@ def cmd_maxdeg(cfg: dict, out_dir: Path) -> list[dict]:
     reps, seed = int(cfg["reps"]), int(cfg["seed"])
     n_list = [int(n) for n in cfg["n_list"]]
     exponent = (1.0 + schedule.alpha) / (2.0 + schedule.alpha)
-    seeds = []
-    with open(out_dir / "maxdeg.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "rep", "max_degree", "scaled"])
-        for ni, n in enumerate(n_list):
-            tasks = [(schedule.to_json(), n, seed, ni * reps + rep) for rep in range(reps)]
-            m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
-            for rep, m1 in enumerate(m1s):
-                writer.writerow([n, rep, m1, repr(m1 / n**exponent)])
-                seeds.append({"seed": seed, "stream_id": ni * reps + rep})
-            med = float(np.median([m1 / n**exponent for m1 in m1s]))
-            print(f"n={n}: median scaled max degree = {med:.4f}")
+    seeds, rows = [], []
+    for ni, n in enumerate(n_list):
+        tasks = [(schedule.to_json(), n, seed, ni * reps + rep) for rep in range(reps)]
+        m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
+        scaled = [m1 / n**exponent for m1 in m1s]
+        rows += zip([n] * reps, range(reps), m1s, scaled)
+        seeds += [{"seed": seed, "stream_id": ni * reps + rep} for rep in range(reps)]
+        print(f"n={n}: median scaled max degree = {float(np.median(scaled)):.4f}")
+    write_csv(out_dir / "maxdeg.csv", ["n", "rep", "max_degree", "scaled"], list(zip(*rows)))
     return seeds
 
 
@@ -382,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", dest="n_list", type=int, action="append", default=None,
                    help="tree size (repeatable)")
-    p.add_argument("--k", type=int, default=None)
 
     return parser
 
@@ -401,19 +382,38 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args.command, args)
         # validate the full configuration before any side effect
+        for key, low in _MINIMUM.items():
+            if key in cfg and int(cfg[key]) < low:
+                raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
         if args.command == "estimate":
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
             for t in cfg["trajectories"]:
                 if not Path(t).is_file():
                     raise ValueError(f"trajectory file not found: {t}")
+            EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
             if cfg.get("alpha") is not None and cfg.get("gamma"):
                 _schedule_from(cfg)
         else:
-            _schedule_from(cfg)
-        if "n" in cfg and int(cfg.get("n") or 2) < 2:
-            raise ValueError("n must be >= 2")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+            schedule = _schedule_from(cfg)
+        if args.command == "simulate":
+            bad = [m for m in cfg["checkpoints"] if not 2 <= int(m) <= int(cfg["n"])]
+            if bad:
+                raise ValueError(f"checkpoints must lie in 2..n = {cfg['n']}, got {bad}")
+        elif args.command == "limits" and schedule.num_change_points == 1:
+            gamma = schedule.gamma
+            if not gamma < float(cfg["horizon_t"]) <= 1.0:
+                raise ValueError(f"horizon_t must lie in ({gamma}, 1], got {cfg['horizon_t']}")
+            if not 0.0 < float(cfg["epsilon"]) < gamma:
+                raise ValueError(f"epsilon must lie in (0, {gamma}), got {cfg['epsilon']}")
+        elif args.command == "fclt":
+            if int(cfg["reps"]) < 2:
+                raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
+            if not all(0.0 < float(t) <= 1.0 for t in cfg["t_grid"]):
+                raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
+        elif args.command == "maxdeg" and any(int(n) < 2 for n in cfg["n_list"]):
+            raise ValueError(f"every n must be >= 2, got {cfg['n_list']}")
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

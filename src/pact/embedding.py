@@ -7,7 +7,6 @@ times are therefore sufficient: no per-vertex event queue is needed.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .model_core import (
     as_generator,
     step_offsets,
     validate_schedule,
+    write_csv,
 )
 
 
@@ -145,16 +145,8 @@ def embed(
 
 
 def write_clock_csv(clock: EmbeddingClock, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "tau"])
-        for m in range(1, clock.n + 1):
-            writer.writerow([m, repr(float(clock.tau[m]))])
+    write_csv(path, ["m", "tau"], [range(1, clock.n + 1), clock.tau[1 : clock.n + 1]])
 
 
 def write_zsample_csv(z: np.ndarray, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "z"])
-        for i, v in enumerate(z):
-            writer.writerow([i, repr(float(v))])
+    write_csv(path, ["rep", "z"], [range(len(z)), z])

@@ -15,7 +15,6 @@ detected" instead of a meaningless estimate near 1.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .leaf_process import LeafTrajectory, leaf_proportion_integral, p_inf
-from .model_core import ChangePointSchedule, validate_schedule
+from .model_core import ChangePointSchedule, validate_schedule, write_csv
 
 
 class TOutOfRange(ValueError):
@@ -242,12 +241,9 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
 
 
 def write_dn_csv(curve: DnCurve, path, d_limit: np.ndarray | None = None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "dn", "d_limit"])
-        for i, (t, v) in enumerate(zip(curve.ts, curve.values)):
-            third = repr(float(d_limit[i])) if d_limit is not None else ""
-            writer.writerow([repr(float(t)), repr(float(v)), third])
+    """Columns t, dn, d_limit; d_limit is left empty when no limit curve is given."""
+    third = [""] * len(curve.ts) if d_limit is None else d_limit
+    write_csv(path, ["t", "dn", "d_limit"], [curve.ts, curve.values, third])
 
 
 def write_report_json(report: EstimateReport, path) -> None:

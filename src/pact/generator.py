@@ -17,7 +17,6 @@ vectorized passes.
 """
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .model_core import (
     as_generator,
     step_offsets,
     validate_schedule,
+    write_csv,
 )
 
 _MAGIC = b"PACT"
@@ -281,17 +281,9 @@ def load_tree(path) -> GrowingTree:
 
 
 def write_edge_csv(tree: GrowingTree, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["child", "parent"])
-        for child in range(2, tree.n + 1):
-            writer.writerow([child, int(tree.parent[child])])
+    write_csv(path, ["child", "parent"], [range(2, tree.n + 1), tree.parent[2 : tree.n + 1]])
 
 
 def write_histogram_csv(hist: DegreeHistogram, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "count"])
-        for k, c in enumerate(hist.counts):
-            if k >= 1 and c > 0:
-                writer.writerow([k, int(c)])
+    ks = np.flatnonzero(hist.counts[1:]) + 1
+    write_csv(path, ["k", "count"], [ks, hist.counts[ks]])

@@ -12,8 +12,7 @@ with chi = (3+2b)/(2+b); the second line equals the expanded form
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .model_core import (
     SizeTooSmall,
     segment_of,
     validate_schedule,
+    write_csv,
 )
 
 
@@ -80,24 +80,24 @@ class LeafTrajectory:
 
 
 def write_trajectory_csv(trajectory: LeafTrajectory, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "leaf_count"])
-        for m, c in zip(trajectory.steps(), trajectory.counts):
-            writer.writerow([int(m), int(c)])
+    write_csv(path, ["m", "leaf_count"], [trajectory.steps(), trajectory.counts])
 
 
 def read_trajectory_csv(path) -> LeafTrajectory:
-    ms: list[int] = []
-    cs: list[int] = []
+    """Load a trajectory CSV; ValueError unless it is a valid trajectory for steps 2..n."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            ms.append(int(row["m"]))
-            cs.append(int(row["leaf_count"]))
-    if not ms or ms[0] != 2 or ms != list(range(2, ms[-1] + 1)):
+        header = fh.readline().rstrip("\r\n")
+    if header != "m,leaf_count":
+        raise ValueError(f"trajectory file {path}: header must be 'm,leaf_count', got {header!r}")
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    if rows.shape[1] != 2 or not np.array_equal(rows[:, 0], np.arange(2, len(rows) + 2)):
         raise ValueError(f"trajectory file {path} must cover every step m = 2..n")
-    return LeafTrajectory(n=ms[-1], counts=np.asarray(cs, dtype=np.int64))
+    trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))
+    try:
+        trajectory.check_invariants()
+    except AssertionError as exc:
+        raise ValueError(f"trajectory file {path}: {exc}") from None
+    return trajectory
 
 
 def delta_exponent(u: float) -> float:
@@ -335,20 +335,8 @@ def gn_path(trajectory: LeafTrajectory | None, schedule: ChangePointSchedule, gr
 
 
 def write_curve_csv(schedule: ChangePointSchedule, ts: Sequence[float], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p_inf", "sigmaM2", "sigma2", "mu", "g", "phi"])
-        for t in ts:
-            suite = variance_suite(float(t), schedule)
-            writer.writerow(
-                [repr(float(t)), repr(float(p_inf(float(t), schedule))), repr(suite.sigma_m2),
-                 repr(suite.sigma2), repr(suite.mu), repr(suite.g), repr(suite.phi)]
-            )
-
-
-def write_gn_csv(ts: Sequence[float], gn: Sequence[float], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "gn"])
-        for t, g in zip(ts, gn):
-            writer.writerow([repr(float(t)), repr(float(g))])
+    rows = [
+        (float(t), float(p_inf(float(t), schedule)), *astuple(variance_suite(float(t), schedule)))
+        for t in ts
+    ]
+    write_csv(path, ["t", "p_inf", "sigmaM2", "sigma2", "mu", "g", "phi"], list(zip(*rows)))

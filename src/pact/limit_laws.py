@@ -18,8 +18,8 @@ direct exponential-wait simulator before the samplers below rely on it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,6 +30,7 @@ from .model_core import (
     RngLike,
     as_generator,
     validate_schedule,
+    write_csv,
 )
 
 
@@ -50,7 +51,6 @@ class InsufficientSupport(ValueError):
 
 
 _TAIL_TOL = 1e-12
-_CDF_CACHE: dict[float, np.ndarray] = {}
 
 
 def p_alpha_pmf(alpha: float, k):
@@ -78,16 +78,13 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)  # a table near alpha = 0 takes tens of MB
 def _alpha_cdf(alpha: float) -> np.ndarray:
     """Prefix sums of p_alpha, extended until the analytic tail is below ~1e-12.
 
     The tail completion uses the power-law envelope: sum_{j>k} p(j) is about
     p(k) * k / (2 + alpha).
     """
-    key = float(alpha)
-    cached = _CDF_CACHE.get(key)
-    if cached is not None:
-        return cached
     kmax = 4096
     while True:
         table = p_alpha_table(alpha, kmax)
@@ -95,9 +92,7 @@ def _alpha_cdf(alpha: float) -> np.ndarray:
         if tail < _TAIL_TOL or kmax >= (1 << 24):
             break
         kmax *= 4
-    cdf = np.cumsum(table[1:])
-    _CDF_CACHE[key] = cdf
-    return cdf
+    return np.cumsum(table[1:])
 
 
 def sample_d_alpha(alpha: float, size: int, rng: RngLike) -> np.ndarray:
@@ -383,8 +378,4 @@ def tv_distance_upto(p: np.ndarray, q: np.ndarray, kmax: int) -> float:
 
 
 def write_pmf_csv(ks, ps, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p"])
-        for k, p in zip(ks, ps):
-            writer.writerow([int(k), repr(float(p))])
+    write_csv(path, ["k", "p"], [ks, ps])

@@ -1,4 +1,5 @@
-"""Shared domain types: attachment schedules, segment lookup, seeded RNG streams.
+"""Shared domain types: attachment schedules, segment lookup, seeded RNG streams,
+and the CSV writer behind every artifact.
 
 The model grows a rooted tree one vertex at a time.  Vertex m+1 attaches to
 an existing vertex v with probability proportional to out_degree(v) + 1 + c,
@@ -8,13 +9,15 @@ is the plain model with a single offset alpha.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_CSV_CHUNK = 4096  # rows converted per batch: larger chunks raise peak RSS, not speed
 
 
 class NonPositiveParameter(ValueError):
@@ -189,3 +192,22 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     if isinstance(rng, SeededRng):
         return rng.generator()
     raise TypeError(f"expected SeededRng or numpy Generator, got {type(rng)!r}")
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a header row, then row i = (column[i] for each column).
+
+    The one CSV format of every artifact: the csv module's quoting, ``\\r\\n``
+    line ends, ints as decimals and floats as ``repr``.  numpy columns become
+    Python numbers one chunk of rows at a time, so a write never holds more
+    than one chunk of formatted rows.
+    """
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, rows, _CSV_CHUNK):
+            chunk = [col[lo : lo + _CSV_CHUNK] for col in columns]
+            writer.writerows(
+                zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk), strict=True)
+            )

@@ -90,6 +90,42 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
     assert not out.exists()
 
 
+SINGLE = ["--alpha", "6", "--beta", "1", "--gamma", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["limits", *SINGLE, "--draws", "0"],
+    ["limits", "--kmax", "0"],
+    ["limits", "--curve-points", "0"],
+    ["limits", *SINGLE, "--epsilon", "0.6"],
+    ["limits", *SINGLE, "--horizon-t", "0.4"],
+    ["fclt", "--reps", "0"],
+    ["fclt", "--reps", "1"],
+    ["fclt", "--t", "1.5"],
+    ["simulate", "--checkpoint", "200", "--n", "100"],
+    ["simulate", "--n", "0"],
+    ["simulate", "--threads", "0"],
+    ["maxdeg", "--reps", "0"],
+    ["maxdeg", "--n", "1"],
+    ["estimate", "--trajectory", __file__, "--epsilon", "1.5"],
+])
+def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert _run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_maxdeg_k_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 1}))
+    out = tmp_path / "never"
+    assert _run("maxdeg", "--config", str(cfg), "--out", str(out)) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limits_outputs(tmp_path):
     out = tmp_path / "lim"
     assert _run("limits", "--out", str(out), "--alpha", "6", "--beta", "1",

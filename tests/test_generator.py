@@ -213,3 +213,27 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert back.n == 300
     assert np.array_equal(back.counts, tree.leaf_trajectory.counts)
     assert path.read_text().splitlines()[0] == "m,leaf_count"
+
+
+MALFORMED_TRAJECTORIES = {
+    "wrong-header": "m,count\r\n2,2\r\n3,2\r\n",
+    "swapped-columns": "leaf_count,m\r\n2,2\r\n3,2\r\n",
+    "float-count": "m,leaf_count\r\n2,2\r\n3,2.5\r\n",
+    "text-step": "m,leaf_count\r\n2,2\r\nx,2\r\n",
+    "extra-column": "m,leaf_count\r\n2,2,0\r\n3,2,0\r\n",
+    "no-steps": "m,leaf_count\r\n",
+    "starts-at-3": "m,leaf_count\r\n3,2\r\n4,3\r\n",
+    "skips-a-step": "m,leaf_count\r\n2,2\r\n4,3\r\n",
+    "count-above-m": "m,leaf_count\r\n2,3\r\n3,3\r\n",
+    "negative-count": "m,leaf_count\r\n2,2\r\n3,-1\r\n",
+    "jump-of-2": "m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("text", MALFORMED_TRAJECTORIES.values(), ids=MALFORMED_TRAJECTORIES.keys())
+def test_read_trajectory_csv_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError):
+        read_trajectory_csv(path)

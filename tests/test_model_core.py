@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pact.model_core import (
     segment_of,
     step_offsets,
     validate_schedule,
+    write_csv,
 )
 
 
@@ -103,3 +106,22 @@ def test_seeded_rng_streams_differ():
 def test_stream_helper_replaces_stream_id():
     rng = SeededRng(9, 1)
     assert rng.stream(4) == SeededRng(9, 4)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096, 4097])
+def test_write_csv_matches_row_by_row_csv_writer(tmp_path, rows):
+    ints = np.arange(rows, dtype=np.int64) * 7919 - 3
+    specials = [float("nan"), float("inf"), -0.0, 1e-300, 0.1 + 0.2]
+    floats = np.resize(np.array(specials + [1.0 / 3.0, -2.5e17]), rows)
+    empty = [""] * rows
+    names = ['run,"a".csv'] * rows
+    path = tmp_path / "columns.csv"
+    write_csv(path, ["i", "x", "d_limit", "file"], [ints, floats, empty, names])
+
+    reference = tmp_path / "rows.csv"
+    with open(reference, "w", newline="\n") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "x", "d_limit", "file"])
+        for i in range(rows):
+            writer.writerow([int(ints[i]), repr(float(floats[i])), empty[i], names[i]])
+    assert path.read_bytes() == reference.read_bytes()
