@@ -29,7 +29,6 @@ from .generator import (
     top_k_degrees,
 )
 from .leaf_process import (
-    LeafLimitCurve,
     LeafTrajectory,
     expected_leaves,
     gn_path,

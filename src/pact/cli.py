@@ -20,7 +20,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .generator import (
     write_histogram_csv,
 )
 from .leaf_process import (
+    LeafTrajectory,
     gn_path,
     read_trajectory_csv,
     variance_gn,
@@ -148,6 +148,9 @@ def _schedule_from(cfg: dict) -> ChangePointSchedule:
 
 def _pool_map(fn, tasks, threads: int):
     if threads > 1:
+        # imported here: it costs every single-process run about 25 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -231,15 +234,14 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
 
 # ---------------------------------------------------------------- estimate
 
-def cmd_estimate(cfg: dict, out_dir: Path) -> list[dict]:
-    trajectories = cfg["trajectories"]
+def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -> list[dict]:
+    """Estimate on the trajectories main() loaded from cfg["trajectories"], in order."""
     schedule = None
     if cfg.get("alpha") is not None and cfg.get("gamma"):
         schedule = _schedule_from(cfg)
     config = EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
     rows = []
-    for i, traj_path in enumerate(trajectories):
-        traj = read_trajectory_csv(traj_path)
+    for i, (traj_path, traj) in enumerate(zip(cfg["trajectories"], trajectories)):
         curve = dn_curve(traj, config)
         report = gamma_hat(curve, config)
         d_lim = None
@@ -379,6 +381,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    inputs = {}  # loaded input files, handed to the command
     try:
         cfg = _merge_config(args.command, args)
         # validate the full configuration before any side effect
@@ -388,12 +391,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
-            for t in cfg["trajectories"]:
-                if not Path(t).is_file():
-                    raise ValueError(f"trajectory file not found: {t}")
             EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
             if cfg.get("alpha") is not None and cfg.get("gamma"):
                 _schedule_from(cfg)
+            for t in cfg["trajectories"]:
+                if not Path(t).is_file():
+                    raise ValueError(f"trajectory file not found: {t}")
+            inputs["trajectories"] = [read_trajectory_csv(t) for t in cfg["trajectories"]]
         else:
             schedule = _schedule_from(cfg)
         if args.command == "simulate":
@@ -420,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    seeds = _COMMANDS[args.command](cfg, out_dir)
+    seeds = _COMMANDS[args.command](cfg, out_dir, **inputs)
     manifest = RunManifest(subcommand=args.command, config=cfg, seeds=seeds)
     manifest.wall_clock_s = round(time.time() - start, 3)
     manifest.outputs = {

@@ -110,6 +110,10 @@ class EstimateReport:
             "detected": self.detected,
             "epsilon": self.epsilon,
             "threshold": self.threshold,
+            "detection_floor": self.detection_floor,
+            "near_max_min": self.near_max_min,
+            "near_max_max": self.near_max_max,
+            "n": self.n,
         }
 
 

@@ -17,6 +17,7 @@ vectorized passes.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -264,6 +265,7 @@ def save_tree(tree: GrowingTree, path) -> None:
 
 
 def load_tree(path) -> GrowingTree:
+    """Read a tree written by save_tree; ValueError unless it is a valid tree."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -271,13 +273,22 @@ def load_tree(path) -> GrowingTree:
         version, n = struct.unpack("<QQ", fh.read(16))
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if n < 1:
+            raise ValueError(f"{path}: header n={n} holds no vertex")
+        size = os.fstat(fh.fileno()).st_size
+        if size != 20 + 8 * n:
+            raise ValueError(f"{path}: header n={n} needs {20 + 8 * n} bytes, file has {size}")
         raw = fh.read(8 * n)
-        if len(raw) != 8 * n:
-            raise ValueError(f"{path}: truncated parent array")
     parent = np.zeros(n + 1, dtype=np.int64)
     parent[1:] = np.frombuffer(raw, dtype="<u8").astype(np.int64)
-    out_degree = np.bincount(parent[2:], minlength=n + 1)
-    return GrowingTree(n=int(n), parent=parent, out_degree=out_degree)
+    # clipped so that a corrupt parent cannot size the bincount; check_invariants rejects it
+    out_degree = np.bincount(parent[2:].clip(0, n), minlength=n + 1)
+    tree = GrowingTree(n=int(n), parent=parent, out_degree=out_degree)
+    try:
+        tree.check_invariants()
+    except AssertionError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return tree
 
 
 def write_edge_csv(tree: GrowingTree, path) -> None:

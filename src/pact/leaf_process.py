@@ -12,11 +12,11 @@ with chi = (3+2b)/(2+b); the second line equals the expanded form
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import warnings
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model_core import (
     ChangePointSchedule,
@@ -89,7 +89,9 @@ def read_trajectory_csv(path) -> LeafTrajectory:
         header = fh.readline().rstrip("\r\n")
     if header != "m,leaf_count":
         raise ValueError(f"trajectory file {path}: header must be 'm,leaf_count', got {header!r}")
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty body warns; the shape check rejects it
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     if rows.shape[1] != 2 or not np.array_equal(rows[:, 0], np.arange(2, len(rows) + 2)):
         raise ValueError(f"trajectory file {path} must cover every step m = 2..n")
     trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))
@@ -247,24 +249,42 @@ def g_scale(t, schedule: ChangePointSchedule):
     return out if out.ndim else float(out)
 
 
-def phi(t: float, schedule: ChangePointSchedule) -> float:
-    """Variance clock phi(t) = integral_0^t sigma_m2(s) ds.
+def phi(t, schedule: ChangePointSchedule):
+    """Variance clock phi(t) = integral_0^t sigma_m2(s) ds in closed form; vectorized in t.
 
-    Closed form on [0, gamma] (power-law integrand); adaptive quadrature with
-    absolute tolerance 1e-10 on the smooth piece above gamma.
+    Below gamma the integrand is c s^(2 da) with c = da p_pre (1 - da p_pre).
+    Above gamma it is gamma^(2 da) (s/gamma)^(2 db) db p(s) (1 - db p(s)) with
+    p(s) = p_post + (gamma/s)^chi (p_pre - p_post): a sum of three power laws
+    in s with exponents 2 db, 2 db - chi = -1/(2+b) and 2 db - 2 chi = -2.
+    Offsets are non-negative, so 2 db lies in [1, 2) and -1/(2+b) in
+    [-1/2, 0); none of the exponents is -1, so each term integrates to a
+    power and no logarithm appears.  With u = log(t/gamma) and
+    J = p_pre - p_post, the piece above gamma is gamma^(2 da + 1) times
+
+        db p_post (1 - db p_post) expm1((2 db + 1) u) / (2 db + 1)
+        + J (1 - 2 db p_post) expm1(db u) + db^2 J^2 expm1(-u),
+
+    which keeps its relative accuracy for t just above gamma.
     """
     alpha, beta, gamma = _single_params(schedule)
-    if not 0.0 <= t <= 1.0:
+    t_arr = np.asarray(t, dtype=np.float64)
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
         raise HorizonOutOfRange(f"t must lie in [0, 1], got {t}")
     da = delta_exponent(alpha)
-    p_gamma = _pre_fraction(alpha)
-    c_pre = da * p_gamma * (1 - da * p_gamma)
-    lo = min(t, gamma)
-    total = c_pre * lo ** (2 * da + 1) / (2 * da + 1)
-    if t > gamma:
-        piece, _ = quad(lambda s: sigma_m2(s, schedule), gamma, t, epsabs=1e-10, limit=200)
-        total += piece
-    return float(total)
+    db = delta_exponent(beta)
+    p_pre = _pre_fraction(alpha)
+    p_post = _pre_fraction(beta)
+    jump = p_pre - p_post
+    lo = np.minimum(t_arr, gamma)
+    total = da * p_pre * (1 - da * p_pre) * lo ** (2 * da + 1) / (2 * da + 1)
+    u = np.log(np.maximum(t_arr, gamma) / gamma)  # 0 up to gamma
+    post = (
+        db * p_post * (1 - db * p_post) * np.expm1((2 * db + 1) * u) / (2 * db + 1)
+        + jump * (1 - 2 * db * p_post) * np.expm1(db * u)
+        + db * db * jump * jump * np.expm1(-u)
+    )
+    out = total + gamma ** (2 * da + 1) * post
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -293,31 +313,6 @@ def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
     return float(g * g * phi(t, schedule))
 
 
-@dataclass(frozen=True)
-class LeafLimitCurve:
-    """Bundle of the limit-curve evaluators for one schedule."""
-
-    schedule: ChangePointSchedule
-
-    def p_inf(self, t):
-        return p_inf(t, self.schedule)
-
-    def sigma_m2(self, t):
-        return sigma_m2(t, self.schedule)
-
-    def sigma2(self, t):
-        return sigma2(t, self.schedule)
-
-    def mu(self, t):
-        return mu_drift(t, self.schedule)
-
-    def g(self, t):
-        return g_scale(t, self.schedule)
-
-    def phi(self, t):
-        return phi(t, self.schedule)
-
-
 def gn_path(trajectory: LeafTrajectory | None, schedule: ChangePointSchedule, grid) -> np.ndarray:
     """Centred, sqrt(n)-scaled leaf-count path (N(nt) - nt p_inf(t)) / sqrt(n).
 
@@ -335,8 +330,7 @@ def gn_path(trajectory: LeafTrajectory | None, schedule: ChangePointSchedule, gr
 
 
 def write_curve_csv(schedule: ChangePointSchedule, ts: Sequence[float], path) -> None:
-    rows = [
-        (float(t), float(p_inf(float(t), schedule)), *astuple(variance_suite(float(t), schedule)))
-        for t in ts
-    ]
-    write_csv(path, ["t", "p_inf", "sigmaM2", "sigma2", "mu", "g", "phi"], list(zip(*rows)))
+    t = np.asarray(ts, dtype=np.float64)
+    columns = [t, p_inf(t, schedule), sigma_m2(t, schedule), sigma2(t, schedule),
+               mu_drift(t, schedule), g_scale(t, schedule), phi(t, schedule)]
+    write_csv(path, ["t", "p_inf", "sigmaM2", "sigma2", "mu", "g", "phi"], columns)

@@ -18,11 +18,11 @@ direct exponential-wait simulator before the samplers below rely on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model_core import (
     ChangePointSchedule,
@@ -51,6 +51,12 @@ class InsufficientSupport(ValueError):
 
 
 _TAIL_TOL = 1e-12
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma elementwise; numpy has no log-gamma ufunc."""
+    return np.asarray(_lgamma(x), dtype=np.float64)
 
 
 def p_alpha_pmf(alpha: float, k):
@@ -59,8 +65,8 @@ def p_alpha_pmf(alpha: float, k):
     if np.any(k_arr < 1):
         raise InvalidK(f"k must be >= 1, got {k}")
     kf = k_arr.astype(np.float64)
-    log_num = gammaln(kf + alpha) - gammaln(1.0 + alpha)
-    log_den = gammaln(kf + 3.0 + 2.0 * alpha) - gammaln(3.0 + 2.0 * alpha)
+    log_num = _log_gamma(kf + alpha) - math.lgamma(1.0 + alpha)
+    log_den = _log_gamma(kf + 3.0 + 2.0 * alpha) - math.lgamma(3.0 + 2.0 * alpha)
     out = (2.0 + alpha) * np.exp(log_num - log_den)
     return out if out.ndim else float(out)
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,7 +168,9 @@ def test_estimate_on_simulated_trajectory(tmp_path):
                 "--trajectory", str(sim / "trajectory_r000.csv"),
                 "--alpha", "6", "--beta", "1", "--gamma", "0.5") == 0
     report = json.loads((out / "report_000.json").read_text())
-    assert set(report) == {"gamma_hat", "dn_star", "detected", "epsilon", "threshold"}
+    assert set(report) == {"gamma_hat", "dn_star", "detected", "epsilon", "threshold",
+                           "detection_floor", "near_max_min", "near_max_max", "n"}
+    assert report["n"] == 20000
     header = (out / "dn_curve_000.csv").read_text().splitlines()[0]
     assert header == "t,dn,d_limit"
     with open(out / "gamma_hats.csv") as fh:
@@ -185,6 +190,28 @@ def test_estimate_constant_trajectory_not_detected(tmp_path):
     report = json.loads((out / "report_000.json").read_text())
     assert report["detected"] is False
     assert report["gamma_hat"] is None
+
+
+@pytest.mark.parametrize("body", ["m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n", "m,leaf_count\r\n",
+                                  "m,count\r\n2,2\r\n"], ids=["jump-of-2", "no-steps", "header"])
+def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsys, body):
+    good = tmp_path / "good.csv"
+    good.write_text("m,leaf_count\n" + "".join(f"{m},{m // 2}\n" for m in range(2, 200)))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body.encode())
+    out = tmp_path / "never"
+    assert _run("estimate", "--out", str(out), "--trajectory", str(good),
+                "--trajectory", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, pact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.stdout.strip() == "[]"
 
 
 def test_estimate_requires_trajectory(tmp_path):

@@ -139,7 +139,9 @@ def test_gamma_hat_no_change_detected_on_constant():
 def test_report_json_contract():
     traj = _step_traj(20_000, 0.3, 0.7, 0.5)
     report = estimate(traj, EstimatorConfig(epsilon=0.1))
-    assert set(report.to_json()) == {"gamma_hat", "dn_star", "detected", "epsilon", "threshold"}
+    assert set(report.to_json()) == {"gamma_hat", "dn_star", "detected", "epsilon", "threshold",
+                                     "detection_floor", "near_max_min", "near_max_max", "n"}
+    assert report.to_json()["n"] == 20_000
 
 
 def test_limit_H_is_plateau_average():

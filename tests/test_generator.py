@@ -199,6 +199,44 @@ def test_tree_binary_round_trip(tmp_path):
     assert int.from_bytes(raw[12:20], "little") == 777
 
 
+def _corrupt_tree_file(tmp_path, edit):
+    path = tmp_path / "t.pact"
+    save_tree(grow_tree(SINGLE, 50, SeededRng(13)), path)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def _set_parent(m, value):
+    def edit(raw):
+        raw[20 + 8 * (m - 1) : 28 + 8 * (m - 1)] = value.to_bytes(8, "little")
+    return edit
+
+
+def _set_n(n):
+    def edit(raw):
+        raw[12:20] = n.to_bytes(8, "little")
+    return edit
+
+
+CORRUPT_TREES = {
+    "forward-parent": _set_parent(3, 3),
+    "parent-above-n": _set_parent(7, 51),
+    "parent-above-int64": _set_parent(7, 2**64 - 1),
+    "root-not-sentinel": _set_parent(1, 1),
+    "n-above-file": _set_n(2**40),
+    "n-below-file": _set_n(49),
+    "n-zero": _set_n(0),
+}
+
+
+@pytest.mark.parametrize("edit", CORRUPT_TREES.values(), ids=CORRUPT_TREES.keys())
+def test_load_tree_rejects_corrupt_files(tmp_path, edit):
+    with pytest.raises(ValueError):
+        load_tree(_corrupt_tree_file(tmp_path, edit))
+
+
 def test_edge_csv_format(tmp_path):
     path = tmp_path / "edges.csv"
     write_edge_csv(_path3(), path)

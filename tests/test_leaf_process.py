@@ -162,6 +162,45 @@ def test_phi_zero_and_increasing():
     assert np.all(np.diff(vals) > 0)
 
 
+PHI_SCHEDULES = [ChangePointSchedule.single(0.0, beta, gamma)
+                 for beta in (0.01, 1.0, 50.0) for gamma in (0.1, 0.5, 0.99)]
+PHI_SCHEDULES += [ChangePointSchedule(alpha=0.0), SINGLE]
+
+
+def _schedule_id(schedule):
+    if schedule.num_change_points == 0:
+        return f"a{schedule.alpha}-no-change"
+    return f"a{schedule.alpha}-b{schedule.beta}-g{schedule.gamma}"
+
+
+@pytest.mark.parametrize("schedule", PHI_SCHEDULES, ids=_schedule_id)
+def test_phi_closed_form_matches_quadrature(schedule):
+    from scipy.integrate import quad
+
+    gamma = schedule.gamma if schedule.num_change_points else 1.0
+    for t in sorted({0.0, gamma, min(gamma + 1e-9, 1.0), 0.5 * (gamma + 1.0), 1.0}):
+        num, _ = quad(lambda s: sigma_m2(s, schedule), 0.0, t, epsabs=1e-13, epsrel=1e-13,
+                      limit=200, points=[gamma] if 0.0 < gamma < t else None)
+        assert phi(t, schedule) == pytest.approx(num, abs=1e-10)
+
+
+@pytest.mark.parametrize("schedule", PHI_SCHEDULES, ids=_schedule_id)
+def test_phi_vectorized_matches_scalar(schedule):
+    gamma = schedule.gamma if schedule.num_change_points else 1.0
+    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), [gamma, min(gamma + 1e-9, 1.0)]]))
+    vals = phi(ts, schedule)
+    assert isinstance(vals, np.ndarray) and vals.shape == ts.shape
+    scalars = [phi(float(t), schedule) for t in ts]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(vals, scalars, rtol=0.0, atol=1e-15)
+
+
+def test_phi_rejects_times_outside_unit_interval():
+    for bad in (-0.1, 1.1, float("nan"), [0.5, 1.5]):
+        with pytest.raises(HorizonOutOfRange):
+            phi(bad, SINGLE)
+
+
 def test_continuity_and_jumps_at_change_point():
     eps = 1e-13
     g = SINGLE.gamma

@@ -38,6 +38,24 @@ def test_pmf_spot_values_exact():
     assert p_alpha_pmf(6.0, 1) == pytest.approx(8.0 / 15.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0])
+def test_p_alpha_pmf_matches_gammaln_reference(alpha):
+    from scipy.special import gammaln
+
+    def reference(ks):
+        kf = ks.astype(np.float64)
+        log_num = gammaln(kf + alpha) - gammaln(1.0 + alpha)
+        log_den = gammaln(kf + 3.0 + 2.0 * alpha) - gammaln(3.0 + 2.0 * alpha)
+        return (2.0 + alpha) * np.exp(log_num - log_den)
+
+    small = np.arange(1, 1001)
+    np.testing.assert_allclose(p_alpha_pmf(alpha, small), reference(small), rtol=1e-11, atol=0)
+    # both log-gamma differences cancel to a few digits at k near 1e6
+    large = np.unique(np.logspace(3, 6, 500).astype(np.int64))
+    np.testing.assert_allclose(p_alpha_pmf(alpha, large), reference(large), rtol=1e-8, atol=0)
+    assert type(p_alpha_pmf(alpha, 7)) is float
+
+
 def test_pmf_rejects_bad_k():
     with pytest.raises(InvalidK):
         p_alpha_pmf(1.0, 0)
