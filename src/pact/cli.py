@@ -216,10 +216,11 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
     if schedule.num_change_points >= 1:
         rng = SeededRng(seed, 0)
         draws = int(cfg["draws"])
+        horizon = float(cfg["horizon_t"])
         if schedule.num_change_points == 1:
-            batch = sample_d_theta(schedule, rng, draws, horizon=float(cfg["horizon_t"]))
+            batch = sample_d_theta(schedule, rng, draws, horizon)
         else:
-            batch = sample_d_theta_multi(schedule, rng, draws)
+            batch = sample_d_theta_multi(schedule, rng, draws, horizon)
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
         ks, cc = ccdf_from_samples(batch.values)
         write_pmf_csv(ks, cc, out_dir / "d_theta_ccdf.csv")
@@ -245,7 +246,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -
         curve = dn_curve(traj, config)
         report = gamma_hat(curve, config)
         d_lim = None
-        if schedule is not None and schedule.num_change_points == 1:
+        if schedule is not None:
             d_lim = np.asarray(limit_D(curve.ts, schedule, config.epsilon))
         tag = f"{i:03d}"
         write_report_json(report, out_dir / f"report_{tag}.json")
@@ -393,7 +394,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("estimate needs at least one --trajectory file")
             EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
             if cfg.get("alpha") is not None and cfg.get("gamma"):
-                _schedule_from(cfg)
+                k = _schedule_from(cfg).num_change_points
+                if k > 1:
+                    raise ValueError(f"the d_limit overlay needs one change point, got {k}")
             for t in cfg["trajectories"]:
                 if not Path(t).is_file():
                     raise ValueError(f"trajectory file not found: {t}")
@@ -404,12 +407,12 @@ def main(argv: list[str] | None = None) -> int:
             bad = [m for m in cfg["checkpoints"] if not 2 <= int(m) <= int(cfg["n"])]
             if bad:
                 raise ValueError(f"checkpoints must lie in 2..n = {cfg['n']}, got {bad}")
-        elif args.command == "limits" and schedule.num_change_points == 1:
-            gamma = schedule.gamma
-            if not gamma < float(cfg["horizon_t"]) <= 1.0:
-                raise ValueError(f"horizon_t must lie in ({gamma}, 1], got {cfg['horizon_t']}")
-            if not 0.0 < float(cfg["epsilon"]) < gamma:
-                raise ValueError(f"epsilon must lie in (0, {gamma}), got {cfg['epsilon']}")
+        elif args.command == "limits" and schedule.num_change_points:
+            last = schedule.segments[-1].gamma
+            if not last < float(cfg["horizon_t"]) <= 1.0:
+                raise ValueError(f"horizon_t must lie in ({last}, 1], got {cfg['horizon_t']}")
+            if schedule.num_change_points == 1 and not 0.0 < float(cfg["epsilon"]) < last:
+                raise ValueError(f"epsilon must lie in (0, {last}), got {cfg['epsilon']}")
         elif args.command == "fclt":
             if int(cfg["reps"]) < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")

@@ -130,25 +130,6 @@ def _window_bounds(n: int, epsilon: float) -> int:
     return max(int(math.floor(n * epsilon)), 1)
 
 
-def split_means(trajectory: LeafTrajectory, t: float, epsilon: float) -> tuple[float, float]:
-    """Average leaf proportions over the steps in (n*eps, n*t] and (n*t, n]."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not epsilon < t < 1.0:
-        raise TOutOfRange(f"t must lie in ({epsilon}, 1), got {t}")
-    n = trajectory.n
-    m_lo = _window_bounds(n, epsilon)
-    m_t = int(math.floor(n * t))
-    if m_t >= n:
-        raise EmptyWindow(f"no steps in (n*t, n] for t={t}")
-    if m_t <= m_lo:
-        raise EmptyWindow(f"no steps in (n*eps, n*t] for t={t}, eps={epsilon}")
-    prefix = _prefix_sums(trajectory)
-    before = (prefix[m_t] - prefix[m_lo]) / (m_t - m_lo)
-    after = (prefix[n] - prefix[m_t]) / (n - m_t)
-    return float(before), float(after)
-
-
 def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
     """Evaluate D_n over the configured grid (default: every step above epsilon).
 

@@ -104,67 +104,6 @@ class GrowingTree:
             raise AssertionError("out_degree inconsistent with parent array")
 
 
-class AttachmentSampler:
-    """Incremental single-step sampler over the current tree state.
-
-    Holds the parent pointers (one entry per edge, indexed by child) and the
-    active offset; the total attachment weight is (2 + offset) * m - 1.
-    """
-
-    def __init__(self, offset: float):
-        self.offset = float(offset)
-        self._parent = [0, 0]  # slots for unused index 0 and the root
-
-    @property
-    def m(self) -> int:
-        return len(self._parent) - 1
-
-    @property
-    def total_weight(self) -> float:
-        return (2.0 + self.offset) * self.m - 1.0
-
-    def attach(self, parent_vertex: int) -> int:
-        """Record the next vertex's edge; returns the new vertex id."""
-        if not 1 <= parent_vertex <= self.m:
-            raise ValueError(f"parent {parent_vertex} not in 1..{self.m}")
-        self._parent.append(parent_vertex)
-        return self.m
-
-    def sample(self, rng: RngLike) -> int:
-        gen = as_generator(rng)
-        s = self.m
-        copy_p = (s - 1) / ((2.0 + self.offset) * s - 1.0)
-        if gen.random() < copy_p:
-            u = int(gen.integers(2, s + 1))
-            return self._parent[u]
-        return int(gen.integers(1, s + 1))
-
-    def sample_many(self, rng: RngLike, size: int) -> np.ndarray:
-        """Draw `size` independent parents from the frozen current state."""
-        gen = as_generator(rng)
-        s = self.m
-        if s == 1:
-            return np.ones(size, dtype=np.int64)
-        copy_p = (s - 1) / ((2.0 + self.offset) * s - 1.0)
-        coin = gen.random(size)
-        pick = gen.random(size)
-        parents = np.asarray(self._parent, dtype=np.int64)
-        copy_idx = 2 + (pick * (s - 1)).astype(np.int64)
-        direct_idx = 1 + (pick * s).astype(np.int64)
-        return np.where(coin < copy_p, parents[copy_idx], direct_idx)
-
-    def exact_probabilities(self) -> np.ndarray:
-        """Exact attachment law over vertices 1..m (brute-force weight oracle)."""
-        out_deg = np.bincount(self._parent[2:], minlength=self.m + 1)[1:]
-        weights = out_deg + 1.0 + self.offset
-        return weights / weights.sum()
-
-
-def sample_parent(sampler: AttachmentSampler, rng: RngLike) -> int:
-    """One draw from the attachment law (probability proportional to out-degree + 1 + offset)."""
-    return sampler.sample(rng)
-
-
 def _leaf_trajectory(parent: np.ndarray, n: int) -> LeafTrajectory:
     ms = np.arange(2, n + 1)
     first_child = np.full(n + 1, n + 1, dtype=np.int64)

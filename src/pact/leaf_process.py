@@ -22,14 +22,10 @@ from .model_core import (
     ChangePointSchedule,
     HorizonOutOfRange,
     SizeTooSmall,
-    segment_of,
+    step_offsets,
     validate_schedule,
     write_csv,
 )
-
-
-class IndexOutOfRange(ValueError):
-    """Recursion weight index m outside 2..n-1."""
 
 
 class MissingTrajectory(ValueError):
@@ -117,63 +113,68 @@ def _single_params(schedule: ChangePointSchedule) -> tuple[float, float, float]:
     raise ValueError("limit curves are defined for at most one change point")
 
 
+def _parse(t, schedule: ChangePointSchedule, open_at_zero: bool):
+    """The closed forms' shared first step: (ts, alpha, beta, gamma), ts = t as a 1-d array.
+
+    t must lie in (0, 1] when open_at_zero and in [0, 1] otherwise; NaN lies
+    in neither.  A scalar t becomes a one-element array, so it runs through
+    the same array kernels as a grid and gives the same bits.
+    """
+    alpha, beta, gamma = _single_params(schedule)
+    ts = np.asarray(t, dtype=np.float64)
+    low = ts > 0.0 if open_at_zero else ts >= 0.0
+    if not np.all(low & (ts <= 1.0)):
+        raise HorizonOutOfRange(f"t must lie in {'(' if open_at_zero else '['}0, 1], got {t}")
+    return ts.reshape(-1), alpha, beta, gamma
+
+
+def _shaped(out: np.ndarray, t):
+    """The closed forms' shared last step: a float for a scalar t, else an array shaped like t."""
+    shape = np.shape(t)
+    return out.reshape(shape) if shape else float(out[0])
+
+
 def _pre_fraction(offset: float) -> float:
     return (2.0 + offset) / (3.0 + 2.0 * offset)
 
 
-def p_inf(t, schedule: ChangePointSchedule):
-    """Limiting leaf proportion at rescaled time t in (0, 1]; vectorized in t."""
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-        raise HorizonOutOfRange(f"t must lie in (0, 1], got {t}")
+def _leaf_fraction(ts: np.ndarray, alpha: float, beta: float, gamma: float) -> np.ndarray:
     p_pre = _pre_fraction(alpha)
     p_post = _pre_fraction(beta)
     chi = (3.0 + 2.0 * beta) / (2.0 + beta)
-    ratio = np.where(t_arr > gamma, gamma / np.maximum(t_arr, gamma), 1.0)
-    out = p_post + ratio**chi * (p_pre - p_post)
-    return out if out.ndim else float(out)
+    ratio = np.where(ts > gamma, gamma / np.maximum(ts, gamma), 1.0)
+    return p_post + ratio**chi * (p_pre - p_post)
+
+
+def p_inf(t, schedule: ChangePointSchedule):
+    """Limiting leaf proportion at rescaled time t in (0, 1]; vectorized in t."""
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
+    return _shaped(_leaf_fraction(ts, alpha, beta, gamma), t)
 
 
 def leaf_proportion_integral(x, schedule: ChangePointSchedule):
-    """Exact antiderivative I(x) = integral_0^x p_inf(u) du; vectorized in x."""
-    alpha, beta, gamma = _single_params(schedule)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-        raise HorizonOutOfRange(f"x must lie in [0, 1], got {x}")
+    """Exact antiderivative I(x) = integral_0^x p_inf(u) du for x in [0, 1]; vectorized in x."""
+    xs, alpha, beta, gamma = _parse(x, schedule, open_at_zero=False)
     p_pre = _pre_fraction(alpha)
     p_post = _pre_fraction(beta)
     chi = (3.0 + 2.0 * beta) / (2.0 + beta)
-    xc = np.maximum(x_arr, gamma)
+    xc = np.maximum(xs, gamma)
     # integral of (gamma/u)^chi from gamma to xc (chi > 1, so the exponent 1-chi < 0)
     tail = gamma**chi * (xc ** (1.0 - chi) - gamma ** (1.0 - chi)) / (1.0 - chi)
     post_part = p_post * (xc - gamma) + (p_pre - p_post) * tail
-    out = p_pre * np.minimum(x_arr, gamma) + post_part
-    return out if out.ndim else float(out)
-
-
-def w_m(m: int, n: int, schedule: ChangePointSchedule) -> float:
-    """Weight 1 - (1+c)/((2+c)m - 1) in the leaf expectation recursion.
-
-    c is the offset governing the attachment of vertex m+1.
-    """
-    if not 2 <= m <= n - 1:
-        raise IndexOutOfRange(f"m={m} outside 2..{n - 1}")
-    _, c = segment_of(schedule, m + 1, n)
-    return 1.0 - (1.0 + c) / ((2.0 + c) * m - 1.0)
+    return _shaped(p_pre * np.minimum(xs, gamma) + post_part, x)
 
 
 def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
     """Exact expected non-root leaf counts for m = 2..n.
 
-    Runs the recursion E(m+1) = 1 + w_m * E(m) with E(2) = 1.  All weights
-    lie in (0, 1), so plain accumulation is stable.
+    Runs the recursion E(m+1) = 1 + w_m * E(m) with E(2) = 1, where
+    w_m = 1 - (1+c)/((2+c)m - 1) and c is the offset under which vertex m+1
+    attaches.  All weights lie in (0, 1), so plain accumulation is stable.
     """
     validate_schedule(schedule)
     if n < 2:
         raise SizeTooSmall(f"n must be >= 2, got {n}")
-    from .model_core import step_offsets
-
     out = np.empty(n - 1, dtype=np.float64)
     out[0] = 1.0
     if n > 2:
@@ -188,65 +189,49 @@ def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
 
 
 def sigma_m2(t, schedule: ChangePointSchedule):
-    """Variance density of the scaled leaf-count martingale; vectorized in t."""
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise HorizonOutOfRange(f"t must lie in [0, 1], got {t}")
+    """Variance density of the scaled leaf-count martingale for t in [0, 1]; vectorized in t."""
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
     da = delta_exponent(alpha)
     db = delta_exponent(beta)
     p_gamma = _pre_fraction(alpha)
-    pre = t_arr ** (2 * da) * (da * p_gamma * (1 - da * p_gamma))
-    pt = p_inf(np.maximum(t_arr, min(gamma, 1.0)), schedule) if gamma < 1.0 else p_gamma
-    post = gamma ** (2 * da) * (np.maximum(t_arr, gamma) / gamma) ** (2 * db) * (
-        db * np.asarray(pt) * (1 - db * np.asarray(pt))
+    pre = ts ** (2 * da) * (da * p_gamma * (1 - da * p_gamma))
+    pt = _leaf_fraction(ts, alpha, beta, gamma)  # used only above gamma
+    post = gamma ** (2 * da) * (np.maximum(ts, gamma) / gamma) ** (2 * db) * (
+        db * pt * (1 - db * pt)
     )
-    out = np.where(t_arr <= gamma, pre, post)
-    return out if out.ndim else float(out)
+    return _shaped(np.where(ts <= gamma, pre, post), t)
 
 
 def sigma2(t, schedule: ChangePointSchedule):
-    """Instantaneous variance (no time-scaling factor); jumps at gamma when alpha != beta."""
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise HorizonOutOfRange(f"t must lie in [0, 1], got {t}")
+    """Instantaneous variance (unscaled) for t in [0, 1]; jumps at gamma when alpha != beta."""
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
     da = delta_exponent(alpha)
     db = delta_exponent(beta)
     p_gamma = _pre_fraction(alpha)
-    pre = np.full_like(t_arr, da * p_gamma * (1 - da * p_gamma))
-    pt = np.asarray(p_inf(np.maximum(t_arr, min(gamma, 1.0)), schedule)) if gamma < 1.0 else p_gamma
+    pre = np.full_like(ts, da * p_gamma * (1 - da * p_gamma))
+    pt = _leaf_fraction(ts, alpha, beta, gamma)  # used only above gamma
     post = db * pt * (1 - db * pt)
-    out = np.where(t_arr <= gamma, pre, post)
-    return out if out.ndim else float(out)
+    return _shaped(np.where(ts <= gamma, pre, post), t)
 
 
 def mu_drift(t, schedule: ChangePointSchedule):
-    """Drift coefficient of the rescaled leaf process; jumps at gamma when alpha != beta."""
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-        raise HorizonOutOfRange(f"t must lie in (0, 1], got {t}")
+    """Drift of the rescaled leaf process for t in (0, 1]; jumps at gamma when alpha != beta."""
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
     da = delta_exponent(alpha)
     db = delta_exponent(beta)
-    pre = -da / t_arr ** (da + 1.0)
-    post = -db * gamma ** (db - da) / t_arr ** (db + 1.0)
-    out = np.where(t_arr <= gamma, pre, post)
-    return out if out.ndim else float(out)
+    pre = -da / ts ** (da + 1.0)
+    post = -db * gamma ** (db - da) / ts ** (db + 1.0)
+    return _shaped(np.where(ts <= gamma, pre, post), t)
 
 
 def g_scale(t, schedule: ChangePointSchedule):
-    """De-scaling factor g(t); continuous across the change point."""
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-        raise HorizonOutOfRange(f"t must lie in (0, 1], got {t}")
+    """De-scaling factor g(t) for t in (0, 1]; continuous across the change point."""
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
     da = delta_exponent(alpha)
     db = delta_exponent(beta)
-    pre = t_arr ** (-da)
-    post = gamma ** (db - da) * t_arr ** (-db)
-    out = np.where(t_arr <= gamma, pre, post)
-    return out if out.ndim else float(out)
+    pre = ts ** (-da)
+    post = gamma ** (db - da) * ts ** (-db)
+    return _shaped(np.where(ts <= gamma, pre, post), t)
 
 
 def phi(t, schedule: ChangePointSchedule):
@@ -266,45 +251,21 @@ def phi(t, schedule: ChangePointSchedule):
 
     which keeps its relative accuracy for t just above gamma.
     """
-    alpha, beta, gamma = _single_params(schedule)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
-        raise HorizonOutOfRange(f"t must lie in [0, 1], got {t}")
+    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
     da = delta_exponent(alpha)
     db = delta_exponent(beta)
     p_pre = _pre_fraction(alpha)
     p_post = _pre_fraction(beta)
     jump = p_pre - p_post
-    lo = np.minimum(t_arr, gamma)
+    lo = np.minimum(ts, gamma)
     total = da * p_pre * (1 - da * p_pre) * lo ** (2 * da + 1) / (2 * da + 1)
-    u = np.log(np.maximum(t_arr, gamma) / gamma)  # 0 up to gamma
+    u = np.log(np.maximum(ts, gamma) / gamma)  # 0 up to gamma
     post = (
         db * p_post * (1 - db * p_post) * np.expm1((2 * db + 1) * u) / (2 * db + 1)
         + jump * (1 - 2 * db * p_post) * np.expm1(db * u)
         + db * db * jump * jump * np.expm1(-u)
     )
-    out = total + gamma ** (2 * da + 1) * post
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class VarianceSuite:
-    sigma_m2: float
-    sigma2: float
-    mu: float
-    g: float
-    phi: float
-
-
-def variance_suite(t: float, schedule: ChangePointSchedule) -> VarianceSuite:
-    """All closed-form fluctuation coefficients at a single time t in (0, 1]."""
-    return VarianceSuite(
-        sigma_m2=float(sigma_m2(t, schedule)),
-        sigma2=float(sigma2(t, schedule)),
-        mu=float(mu_drift(t, schedule)),
-        g=float(g_scale(t, schedule)),
-        phi=phi(t, schedule),
-    )
+    return _shaped(total + gamma ** (2 * da + 1) * post, t)
 
 
 def variance_gn(t: float, schedule: ChangePointSchedule) -> float:

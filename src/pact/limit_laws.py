@@ -9,7 +9,9 @@ a two-branch mixture over birth epoch: a vertex born after the change has
 lived a truncated-exponential Age and collects points of a pure birth process
 with rates (1+b), (2+b), ...; a vertex born before carries a p_a-distributed
 degree and keeps collecting points, at rates starting from its degree + b,
-for the fixed residual duration a = log(1/gamma)/(2+b).
+for the residual duration a = log(t/gamma)/(2+b) up to the observation
+horizon t (t = 1 is the full-size tree).  With several change points the
+same mixture runs over the birth epochs between them, segment by segment.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -18,7 +20,6 @@ direct exponential-wait simulator before the samplers below rely on it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,23 +52,18 @@ class InsufficientSupport(ValueError):
 
 
 _TAIL_TOL = 1e-12
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
-
-
-def _log_gamma(x: np.ndarray) -> np.ndarray:
-    """math.lgamma elementwise; numpy has no log-gamma ufunc."""
-    return np.asarray(_lgamma(x), dtype=np.float64)
 
 
 def p_alpha_pmf(alpha: float, k):
-    """Exact limiting pmf without change point, via stable log-gamma evaluation."""
+    """Exact limiting pmf without change point: p_alpha_table(alpha, max k) read at k.
+
+    The table's running product keeps about 1e-13 relative accuracy up to
+    k = 1e6, where a difference of log-gamma values would lose half the digits.
+    """
     k_arr = np.asarray(k)
     if np.any(k_arr < 1):
         raise InvalidK(f"k must be >= 1, got {k}")
-    kf = k_arr.astype(np.float64)
-    log_num = _log_gamma(kf + alpha) - math.lgamma(1.0 + alpha)
-    log_den = _log_gamma(kf + 3.0 + 2.0 * alpha) - math.lgamma(3.0 + 2.0 * alpha)
-    out = (2.0 + alpha) * np.exp(log_num - log_den)
+    out = p_alpha_table(alpha, int(k_arr.max()))[k_arr]
     return out if out.ndim else float(out)
 
 
@@ -111,45 +107,6 @@ def sample_d_alpha(alpha: float, size: int, rng: RngLike) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1).astype(np.int64) + 1
 
 
-def sample_point_count(start_rank: int, beta: float, t: float, rng: RngLike) -> int:
-    """Count points in [0, t] of the pure birth process by direct exponential waits.
-
-    The m-th wait is exponential with rate (start_rank + m - 1 + beta).
-    """
-    if start_rank < 1:
-        raise ValueError(f"start_rank must be >= 1, got {start_rank}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    gen = as_generator(rng)
-    elapsed = 0.0
-    count = 0
-    rate = start_rank + beta
-    while True:
-        elapsed += gen.exponential(1.0 / rate)
-        if elapsed > t:
-            return count
-        count += 1
-        rate += 1.0
-
-
-def point_counts_direct(
-    start_rank: int, beta: float, t: float, size: int, rng: RngLike
-) -> np.ndarray:
-    """Vectorized direct simulator (independent oracle for the closed form)."""
-    gen = as_generator(rng)
-    elapsed = gen.standard_exponential(size) / (start_rank + beta)
-    counts = np.zeros(size, dtype=np.int64)
-    active = elapsed <= t
-    k = 0
-    while np.any(active):
-        k += 1
-        idx = np.nonzero(active)[0]
-        counts[idx] += 1
-        elapsed[idx] += gen.standard_exponential(idx.size) / (start_rank + k + beta)
-        active[idx] = elapsed[idx] <= t
-    return counts
-
-
 def point_counts_nb(start_ranks, beta: float, durations, rng: RngLike) -> np.ndarray:
     """Closed-form counts: negative binomial with size rank+beta, success prob e^{-t}."""
     gen = as_generator(rng)
@@ -158,11 +115,6 @@ def point_counts_nb(start_ranks, beta: float, durations, rng: RngLike) -> np.nda
     if ranks.ndim == 0 and durs.ndim == 0:
         return gen.negative_binomial(float(ranks) + beta, float(np.exp(-durs)))
     return gen.negative_binomial(ranks + beta, np.exp(-durs))
-
-
-def expected_point_count(start_rank: float, beta: float, t: float) -> float:
-    """Mean count (start_rank + beta) * (e^t - 1)."""
-    return (start_rank + beta) * np.expm1(t)
 
 
 def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
@@ -178,15 +130,6 @@ def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
     gen = as_generator(rng)
     u = gen.random() if size is None else gen.random(size)
     return -np.log1p(-u * -np.expm1(-rate * a)) / rate
-
-
-def age_cdf(s, a: float, rate: float):
-    """CDF of the truncated exponential (vectorized)."""
-    if a <= 0:
-        raise NonPositiveA(f"truncation level must be > 0, got {a}")
-    s_arr = np.asarray(s, dtype=np.float64)
-    out = np.expm1(-rate * s_arr) / np.expm1(-rate * a)
-    return np.clip(out, 0.0, 1.0)
 
 
 @dataclass
@@ -214,120 +157,79 @@ class DegreeSampleBatch:
         return out
 
 
-@dataclass(frozen=True)
-class LimitDegreeSample:
-    value: int
-    branch: str  # "before-change" | "after-change"
-    epoch: int | None = None
-
-
 def sample_d_theta(
     schedule: ChangePointSchedule, rng: RngLike, size: int, horizon: float = 1.0
 ) -> DegreeSampleBatch:
     """Draws from the limiting degree law of a single-change-point model.
 
-    At horizon t in (gamma, 1] the residual duration is a(t) =
-    log(t/gamma)/(2+beta), and a fraction gamma/t of the mass sits in the
-    before-change branch.  horizon=1 is the law of the full-size tree.
+    The k = 1 case of sample_d_theta_multi: at horizon t in (gamma, 1] the
+    residual duration is log(t/gamma)/(2+beta), and a fraction gamma/t of
+    the mass sits in the before-change branch.
     """
-    validate_schedule(schedule)
     if schedule.num_change_points != 1:
         raise NoSegments("sample_d_theta needs exactly one change point")
-    gamma, beta = schedule.gamma, schedule.beta
-    if not gamma < horizon <= 1.0:
-        raise HorizonOutOfRange(f"horizon must lie in ({gamma}, 1], got {horizon}")
-    gen = as_generator(rng)
-    a_t = np.log(horizon / gamma) / (2.0 + beta)
-    after = gen.random(size) >= gamma / horizon
-    n_after = int(after.sum())
-    n_before = size - n_after
-
-    values = np.empty(size, dtype=np.int64)
-    seed = np.ones(size, dtype=np.int64)
-    if n_after:
-        ages = sample_age(a_t, 2.0 + beta, gen, n_after)
-        values[after] = 1 + point_counts_nb(1.0, beta, ages, gen)
-    if n_before:
-        d0 = sample_d_alpha(schedule.alpha, n_before, gen)
-        values[~after] = d0 + point_counts_nb(d0, beta, a_t, gen)
-        seed[~after] = d0
-    return DegreeSampleBatch(values=values, epoch=after.astype(np.int64), seed_value=seed)
+    return sample_d_theta_multi(schedule, rng, size, horizon)
 
 
-def sample_d_theta_one(
-    schedule: ChangePointSchedule, rng: RngLike, horizon: float = 1.0
-) -> LimitDegreeSample:
-    batch = sample_d_theta(schedule, rng, 1, horizon)
-    after = bool(batch.after_change[0])
-    return LimitDegreeSample(
-        value=int(batch.values[0]),
-        branch="after-change" if after else "before-change",
-        epoch=int(batch.epoch[0]),
-    )
-
-
-def epoch_probabilities(schedule: ChangePointSchedule) -> np.ndarray:
-    """Mass of each birth epoch: consecutive gaps of (0, gamma_1, ..., gamma_k, 1)."""
-    if schedule.num_change_points < 1:
-        raise NoSegments("epoch probabilities need at least one change point")
-    gs = np.array([0.0] + [s.gamma for s in schedule.segments] + [1.0])
-    return np.diff(gs)
-
-
-def segment_durations(schedule: ChangePointSchedule) -> np.ndarray:
-    """Residual durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k."""
-    if schedule.num_change_points < 1:
-        raise NoSegments("segment durations need at least one change point")
-    gs = [s.gamma for s in schedule.segments] + [1.0]
+def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:
+    """Durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k; gamma_{k+1} = horizon."""
+    gs = [s.gamma for s in schedule.segments] + [horizon]
     return np.array(
         [np.log(gs[j + 1] / gs[j]) / (2.0 + schedule.segments[j].beta) for j in range(len(gs) - 1)]
     )
 
 
 def sample_d_theta_multi(
-    schedule: ChangePointSchedule, rng: RngLike, size: int
+    schedule: ChangePointSchedule, rng: RngLike, size: int, horizon: float = 1.0
 ) -> DegreeSampleBatch:
-    """Draws from the limiting degree law with k >= 1 change points.
+    """Draws from the limiting degree law with k >= 1 change points at horizon t.
 
-    Draw a birth epoch from the gap masses.  Epoch i >= 1 starts at rank 1,
-    collects points over a truncated-exponential Age_i inside segment i, then
-    over the full residual durations a_{i+1}..a_k; epoch 0 seeds the rank with
-    a p_alpha degree and runs all segments in full.  The rank carries across
-    segment boundaries, increasing by one per collected point.
+    The birth epoch takes the gaps of (0, gamma_1, ..., gamma_k, t) divided
+    by t as its masses.  Epoch i >= 1 starts at rank 1, collects points over
+    a truncated-exponential Age_i inside segment i, then over the full
+    durations a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and
+    runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
+    The rank carries across segment boundaries, increasing by one per
+    collected point.  One uniform per draw picks the epoch; the epochs are
+    then filled from the last one down to epoch 0.
     """
     validate_schedule(schedule)
     k = schedule.num_change_points
     if k < 1:
         raise NoSegments("sample_d_theta_multi needs at least one change point")
+    last = schedule.segments[-1].gamma
+    if not last < horizon <= 1.0:
+        raise HorizonOutOfRange(f"horizon must lie in ({last}, 1], got {horizon}")
     gen = as_generator(rng)
-    pis = epoch_probabilities(schedule)
-    durations = segment_durations(schedule)
+    durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
-    epochs = np.searchsorted(np.cumsum(pis), gen.random(size)).astype(np.int64)
-    epochs = np.minimum(epochs, k)
+    u = gen.random(size)
+    epochs = np.zeros(size, dtype=np.min_scalar_type(k))  # one byte per draw up to k = 255
+    for seg in schedule.segments:
+        epochs += u >= seg.gamma / horizon
+    del u
 
     values = np.empty(size, dtype=np.int64)
     seed = np.ones(size, dtype=np.int64)
-    for i in range(k + 1):
-        sel = np.nonzero(epochs == i)[0]
-        if sel.size == 0:
+    for i in range(k, -1, -1):
+        sel = epochs == i
+        count = int(np.count_nonzero(sel))
+        if count == 0:
             continue
         if i == 0:
-            ranks = sample_d_alpha(schedule.alpha, sel.size, gen).astype(np.float64)
-            seed[sel] = ranks.astype(np.int64)
-            first_seg = 1
+            ranks = sample_d_alpha(schedule.alpha, count, gen)
+            seed[sel] = ranks
         else:
-            ranks = np.ones(sel.size, dtype=np.float64)
-            first_seg = i
-        for j in range(first_seg, k + 1):
-            if i >= 1 and j == i:
-                durs = sample_age(durations[j - 1], 2.0 + betas[j - 1], gen, sel.size)
-            else:
-                durs = np.full(sel.size, durations[j - 1])
-            ranks = ranks + point_counts_nb(ranks, betas[j - 1], durs, gen)
-        # rank = seed degree + collected points = final degree, for either epoch kind
-        values[sel] = ranks.astype(np.int64)
-    return DegreeSampleBatch(values=values, epoch=epochs, seed_value=seed)
+            beta = betas[i - 1]
+            ages = sample_age(durations[i - 1], 2.0 + beta, gen, count)
+            ranks = 1 + point_counts_nb(1.0, beta, ages, gen)
+            del ages
+        for j in range(i + 1, k + 1):
+            ranks = ranks + point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
+        # rank = seed degree + collected points = final degree
+        values[sel] = ranks
+        del ranks  # 8 bytes per draw of this epoch: free them before the next epoch is drawn
+    return DegreeSampleBatch(values=values, epoch=epochs.astype(np.int64), seed_value=seed)
 
 
 def ccdf_from_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,18 +239,6 @@ def ccdf_from_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ccdf = counts[::-1].cumsum()[::-1] / values.size
     ks = np.arange(1, counts.size)
     return ks, ccdf[1:]
-
-
-def ccdf_from_pmf(pmf_by_degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CCDF from a pmf table indexed by degree (entry 0 ignored)."""
-    tail = pmf_by_degree[::-1].cumsum()[::-1]
-    ks = np.arange(1, pmf_by_degree.size)
-    return ks, tail[1:]
-
-
-def ccdf_from_histogram(hist) -> tuple[np.ndarray, np.ndarray]:
-    """CCDF from a degree histogram (counts indexed by degree, total mass n)."""
-    return ccdf_from_pmf(np.asarray(hist.counts, dtype=np.float64) / hist.n)
 
 
 def tail_exponent(ks: np.ndarray, ccdf: np.ndarray, k_lo: int, k_hi: int) -> float:

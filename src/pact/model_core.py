@@ -133,22 +133,6 @@ def validate_schedule(schedule: ChangePointSchedule) -> ChangePointSchedule:
     return schedule
 
 
-def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, float]:
-    """Segment index and active offset for the vertex entering at step m.
-
-    Returns (j, offset) with boundaries[j] < m <= boundaries[j+1]; segment 0
-    reports alpha.  The index is non-decreasing in m.
-    """
-    if not 1 <= m <= n:
-        raise ValueError(f"step index m={m} outside 1..{n}")
-    bounds = schedule.boundaries(n)
-    offsets = schedule.offsets()
-    for j in range(len(offsets)):
-        if bounds[j] < m <= bounds[j + 1]:
-            return j, offsets[j]
-    raise AssertionError("unreachable: boundaries partition (0, n]")
-
-
 def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
     """Active offset for each entering vertex m = 2..n, as an array of length n-1."""
     offs = np.empty(n - 1, dtype=np.float64)

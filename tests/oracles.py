@@ -1,0 +1,212 @@
+"""Reference implementations the tests compare the library against.
+
+Each one is the slow, direct form of something `pact` computes faster or in
+closed form: a step-by-step attachment sampler, point counts from explicit
+exponential waits, the full holding-time clock of the continuous-time
+embedding, scalar recursion weights and window means.  None of them is used
+by `pact` itself.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from pact.embedding import NoChangePoint
+from pact.estimator import EmptyWindow, TOutOfRange
+from pact.model_core import (
+    ChangePointSchedule,
+    SizeTooSmall,
+    as_generator,
+    step_offsets,
+    validate_schedule,
+)
+
+
+class AttachmentSampler:
+    """Incremental single-step sampler over the current tree state.
+
+    Holds the parent pointers (one entry per edge, indexed by child) and the
+    active offset; the total attachment weight is (2 + offset) * m - 1.
+    """
+
+    def __init__(self, offset: float):
+        self.offset = float(offset)
+        self._parent = [0, 0]  # slots for unused index 0 and the root
+
+    @property
+    def m(self) -> int:
+        return len(self._parent) - 1
+
+    def attach(self, parent_vertex: int) -> int:
+        """Record the next vertex's edge; returns the new vertex id."""
+        if not 1 <= parent_vertex <= self.m:
+            raise ValueError(f"parent {parent_vertex} not in 1..{self.m}")
+        self._parent.append(parent_vertex)
+        return self.m
+
+    def sample(self, rng) -> int:
+        """One draw from the attachment law (proportional to out-degree + 1 + offset)."""
+        gen = as_generator(rng)
+        s = self.m
+        copy_p = (s - 1) / ((2.0 + self.offset) * s - 1.0)
+        if gen.random() < copy_p:
+            return self._parent[int(gen.integers(2, s + 1))]
+        return int(gen.integers(1, s + 1))
+
+    def sample_many(self, rng, size: int) -> np.ndarray:
+        """Draw `size` independent parents from the frozen current state."""
+        gen = as_generator(rng)
+        s = self.m
+        if s == 1:
+            return np.ones(size, dtype=np.int64)
+        copy_p = (s - 1) / ((2.0 + self.offset) * s - 1.0)
+        coin = gen.random(size)
+        pick = gen.random(size)
+        parents = np.asarray(self._parent, dtype=np.int64)
+        copy_idx = 2 + (pick * (s - 1)).astype(np.int64)
+        direct_idx = 1 + (pick * s).astype(np.int64)
+        return np.where(coin < copy_p, parents[copy_idx], direct_idx)
+
+    def exact_probabilities(self) -> np.ndarray:
+        """Exact attachment law over vertices 1..m (brute-force weight oracle)."""
+        out_deg = np.bincount(self._parent[2:], minlength=self.m + 1)[1:]
+        weights = out_deg + 1.0 + self.offset
+        return weights / weights.sum()
+
+
+def sample_point_count(start_rank: int, beta: float, t: float, rng) -> int:
+    """Count points in [0, t] of the pure birth process by direct exponential waits.
+
+    The m-th wait is exponential with rate (start_rank + m - 1 + beta).
+    """
+    gen = as_generator(rng)
+    elapsed, count, rate = 0.0, 0, start_rank + beta
+    while True:
+        elapsed += gen.exponential(1.0 / rate)
+        if elapsed > t:
+            return count
+        count += 1
+        rate += 1.0
+
+
+def point_counts_direct(start_rank: int, beta: float, t: float, size: int, rng) -> np.ndarray:
+    """Vectorized direct simulator (independent oracle for the negative-binomial closed form)."""
+    gen = as_generator(rng)
+    elapsed = gen.standard_exponential(size) / (start_rank + beta)
+    counts = np.zeros(size, dtype=np.int64)
+    active = elapsed <= t
+    k = 0
+    while np.any(active):
+        k += 1
+        idx = np.nonzero(active)[0]
+        counts[idx] += 1
+        elapsed[idx] += gen.standard_exponential(idx.size) / (start_rank + k + beta)
+        active[idx] = elapsed[idx] <= t
+    return counts
+
+
+def expected_point_count(start_rank: float, beta: float, t: float) -> float:
+    """Mean count (start_rank + beta) * (e^t - 1)."""
+    return (start_rank + beta) * np.expm1(t)
+
+
+def age_cdf(s, a: float, rate: float):
+    """CDF of the truncated exponential on [0, a] (vectorized)."""
+    return np.clip(np.expm1(-rate * np.asarray(s, dtype=np.float64)) / np.expm1(-rate * a), 0, 1)
+
+
+def ccdf_from_pmf(pmf_by_degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CCDF k -> P(D >= k) from a pmf table indexed by degree (entry 0 ignored)."""
+    tail = pmf_by_degree[::-1].cumsum()[::-1]
+    return np.arange(1, pmf_by_degree.size), tail[1:]
+
+
+def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, float]:
+    """Segment index j and active offset for the vertex entering at step m.
+
+    boundaries[j] < m <= boundaries[j+1]; segment 0 reports alpha.
+    """
+    if not 1 <= m <= n:
+        raise ValueError(f"step index m={m} outside 1..{n}")
+    bounds = schedule.boundaries(n)
+    for j, offset in enumerate(schedule.offsets()):
+        if bounds[j] < m <= bounds[j + 1]:
+            return j, offset
+    raise AssertionError("unreachable: boundaries partition (0, n]")
+
+
+def w_m(m: int, n: int, schedule: ChangePointSchedule) -> float:
+    """Weight 1 - (1+c)/((2+c)m - 1) of the leaf expectation recursion; c attaches vertex m+1."""
+    _, c = segment_of(schedule, m + 1, n)
+    return 1.0 - (1.0 + c) / ((2.0 + c) * m - 1.0)
+
+
+def split_means(trajectory, t: float, epsilon: float) -> tuple[float, float]:
+    """Average leaf proportions over the steps in (n*eps, n*t] and (n*t, n]."""
+    if not epsilon < t < 1.0:
+        raise TOutOfRange(f"t must lie in ({epsilon}, 1), got {t}")
+    n = trajectory.n
+    m_lo = max(math.floor(n * epsilon), 1)
+    m_t = math.floor(n * t)
+    if not m_lo < m_t < n:
+        raise EmptyWindow(f"a window of t={t}, eps={epsilon} holds no step")
+    props = trajectory.proportions()  # step m at index m - 2
+    return float(props[m_lo - 1 : m_t - 1].mean()), float(props[m_t - 1 :].mean())
+
+
+@dataclass
+class EmbeddingClock:
+    """Stopping times tau[m] = first time the embedded process reaches size m.
+
+    tau has length n+1 with tau[0] unused and tau[1] = 0.
+    """
+
+    n: int
+    tau: np.ndarray
+    schedule: ChangePointSchedule
+
+    def check_invariants(self) -> None:
+        if self.tau[1] != 0.0:
+            raise AssertionError("tau[1] must be 0")
+        if np.any(np.diff(self.tau[1:]) <= 0.0):
+            raise AssertionError("tau must be strictly increasing")
+
+
+def holding_times(schedule: ChangePointSchedule, n: int, rng) -> EmbeddingClock:
+    """The full embedding clock: tau[m+1] - tau[m] = E_m / ((2+c)m - 1).
+
+    E_m are iid unit exponentials and c is the offset under which vertex m+1
+    attaches.
+    """
+    validate_schedule(schedule)
+    if n < 2:
+        raise SizeTooSmall(f"n must be >= 2, got {n}")
+    rates = (2.0 + step_offsets(schedule, n)) * np.arange(1, n, dtype=np.float64) - 1.0
+    tau = np.zeros(n + 1, dtype=np.float64)
+    tau[2:] = np.cumsum(as_generator(rng).standard_exponential(n - 1) / rates)
+    return EmbeddingClock(n=n, tau=tau, schedule=schedule)
+
+
+def upsilon(clock: EmbeddingClock, gamma: float | None = None) -> float:
+    """Duration between reaching size floor(gamma*n) and size n."""
+    if gamma is None:
+        if clock.schedule.num_change_points != 1:
+            raise NoChangePoint("upsilon needs exactly one change point (or an explicit gamma)")
+        gamma = clock.schedule.gamma
+    m = int(np.floor(gamma * clock.n))
+    return float(clock.tau[clock.n] - clock.tau[m])
+
+
+def malthusian_track(schedule: ChangePointSchedule, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-change stabilization track (tau[m], m * exp(-(2+alpha) tau[m])).
+
+    The product settles to a positive random level as m grows, which is what
+    makes the total elapsed time to any fixed fraction of n logarithmic in n.
+    Covers m = 1..floor(gamma_1*n) (all of 1..n without a change point).
+    """
+    clock = holding_times(schedule, n, rng)
+    m_hi = max(int(np.floor(schedule.segments[0].gamma * n)) if schedule.segments else n, 1)
+    tau = clock.tau[1 : m_hi + 1]
+    return tau.copy(), np.arange(1, m_hi + 1) * np.exp(-(2.0 + schedule.alpha) * tau)

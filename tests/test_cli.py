@@ -94,6 +94,8 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
 
 
 SINGLE = ["--alpha", "6", "--beta", "1", "--gamma", "0.5"]
+TWO = ["--alpha", "4", "--beta", "1", "--gamma", "0.3", "--beta", "2", "--gamma", "0.7"]
+GOOD_TRAJECTORY = "<a valid trajectory file>"
 
 
 @pytest.mark.parametrize("argv", [
@@ -111,8 +113,13 @@ SINGLE = ["--alpha", "6", "--beta", "1", "--gamma", "0.5"]
     ["maxdeg", "--reps", "0"],
     ["maxdeg", "--n", "1"],
     ["estimate", "--trajectory", __file__, "--epsilon", "1.5"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO],  # d_limit needs one change point
+    ["limits", *TWO, "--horizon-t", "0.7"],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
+    good = tmp_path / "good.csv"
+    good.write_text("m,leaf_count\n" + "".join(f"{m},{m // 2}\n" for m in range(2, 200)))
+    argv = [str(good) if a == GOOD_TRAJECTORY else a for a in argv]
     out = tmp_path / "never"
     assert _run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err

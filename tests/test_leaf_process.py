@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import w_m
 from pact.generator import RecordFlags, grow_tree
 from pact.leaf_process import (
-    IndexOutOfRange,
     LeafTrajectory,
     MissingTrajectory,
     delta_exponent,
@@ -17,8 +19,6 @@ from pact.leaf_process import (
     sigma2,
     sigma_m2,
     variance_gn,
-    variance_suite,
-    w_m,
     write_curve_csv,
 )
 from pact.model_core import ChangePointSchedule, HorizonOutOfRange, SeededRng
@@ -100,13 +100,6 @@ def test_w_m_lower_bound():
             assert w_m(m, 1000, s) >= 0.5
 
 
-def test_w_m_index_range():
-    with pytest.raises(IndexOutOfRange):
-        w_m(1, 100, SINGLE)
-    with pytest.raises(IndexOutOfRange):
-        w_m(100, 100, SINGLE)
-
-
 def test_expected_leaves_boundary_and_recursion():
     theta = expected_leaves(200, ChangePointSchedule(alpha=0.0))
     assert theta[0] == 1.0
@@ -132,11 +125,11 @@ def test_expected_leaves_track_limit_curve_uniformly():
 def test_variance_suite_closed_values():
     da = delta_exponent(6.0)
     p_g = 8.0 / 15.0
-    suite = variance_suite(0.3, SINGLE)
-    assert suite.sigma2 == pytest.approx(da * p_g * (1 - da * p_g), abs=1e-12)
-    assert suite.sigma2 == pytest.approx(56.0 / 225.0, abs=1e-12)
-    assert suite.g * 0.3**da == pytest.approx(1.0, abs=1e-12)
-    assert suite.phi == pytest.approx(suite.sigma2 * 0.3 ** (2 * da + 1) / (2 * da + 1), abs=1e-12)
+    s2 = sigma2(0.3, SINGLE)
+    assert s2 == pytest.approx(da * p_g * (1 - da * p_g), abs=1e-12)
+    assert s2 == pytest.approx(56.0 / 225.0, abs=1e-12)
+    assert g_scale(0.3, SINGLE) * 0.3**da == pytest.approx(1.0, abs=1e-12)
+    assert phi(0.3, SINGLE) == pytest.approx(s2 * 0.3 ** (2 * da + 1) / (2 * da + 1), abs=1e-12)
 
 
 def test_variance_at_change_point():
@@ -199,6 +192,41 @@ def test_phi_rejects_times_outside_unit_interval():
     for bad in (-0.1, 1.1, float("nan"), [0.5, 1.5]):
         with pytest.raises(HorizonOutOfRange):
             phi(bad, SINGLE)
+
+
+CLOSED_FORMS = [p_inf, leaf_proportion_integral, sigma_m2, sigma2, mu_drift, g_scale, phi]
+OPEN_AT_ZERO = {p_inf, mu_drift, g_scale}  # defined on (0, 1]; the others on [0, 1]
+SCHEDULES = st.one_of(
+    st.builds(ChangePointSchedule.single, st.floats(0.0, 50.0), st.floats(0.01, 50.0),
+              st.floats(0.01, 0.99)),
+    st.builds(ChangePointSchedule, st.floats(0.0, 50.0)),
+)
+OUTSIDE = st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                    st.floats(min_value=1.0, exclude_min=True), st.just(float("nan")))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(schedule=SCHEDULES, ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_closed_forms_scalar_and_array_agree(schedule, ts):
+    for f in CLOSED_FORMS:
+        inside = [t for t in ts if t > 0.0] if f in OPEN_AT_ZERO else ts
+        if not inside:
+            continue
+        with np.errstate(all="ignore"):  # t near 0 overflows mu and g to inf, in both paths
+            values = f(np.array(inside), schedule)
+            scalars = [f(t, schedule) for t in inside]
+        assert isinstance(values, np.ndarray) and values.shape == (len(inside),)
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(values, scalars)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(schedule=SCHEDULES, bad=OUTSIDE, good=st.floats(0.0, 1.0))
+def test_closed_forms_reject_times_outside_their_domain(schedule, bad, good):
+    for f in CLOSED_FORMS:
+        for t in [bad, [good, bad]] + ([0.0] if f in OPEN_AT_ZERO else []):
+            with pytest.raises(HorizonOutOfRange):
+                f(t, schedule)
 
 
 def test_continuity_and_jumps_at_change_point():

@@ -1,27 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import (
+    age_cdf,
+    ccdf_from_pmf,
+    expected_point_count,
+    point_counts_direct,
+    sample_point_count,
+)
 from pact.limit_laws import (
     InsufficientSupport,
     InvalidK,
     NonPositiveA,
     NoSegments,
-    age_cdf,
-    ccdf_from_pmf,
     ccdf_from_samples,
-    expected_point_count,
     p_alpha_pmf,
     p_alpha_table,
-    point_counts_direct,
     point_counts_nb,
     sample_age,
     sample_d_alpha,
     sample_d_theta,
     sample_d_theta_multi,
-    sample_d_theta_one,
-    sample_point_count,
-    epoch_probabilities,
     segment_durations,
     tail_exponent,
     tv_distance_upto,
@@ -54,6 +56,18 @@ def test_p_alpha_pmf_matches_gammaln_reference(alpha):
     large = np.unique(np.logspace(3, 6, 500).astype(np.int64))
     np.testing.assert_allclose(p_alpha_pmf(alpha, large), reference(large), rtol=1e-8, atol=0)
     assert type(p_alpha_pmf(alpha, 7)) is float
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0])
+def test_p_alpha_pmf_matches_exact_fractions(alpha):
+    # exact rational products p(1) = (2+a)/(3+2a), p(k+1) = p(k) (k+a)/(k+3+2a)
+    a = Fraction(alpha)
+    p = (2 + a) / (3 + 2 * a)
+    exact = [float(p)]
+    for k in range(1, 2000):
+        p = p * (k + a) / (k + 3 + 2 * a)
+        exact.append(float(p))
+    np.testing.assert_allclose(p_alpha_pmf(alpha, np.arange(1, 2001)), exact, rtol=1e-13, atol=0)
 
 
 def test_pmf_rejects_bad_k():
@@ -201,20 +215,14 @@ def test_d_theta_before_branch_dominates_d_alpha():
         assert emp >= target - 3 * se
 
 
-def test_single_draw_wrapper():
-    s = sample_d_theta_one(SINGLE, SeededRng(44))
-    assert s.value >= 1
-    assert s.branch in ("before-change", "after-change")
-
-
 def test_epoch_probabilities_and_durations():
     multi = ChangePointSchedule(alpha=4.0, segments=((0.25, 1.0), (0.75, 2.0)))
-    assert np.allclose(epoch_probabilities(multi), [0.25, 0.5, 0.25])
     durs = segment_durations(multi)
     assert durs[0] == pytest.approx(np.log(3.0) / 3.0, abs=1e-15)
     assert durs[1] == pytest.approx(np.log(1.0 / 0.75) / 4.0, abs=1e-15)
+    assert segment_durations(multi, horizon=0.9)[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
     with pytest.raises(NoSegments):
-        epoch_probabilities(ChangePointSchedule(alpha=1.0))
+        sample_d_theta_multi(ChangePointSchedule(alpha=1.0), SeededRng(38), 10)
 
 
 def test_multi_sampler_single_segment_consistency():
@@ -229,6 +237,16 @@ def test_multi_sampler_epochs_follow_gap_masses():
     freqs = np.bincount(batch.epoch, minlength=3) / batch.epoch.size
     assert np.allclose(freqs, [0.3, 0.4, 0.3], atol=0.005)
     assert np.all(batch.values >= 1)
+
+
+def test_multi_sampler_epochs_follow_gap_masses_at_horizon():
+    sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.6, 2.0)))
+    batch = sample_d_theta_multi(sched, SeededRng(47), 300_000, horizon=0.8)
+    freqs = np.bincount(batch.epoch, minlength=3) / batch.epoch.size
+    assert np.allclose(freqs, np.array([0.3, 0.3, 0.2]) / 0.8, atol=0.005)
+    for horizon in (0.6, 1.2):
+        with pytest.raises(HorizonOutOfRange):
+            sample_d_theta_multi(sched, SeededRng(47), 10, horizon=horizon)
 
 
 def test_ccdf_exact_tail_slope():
@@ -247,11 +265,10 @@ def test_ccdf_from_samples_matches_definition():
 
 def test_ccdf_from_histogram_matches_samples():
     from pact.generator import degree_histogram, grow_tree
-    from pact.limit_laws import ccdf_from_histogram
 
     tree = grow_tree(SINGLE, 2000, SeededRng(49))
     hist = degree_histogram(tree)
-    ks_h, cc_h = ccdf_from_histogram(hist)
+    ks_h, cc_h = ccdf_from_pmf(hist.counts / hist.n)
     ks_s, cc_s = ccdf_from_samples(tree.total_degrees())
     assert np.array_equal(ks_h, ks_s)
     assert np.allclose(cc_h, cc_s, atol=1e-15)

@@ -3,12 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import segment_of
 from pact.model_core import (
     ChangePointSchedule,
     NonPositiveParameter,
     SeededRng,
     UnorderedChangePoints,
-    segment_of,
     step_offsets,
     validate_schedule,
     write_csv,
