@@ -32,8 +32,8 @@ from .generator import (
     RecordFlags,
     degree_histogram,
     grow_tree,
+    max_degree,
     save_tree,
-    top_k_degrees,
     write_edge_csv,
     write_histogram_csv,
 )
@@ -296,14 +296,14 @@ def _maxdeg_rep(task: tuple) -> int:
     sched_json, n, seed, stream = task
     schedule = ChangePointSchedule.from_json(sched_json)
     tree = grow_tree(schedule, n, SeededRng(seed, stream))
-    return int(top_k_degrees(tree, 1)[0])
+    return max_degree(tree)
 
 
 def cmd_maxdeg(cfg: dict, out_dir: Path) -> list[dict]:
     schedule = _schedule_from(cfg)
     reps, seed = int(cfg["reps"]), int(cfg["seed"])
     n_list = [int(n) for n in cfg["n_list"]]
-    exponent = (1.0 + schedule.alpha) / (2.0 + schedule.alpha)
+    exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
     seeds, rows = [], []
     for ni, n in enumerate(n_list):
         tasks = [(schedule.to_json(), n, seed, ni * reps + rep) for rep in range(reps)]

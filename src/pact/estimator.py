@@ -25,24 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .leaf_process import LeafTrajectory, leaf_proportion_integral, p_inf
 from .model_core import ChangePointSchedule, validate_schedule, write_csv
-
-
-class TOutOfRange(ValueError):
-    """Split point t outside (epsilon, 1)."""
-
-
-class EmptyWindow(ValueError):
-    """A split window contains no steps."""
-
-
-class EmptyCurve(ValueError):
-    """No curve points to maximize over."""
 
 
 class BadInterval(ValueError):
@@ -53,15 +40,13 @@ class BadInterval(ValueError):
 class EstimatorConfig:
     """Tuning of the offline estimator.
 
-    grid=None evaluates at every integer step m with m/n > epsilon (plus the
-    t=1 endpoint).  Thresholds default to log(n)/sqrt(n) for the near-max set
-    and twice that for the detection floor.
+    Thresholds default to log(n)/sqrt(n) for the near-max set and twice that
+    for the detection floor.
     """
 
     epsilon: float = 0.1
     near_max_threshold: float | None = None
     detection_floor: float | None = None
-    grid: Sequence[float] | None = None
 
     def resolve_threshold(self, n: int) -> float:
         if self.near_max_threshold is not None:
@@ -131,46 +116,25 @@ def _window_bounds(n: int, epsilon: float) -> int:
 
 
 def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
-    """Evaluate D_n over the configured grid (default: every step above epsilon).
+    """Evaluate D_n at t = m/n for every step m with n*epsilon < m < n, then at t = 1.
 
-    The t=1 endpoint is assigned 0 by continuity of the (1-t) factor.
+    The t=1 endpoint is assigned 0 by continuity of the (1-t) factor, so the
+    curve is never empty.
     """
     config.validate()
     n = trajectory.n
-    eps = config.epsilon
-    m_lo = _window_bounds(n, eps)
+    m_lo = _window_bounds(n, config.epsilon)
     prefix = _prefix_sums(trajectory)
-    if config.grid is None:
-        ms = np.arange(m_lo + 1, n)
-        ts = ms / n
-    else:
-        ts = np.asarray(sorted(config.grid), dtype=np.float64)
-        if ts.size == 0:
-            raise EmptyCurve("empty evaluation grid")
-        if np.any(ts <= eps) or np.any(ts > 1.0):
-            raise TOutOfRange(f"grid points must lie in ({eps}, 1]")
-        ms = np.floor(n * ts).astype(np.int64)
-        if np.any((ms <= m_lo) & (ms < n)):
-            bad = ts[(ms <= m_lo) & (ms < n)][0]
-            raise EmptyWindow(f"no steps in (n*eps, n*t] for t={bad}")
-    inner = (ms > m_lo) & (ms < n)
-    dn = np.zeros(ts.size, dtype=np.float64)
-    msi = ms[inner]
-    before = (prefix[msi] - prefix[m_lo]) / (msi - m_lo)
-    after = (prefix[n] - prefix[msi]) / (n - msi)
-    dn[inner] = (1.0 - ts[inner]) * np.abs(before - after)
-    if config.grid is None:
-        ts = np.concatenate([ts, [1.0]])
-        dn = np.concatenate([dn, [0.0]])
-    if ts.size == 0:
-        raise EmptyCurve("empty evaluation grid")
-    return DnCurve(ts=ts, values=dn, n=n, epsilon=eps)
+    ms = np.arange(m_lo + 1, n)
+    ts = ms / n
+    before = (prefix[ms] - prefix[m_lo]) / (ms - m_lo)
+    after = (prefix[n] - prefix[ms]) / (n - ms)
+    dn = (1.0 - ts) * np.abs(before - after)
+    return DnCurve(ts=np.append(ts, 1.0), values=np.append(dn, 0.0), n=n, epsilon=config.epsilon)
 
 
 def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
     """Right edge of the near-max set of D_n, with a no-change detection floor."""
-    if curve.ts.size == 0:
-        raise EmptyCurve("empty D_n curve")
     threshold = config.resolve_threshold(curve.n)
     floor = config.resolve_floor(curve.n)
     dn_star = float(curve.values.max())

@@ -38,10 +38,6 @@ _MAGIC = b"PACT"
 _FORMAT_VERSION = 1
 
 
-class KTooLarge(ValueError):
-    """Requested more top degrees than there are vertices."""
-
-
 @dataclass
 class DegreeHistogram:
     """counts[k] = number of vertices with total degree k (root degree = out-degree)."""
@@ -55,9 +51,6 @@ class DegreeHistogram:
         upto = min(kmax + 1, self.counts.size)
         out[: upto - 1] = self.counts[1:upto] / self.n
         return out
-
-    def as_dict(self) -> dict[int, int]:
-        return {int(k): int(c) for k, c in enumerate(self.counts) if c > 0}
 
     def check_invariants(self) -> None:
         if int(self.counts.sum()) != self.n:
@@ -118,7 +111,7 @@ def _leaf_trajectory(parent: np.ndarray, n: int) -> LeafTrajectory:
         steps = np.arange(3, n + 1)
         drop = np.where(p == 1, steps == root_second, first_child[p] == steps)
         counts[1:] = 2 + np.cumsum(1 - drop.astype(np.int64))
-    return LeafTrajectory(n=n, counts=counts, root_second_child=root_second)
+    return LeafTrajectory(n=n, counts=counts)
 
 
 def grow_tree(
@@ -187,12 +180,9 @@ def degree_histogram(tree: GrowingTree, upto: int | None = None) -> DegreeHistog
     return DegreeHistogram(counts=np.bincount(deg), n=m)
 
 
-def top_k_degrees(tree: GrowingTree, k: int) -> np.ndarray:
-    """The k largest total degrees, non-increasing."""
-    if not 1 <= k <= tree.n:
-        raise KTooLarge(f"k={k} outside 1..{tree.n}")
-    deg = tree.total_degrees()
-    return np.sort(deg)[::-1][:k].copy()
+def max_degree(tree: GrowingTree) -> int:
+    """The largest total degree M_n."""
+    return int(tree.total_degrees().max())
 
 
 def save_tree(tree: GrowingTree, path) -> None:
@@ -209,7 +199,10 @@ def load_tree(path) -> GrowingTree:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, n = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: header holds {len(header)} of its 16 bytes")
+        version, n = struct.unpack("<QQ", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         if n < 1:

@@ -1,4 +1,4 @@
-"""Leaf-count statistics: limit curve, exact expectation recursion, FCLT scaling.
+"""Leaf-count statistics: limit curve and FCLT scaling.
 
 A leaf is a vertex of total degree 1, where the root's total degree is its
 out-degree.  The limiting leaf fraction at rescaled time t is constant before
@@ -18,18 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_core import (
-    ChangePointSchedule,
-    HorizonOutOfRange,
-    SizeTooSmall,
-    step_offsets,
-    validate_schedule,
-    write_csv,
-)
-
-
-class MissingTrajectory(ValueError):
-    """Operation requires a recorded leaf trajectory."""
+from .model_core import ChangePointSchedule, HorizonOutOfRange, validate_schedule, write_csv
 
 
 @dataclass
@@ -37,33 +26,17 @@ class LeafTrajectory:
     """Per-step leaf counts N(m) for m = 2..n.
 
     ``counts[i]`` is the number of degree-1 vertices in the tree of size i+2,
-    counting the root while its out-degree equals 1.  ``root_second_child``
-    is the step at which the root acquired its second child (n+1 if never);
-    it converts between the root-inclusive and non-root counting conventions.
+    counting the root while its out-degree equals 1.
     """
 
     n: int
     counts: np.ndarray
-    root_second_child: int | None = None
 
     def steps(self) -> np.ndarray:
         return np.arange(2, self.n + 1)
 
-    def count_at(self, m: int) -> int:
-        if not 2 <= m <= self.n:
-            raise IndexError(f"step {m} outside 2..{self.n}")
-        return int(self.counts[m - 2])
-
     def proportions(self) -> np.ndarray:
         return self.counts / self.steps()
-
-    def nonroot_counts(self) -> np.ndarray:
-        """Leaf counts excluding the root (the expectation recursion's convention)."""
-        if self.root_second_child is None:
-            raise MissingTrajectory("root_second_child unknown; trajectory was loaded without it")
-        ms = self.steps()
-        root_is_leaf = ms < self.root_second_child
-        return self.counts - root_is_leaf.astype(self.counts.dtype)
 
     def check_invariants(self) -> None:
         ms = self.steps()
@@ -165,29 +138,6 @@ def leaf_proportion_integral(x, schedule: ChangePointSchedule):
     return _shaped(p_pre * np.minimum(xs, gamma) + post_part, x)
 
 
-def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
-    """Exact expected non-root leaf counts for m = 2..n.
-
-    Runs the recursion E(m+1) = 1 + w_m * E(m) with E(2) = 1, where
-    w_m = 1 - (1+c)/((2+c)m - 1) and c is the offset under which vertex m+1
-    attaches.  All weights lie in (0, 1), so plain accumulation is stable.
-    """
-    validate_schedule(schedule)
-    if n < 2:
-        raise SizeTooSmall(f"n must be >= 2, got {n}")
-    out = np.empty(n - 1, dtype=np.float64)
-    out[0] = 1.0
-    if n > 2:
-        offs = step_offsets(schedule, n)  # offsets for entering vertices 2..n
-        ms = np.arange(2, n, dtype=np.float64)
-        w = 1.0 - (1.0 + offs[1:]) / ((2.0 + offs[1:]) * ms - 1.0)
-        acc = 1.0
-        for i in range(n - 2):
-            acc = 1.0 + w[i] * acc
-            out[i + 1] = acc
-    return out
-
-
 def sigma_m2(t, schedule: ChangePointSchedule):
     """Variance density of the scaled leaf-count martingale for t in [0, 1]; vectorized in t."""
     ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
@@ -274,13 +224,11 @@ def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
     return float(g * g * phi(t, schedule))
 
 
-def gn_path(trajectory: LeafTrajectory | None, schedule: ChangePointSchedule, grid) -> np.ndarray:
+def gn_path(trajectory: LeafTrajectory, schedule: ChangePointSchedule, grid) -> np.ndarray:
     """Centred, sqrt(n)-scaled leaf-count path (N(nt) - nt p_inf(t)) / sqrt(n).
 
     Leaf counts are linearly interpolated between recorded integer steps.
     """
-    if trajectory is None:
-        raise MissingTrajectory("gn_path needs a recorded leaf trajectory")
     grid_arr = np.asarray(grid, dtype=np.float64)
     if np.any(grid_arr <= 0.0) or np.any(grid_arr > 1.0):
         raise HorizonOutOfRange(f"grid must lie in (0, 1], got {grid}")

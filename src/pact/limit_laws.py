@@ -134,20 +134,9 @@ def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
 
 @dataclass
 class DegreeSampleBatch:
-    """Bulk draws from a limiting degree law.
-
-    ``epoch`` is 0 for the before-change branch and the 1-based segment index
-    for births after a change point.  ``seed_value`` is the inherited degree
-    at the (final) change point for epoch 0 and 1 otherwise.
-    """
+    """Bulk draws from a limiting degree law."""
 
     values: np.ndarray
-    epoch: np.ndarray
-    seed_value: np.ndarray
-
-    @property
-    def after_change(self) -> np.ndarray:
-        return self.epoch > 0
 
     def pmf(self, kmax: int) -> np.ndarray:
         """Empirical pmf over degrees 1..kmax, indexed 0..kmax with [0] = 0."""
@@ -190,8 +179,9 @@ def sample_d_theta_multi(
     durations a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and
     runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
     The rank carries across segment boundaries, increasing by one per
-    collected point.  One uniform per draw picks the epoch; the epochs are
-    then filled from the last one down to epoch 0.
+    collected point.  The generator's first `size` uniforms pick the epochs,
+    epoch = #{j : u >= gamma_j/t}, so the same seed replays them; the epochs
+    are then filled from the last one down to epoch 0.
     """
     validate_schedule(schedule)
     k = schedule.num_change_points
@@ -210,7 +200,6 @@ def sample_d_theta_multi(
     del u
 
     values = np.empty(size, dtype=np.int64)
-    seed = np.ones(size, dtype=np.int64)
     for i in range(k, -1, -1):
         sel = epochs == i
         count = int(np.count_nonzero(sel))
@@ -218,7 +207,6 @@ def sample_d_theta_multi(
             continue
         if i == 0:
             ranks = sample_d_alpha(schedule.alpha, count, gen)
-            seed[sel] = ranks
         else:
             beta = betas[i - 1]
             ages = sample_age(durations[i - 1], 2.0 + beta, gen, count)
@@ -229,7 +217,7 @@ def sample_d_theta_multi(
         # rank = seed degree + collected points = final degree
         values[sel] = ranks
         del ranks  # 8 bytes per draw of this epoch: free them before the next epoch is drawn
-    return DegreeSampleBatch(values=values, epoch=epochs.astype(np.int64), seed_value=seed)
+    return DegreeSampleBatch(values=values)
 
 
 def ccdf_from_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

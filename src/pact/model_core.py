@@ -10,7 +10,6 @@ is the plain model with a single offset alpha.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -66,18 +65,14 @@ class ChangePointSchedule:
         return len(self.segments)
 
     @property
-    def is_single(self) -> bool:
-        return len(self.segments) == 1
-
-    @property
     def gamma(self) -> float:
-        if not self.is_single:
+        if len(self.segments) != 1:
             raise ValueError("gamma is only defined for a single-change-point schedule")
         return self.segments[0].gamma
 
     @property
     def beta(self) -> float:
-        if not self.is_single:
+        if len(self.segments) != 1:
             raise ValueError("beta is only defined for a single-change-point schedule")
         return self.segments[0].beta
 
@@ -100,15 +95,12 @@ class ChangePointSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChangePointSchedule":
-        segs = tuple(Segment(float(s["gamma"]), float(s["beta"])) for s in obj.get("segments", []))
-        return cls(alpha=float(obj["alpha"]), segments=segs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "ChangePointSchedule":
-        return cls.from_json(json.loads(text))
+        """Inverse of to_json; ValueError naming the key when alpha, gamma or beta is missing."""
+        try:
+            segs = [(float(s["gamma"]), float(s["beta"])) for s in obj.get("segments", [])]
+            return cls(alpha=float(obj["alpha"]), segments=tuple(segs))
+        except KeyError as exc:
+            raise ValueError(f"schedule is missing key {exc}") from None
 
 
 def validate_schedule(schedule: ChangePointSchedule) -> ChangePointSchedule:
@@ -161,10 +153,6 @@ class SeededRng:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def stream(self, stream_id: int) -> "SeededRng":
-        """Same seed, different stream."""
-        return SeededRng(self.seed, stream_id)
 
 
 RngLike = Union[SeededRng, np.random.Generator]

@@ -3,8 +3,8 @@
 Each one is the slow, direct form of something `pact` computes faster or in
 closed form: a step-by-step attachment sampler, point counts from explicit
 exponential waits, the full holding-time clock of the continuous-time
-embedding, scalar recursion weights and window means.  None of them is used
-by `pact` itself.
+embedding, the exact leaf expectation recursion with its scalar weights,
+non-root leaf counts and window means.  None of them is used by `pact` itself.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from pact.embedding import NoChangePoint
-from pact.estimator import EmptyWindow, TOutOfRange
 from pact.model_core import (
     ChangePointSchedule,
     SizeTooSmall,
@@ -143,15 +142,48 @@ def w_m(m: int, n: int, schedule: ChangePointSchedule) -> float:
     return 1.0 - (1.0 + c) / ((2.0 + c) * m - 1.0)
 
 
+def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
+    """Exact expected non-root leaf counts for m = 2..n.
+
+    Runs the recursion E(m+1) = 1 + w_m * E(m) with E(2) = 1, where
+    w_m = 1 - (1+c)/((2+c)m - 1) and c is the offset under which vertex m+1
+    attaches.  All weights lie in (0, 1), so plain accumulation is stable.
+    """
+    validate_schedule(schedule)
+    if n < 2:
+        raise SizeTooSmall(f"n must be >= 2, got {n}")
+    out = np.empty(n - 1, dtype=np.float64)
+    out[0] = 1.0
+    if n > 2:
+        offs = step_offsets(schedule, n)  # offsets for entering vertices 2..n
+        ms = np.arange(2, n, dtype=np.float64)
+        w = 1.0 - (1.0 + offs[1:]) / ((2.0 + offs[1:]) * ms - 1.0)
+        acc = 1.0
+        for i in range(n - 2):
+            acc = 1.0 + w[i] * acc
+            out[i + 1] = acc
+    return out
+
+
+def nonroot_leaf_counts(tree) -> np.ndarray:
+    """Leaf counts of a grown tree's steps 2..n without the root (expected_leaves' convention).
+
+    The root counts as a leaf until its second child arrives, read off the parent array.
+    """
+    root_children = np.flatnonzero(tree.parent[2 : tree.n + 1] == 1) + 2
+    second = root_children[1] if root_children.size >= 2 else tree.n + 1
+    return tree.leaf_trajectory.counts - (np.arange(2, tree.n + 1) < second)
+
+
 def split_means(trajectory, t: float, epsilon: float) -> tuple[float, float]:
     """Average leaf proportions over the steps in (n*eps, n*t] and (n*t, n]."""
     if not epsilon < t < 1.0:
-        raise TOutOfRange(f"t must lie in ({epsilon}, 1), got {t}")
+        raise ValueError(f"t must lie in ({epsilon}, 1), got {t}")
     n = trajectory.n
     m_lo = max(math.floor(n * epsilon), 1)
     m_t = math.floor(n * t)
     if not m_lo < m_t < n:
-        raise EmptyWindow(f"a window of t={t}, eps={epsilon} holds no step")
+        raise ValueError(f"a window of t={t}, eps={epsilon} holds no step")
     props = trajectory.proportions()  # step m at index m - 2
     return float(props[m_lo - 1 : m_t - 1].mean()), float(props[m_t - 1 :].mean())
 

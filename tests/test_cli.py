@@ -93,6 +93,20 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule, key", [
+    ({"segments": [{"gamma": 0.5}]}, "'beta'"),
+    ({"segments": [{"gamma": 0.5, "beta": 1.0}]}, "'alpha'"),
+], ids=["no-beta", "no-alpha"])
+def test_config_schedule_missing_key_fails_before_side_effects(tmp_path, capsys, schedule, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": schedule}))
+    out = tmp_path / "never"
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert not out.exists()
+
+
 SINGLE = ["--alpha", "6", "--beta", "1", "--gamma", "0.5"]
 TWO = ["--alpha", "4", "--beta", "1", "--gamma", "0.3", "--beta", "2", "--gamma", "0.7"]
 GOOD_TRAJECTORY = "<a valid trajectory file>"
@@ -249,4 +263,17 @@ def test_maxdeg_outputs(tmp_path):
     for r in rows:
         assert float(r["scaled"]) == pytest.approx(
             int(r["max_degree"]) / np.sqrt(int(r["n"])), rel=1e-12
+        )
+
+
+def test_maxdeg_scales_by_pre_change_exponent(tmp_path):
+    out = tmp_path / "md"
+    assert _run("maxdeg", "--out", str(out), "--reps", "3", "--alpha", "6",
+                "--n", "200", "--n", "400") == 0
+    with open(out / "maxdeg.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    for r in rows:  # M_n grows like n^(1/(2+alpha))
+        assert float(r["scaled"]) == pytest.approx(
+            int(r["max_degree"]) / int(r["n"]) ** (1 / 8), rel=1e-12
         )

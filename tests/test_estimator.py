@@ -4,9 +4,7 @@ import pytest
 from oracles import split_means
 from pact.estimator import (
     BadInterval,
-    EmptyWindow,
     EstimatorConfig,
-    TOutOfRange,
     dn_curve,
     estimate,
     gamma_hat,
@@ -23,13 +21,13 @@ SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 
 def _constant_traj(n: int, c: float) -> LeafTrajectory:
     ms = np.arange(2, n + 1)
-    return LeafTrajectory(n=n, counts=c * ms, root_second_child=None)
+    return LeafTrajectory(n=n, counts=c * ms)
 
 
 def _step_traj(n: int, low: float, high: float, gamma: float) -> LeafTrajectory:
     ms = np.arange(2, n + 1)
     props = np.where(ms <= gamma * n, low, high)
-    return LeafTrajectory(n=n, counts=props * ms, root_second_child=None)
+    return LeafTrajectory(n=n, counts=props * ms)
 
 
 def test_split_means_constant_trajectory():
@@ -49,11 +47,11 @@ def test_split_means_step_trajectory_exact():
 
 def test_split_means_window_errors():
     traj = _constant_traj(100, 0.5)
-    with pytest.raises(TOutOfRange):
+    with pytest.raises(ValueError):
         split_means(traj, 0.05, 0.1)
-    with pytest.raises(TOutOfRange):
+    with pytest.raises(ValueError):
         split_means(traj, 1.0, 0.1)
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(ValueError):
         split_means(traj, 0.105, 0.1)  # before-window has no steps
 
 
@@ -74,22 +72,10 @@ def test_dn_affine_invariance():
     tree = grow_tree(SINGLE, n, SeededRng(61), RecordFlags(leaves=True))
     traj = tree.leaf_trajectory
     ms = np.arange(2, n + 1)
-    shifted = LeafTrajectory(n=n, counts=traj.counts + 0.17 * ms, root_second_child=None)
+    shifted = LeafTrajectory(n=n, counts=traj.counts + 0.17 * ms)
     base = dn_curve(traj, EstimatorConfig())
     moved = dn_curve(shifted, EstimatorConfig())
     assert np.allclose(base.values, moved.values, atol=1e-12)
-
-
-def test_dn_custom_grid():
-    traj = _step_traj(1000, 0.5, 0.6, 0.5)
-    cfg = EstimatorConfig(epsilon=0.1, grid=[0.3, 0.5, 0.9, 1.0])
-    curve = dn_curve(traj, cfg)
-    assert curve.ts.tolist() == [0.3, 0.5, 0.9, 1.0]
-    assert curve.values[-1] == 0.0
-    with pytest.raises(TOutOfRange):
-        dn_curve(traj, EstimatorConfig(epsilon=0.1, grid=[0.05]))
-    with pytest.raises(EmptyWindow):
-        dn_curve(traj, EstimatorConfig(epsilon=0.1, grid=[0.1005]))
 
 
 def test_gamma_hat_on_clean_step():
@@ -184,15 +170,15 @@ def test_limit_D_interval_validation():
 
 
 def test_dn_csv(tmp_path):
-    traj = _step_traj(1000, 0.4, 0.6, 0.5)
-    cfg = EstimatorConfig(epsilon=0.1, grid=[0.3, 0.5, 0.9])
+    traj = _step_traj(20, 0.4, 0.6, 0.5)
+    cfg = EstimatorConfig(epsilon=0.1)
     curve = dn_curve(traj, cfg)
     d_lim = np.asarray(limit_D(curve.ts, SINGLE, cfg.epsilon))
     path = tmp_path / "dn.csv"
     write_dn_csv(curve, path, d_lim)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,dn,d_limit"
-    assert len(lines) == 4
+    assert len(lines) == 1 + len(curve.ts) == 19  # steps 3..19, then t = 1
     path2 = tmp_path / "dn2.csv"
     write_dn_csv(curve, path2)
     assert path2.read_text().splitlines()[1].endswith(",")

@@ -5,13 +5,12 @@ from scipy import stats
 from oracles import AttachmentSampler
 from pact.generator import (
     GrowingTree,
-    KTooLarge,
     RecordFlags,
     degree_histogram,
     grow_tree,
     load_tree,
+    max_degree,
     save_tree,
-    top_k_degrees,
     write_edge_csv,
 )
 from pact.leaf_process import read_trajectory_csv, write_trajectory_csv
@@ -129,7 +128,7 @@ def test_leaf_trajectory_matches_truncated_histograms():
     rng = np.random.default_rng(0)
     for m in rng.integers(2, 2001, size=100):
         hist = degree_histogram(tree, upto=int(m))
-        assert traj.count_at(int(m)) == int(hist.counts[1])
+        assert traj.counts[m - 2] == hist.counts[1]
 
 
 def test_leaf_fraction_alpha_zero_no_change_point():
@@ -159,9 +158,9 @@ def test_empty_segments_reduce_to_plain_model():
 
 def test_degree_histogram_hand_examples():
     star = _star4()
-    assert degree_histogram(star).as_dict() == {1: 3, 3: 1}
+    assert degree_histogram(star).counts.tolist() == [0, 3, 0, 1]
     path = _path3()
-    assert degree_histogram(path).as_dict() == {1: 2, 2: 1}
+    assert degree_histogram(path).counts.tolist() == [0, 2, 1]
 
 
 def test_degree_histogram_handshake_identity():
@@ -171,11 +170,9 @@ def test_degree_histogram_handshake_identity():
     assert int((np.arange(hist.counts.size) * hist.counts).sum()) == 1998
 
 
-def test_top_k_degrees():
-    assert top_k_degrees(_star4(), 2).tolist() == [3, 1]
-    assert top_k_degrees(_path3(), 3).tolist() == [2, 1, 1]
-    with pytest.raises(KTooLarge):
-        top_k_degrees(_path3(), 4)
+def test_max_degree():
+    assert max_degree(_star4()) == 3
+    assert max_degree(_path3()) == 2
 
 
 def test_degree_checkpoints_recorded():
@@ -219,6 +216,12 @@ def _set_n(n):
     return edit
 
 
+def _truncate(size):
+    def edit(raw):
+        del raw[size:]
+    return edit
+
+
 CORRUPT_TREES = {
     "forward-parent": _set_parent(3, 3),
     "parent-above-n": _set_parent(7, 51),
@@ -227,6 +230,8 @@ CORRUPT_TREES = {
     "n-above-file": _set_n(2**40),
     "n-below-file": _set_n(49),
     "n-zero": _set_n(0),
+    "magic-only": _truncate(4),
+    "short-header": _truncate(12),
 }
 
 

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import w_m
+from oracles import expected_leaves, nonroot_leaf_counts, w_m
 from pact.generator import RecordFlags, grow_tree
 from pact.leaf_process import (
     LeafTrajectory,
-    MissingTrajectory,
     delta_exponent,
-    expected_leaves,
     g_scale,
     gn_path,
     leaf_proportion_integral,
@@ -248,15 +246,10 @@ def test_gn_path_centering_identity():
     n = 1000
     ms = np.arange(2, n + 1)
     exact = ms * np.asarray(p_inf(ms / n, SINGLE))
-    traj = LeafTrajectory(n=n, counts=exact, root_second_child=None)
+    traj = LeafTrajectory(n=n, counts=exact)
     grid = ms[49::100] / n
     path = gn_path(traj, SINGLE, grid)
     assert np.max(np.abs(path)) < 1e-12
-
-
-def test_gn_path_requires_trajectory():
-    with pytest.raises(MissingTrajectory):
-        gn_path(None, SINGLE, [0.5])
 
 
 def test_gn_ensemble_light():
@@ -274,14 +267,10 @@ def test_gn_ensemble_light():
 
 def test_nonroot_counts_convention():
     tree = grow_tree(SINGLE, 500, SeededRng(51), RecordFlags(leaves=True))
-    traj = tree.leaf_trajectory
-    nonroot = traj.nonroot_counts()
+    nonroot = nonroot_leaf_counts(tree)
     assert nonroot[0] == 1  # the 2-vertex tree has one non-root leaf
-    diffs = traj.counts - nonroot
+    diffs = tree.leaf_trajectory.counts - nonroot
     assert set(np.unique(diffs)) <= {0, 1}
-    loaded = LeafTrajectory(n=traj.n, counts=traj.counts, root_second_child=None)
-    with pytest.raises(MissingTrajectory):
-        loaded.nonroot_counts()
 
 
 def test_curve_csv(tmp_path):

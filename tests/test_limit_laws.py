@@ -34,6 +34,18 @@ from pact.model_core import ChangePointSchedule, HorizonOutOfRange, SeededRng
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 
 
+def _replayed_epochs(schedule, seed: int, size: int, horizon: float = 1.0) -> np.ndarray:
+    """The sampler's birth epochs, replayed from its first uniforms: #{j : u >= gamma_j/t}."""
+    u = SeededRng(seed).generator().random(size)
+    return sum((u >= s.gamma / horizon).astype(np.int64) for s in schedule.segments)
+
+
+def _assert_degree_falls_with_epoch(values: np.ndarray, epochs: np.ndarray) -> None:
+    """Later births have had less time to collect points, so their mean degree is lower."""
+    means = [values[epochs == i].mean() for i in range(epochs.max() + 1)]
+    assert all(a > b for a, b in zip(means, means[1:])), means
+
+
 def test_pmf_spot_values_exact():
     assert p_alpha_pmf(0.0, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert p_alpha_pmf(0.0, 2) == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -205,8 +217,7 @@ def test_d_theta_with_equal_offsets_reproduces_p_alpha():
 
 def test_d_theta_before_branch_dominates_d_alpha():
     batch = sample_d_theta(SINGLE, SeededRng(43), 500_000)
-    before = batch.values[~batch.after_change]
-    assert np.all(before >= batch.seed_value[~batch.after_change])
+    before = batch.values[_replayed_epochs(SINGLE, 43, 500_000) == 0]
     ccdf_exact = 1.0 - np.cumsum(p_alpha_table(SINGLE.alpha, 60))[:-1]
     for k in (2, 5, 10, 20):
         emp = float(np.mean(before >= k))
@@ -234,16 +245,20 @@ def test_multi_sampler_single_segment_consistency():
 def test_multi_sampler_epochs_follow_gap_masses():
     sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
     batch = sample_d_theta_multi(sched, SeededRng(47), 300_000)
-    freqs = np.bincount(batch.epoch, minlength=3) / batch.epoch.size
+    epochs = _replayed_epochs(sched, 47, 300_000)
+    freqs = np.bincount(epochs, minlength=3) / epochs.size
     assert np.allclose(freqs, [0.3, 0.4, 0.3], atol=0.005)
     assert np.all(batch.values >= 1)
+    _assert_degree_falls_with_epoch(batch.values, epochs)
 
 
 def test_multi_sampler_epochs_follow_gap_masses_at_horizon():
     sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.6, 2.0)))
     batch = sample_d_theta_multi(sched, SeededRng(47), 300_000, horizon=0.8)
-    freqs = np.bincount(batch.epoch, minlength=3) / batch.epoch.size
+    epochs = _replayed_epochs(sched, 47, 300_000, horizon=0.8)
+    freqs = np.bincount(epochs, minlength=3) / epochs.size
     assert np.allclose(freqs, np.array([0.3, 0.3, 0.2]) / 0.8, atol=0.005)
+    _assert_degree_falls_with_epoch(batch.values, epochs)
     for horizon in (0.6, 1.2):
         with pytest.raises(HorizonOutOfRange):
             sample_d_theta_multi(sched, SeededRng(47), 10, horizon=horizon)

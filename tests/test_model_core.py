@@ -86,7 +86,6 @@ def test_schedule_json_round_trip():
         "segments": [{"gamma": 0.3, "beta": 1.0}, {"gamma": 0.7, "beta": 2.0}],
     }
     assert ChangePointSchedule.from_json(obj) == s
-    assert ChangePointSchedule.loads(s.dumps()) == s
 
 
 def test_seeded_rng_replays_identically():
@@ -101,11 +100,6 @@ def test_seeded_rng_streams_differ():
     c = SeededRng(12346, 7).generator().random(64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_stream_helper_replaces_stream_id():
-    rng = SeededRng(9, 1)
-    assert rng.stream(4) == SeededRng(9, 4)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 4096, 4097])

@@ -8,18 +8,28 @@ identifiers, without resolving modules, so the check can miss a dead name
 that shares its spelling with a live one but never calls a live name dead.
 Reference implementations that only tests compare against live in
 tests/oracles.py.
+
+Class members are checked the same way, one level down: every public method,
+property and field of a class in src/pact must be named as `.attr` or as a
+keyword `attr=` somewhere in src/pact, tests/test_acceptance.py or bench/.
+This spelling match is looser still.  It cannot see a dead member whose name
+is spelled the same as a live one: a schedule method named `dumps` or `loads`
+would pass because of `json.dumps` and `json.loads`.  A use inside a dead
+member also counts.
 """
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pact").glob("*.py"))
+ROOT_FILES = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def _definitions() -> dict[str, set[str]]:
     """Top-level name in src/pact -> identifiers named inside its definition."""
     uses: dict[str, set[str]] = {}
-    for path in sorted((ROOT / "src" / "pact").glob("*.py")):
+    for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -38,7 +48,7 @@ def _definitions() -> dict[str, set[str]]:
 def test_every_public_name_is_reachable():
     uses = _definitions()
     roots = {"main"}
-    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]:
+    for path in ROOT_FILES:
         roots |= set(re.findall(r"[A-Za-z_]\w*", path.read_text()))
     reached = set()
     todo = sorted(roots & uses.keys())
@@ -49,3 +59,22 @@ def test_every_public_name_is_reachable():
             todo += sorted(uses[name] & uses.keys())
     unreached = sorted(name for name in uses if not name.startswith("_") and name not in reached)
     assert unreached == []
+
+
+def _members() -> list[tuple[str, str]]:
+    """(class, member) for every public method, property and field of a class in src/pact."""
+    members = []
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text()).body:
+            for node in cls.body if isinstance(cls, ast.ClassDef) else []:
+                if isinstance(node, ast.FunctionDef):
+                    members.append((cls.name, node.name))
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    members.append((cls.name, node.target.id))
+    return [(c, m) for c, m in members if not m.startswith("_")]
+
+
+def test_every_public_member_is_used():
+    text = "\n".join(path.read_text() for path in [*SOURCES, *ROOT_FILES])
+    used = set(re.findall(r"\.([A-Za-z_]\w*)", text)) | set(re.findall(r"(\w+)=(?!=)", text))
+    assert sorted(f"{c}.{m}" for c, m in _members() if m not in used) == []
