@@ -44,8 +44,11 @@ class LeafTrajectory:
             raise AssertionError("trajectory length mismatch")
         if np.any(self.counts < 0) or np.any(self.counts > ms):
             raise AssertionError("leaf count outside [0, m]")
-        if np.any(np.abs(np.diff(self.counts)) > 1):
-            raise AssertionError("leaf count changed by more than 1 in a step")
+        if np.any(self.counts[:1] != 2):
+            raise AssertionError("the 2-vertex tree must have 2 leaves")
+        steps = np.diff(self.counts)
+        if np.any((steps != 0) & (steps != 1)):
+            raise AssertionError("leaf count must stay or rise by 1 in each step")
 
 
 def write_trajectory_csv(trajectory: LeafTrajectory, path) -> None:

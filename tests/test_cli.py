@@ -96,7 +96,11 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
 @pytest.mark.parametrize("schedule, key", [
     ({"segments": [{"gamma": 0.5}]}, "'beta'"),
     ({"segments": [{"gamma": 0.5, "beta": 1.0}]}, "'alpha'"),
-], ids=["no-beta", "no-alpha"])
+    ([1], "schedule must be an object"),
+    ("alpha=1", "schedule must be an object"),
+    ({"alpha": 1.0, "segments": {"gamma": 0.5, "beta": 1.0}}, "list of objects"),
+    ({"alpha": 1.0, "segments": [[0.5, 1.0]]}, "list of objects"),
+], ids=["no-beta", "no-alpha", "list", "string", "segments-object", "segment-list"])
 def test_config_schedule_missing_key_fails_before_side_effects(tmp_path, capsys, schedule, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schedule": schedule}))
@@ -132,12 +136,12 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
-    good.write_text("m,leaf_count\n" + "".join(f"{m},{m // 2}\n" for m in range(2, 200)))
+    good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
     argv = [str(good) if a == GOOD_TRAJECTORY else a for a in argv]
     out = tmp_path / "never"
     assert _run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "good.csv" not in err
     assert not out.exists()
 
 
@@ -205,7 +209,7 @@ def test_estimate_constant_trajectory_not_detected(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(["m", "leaf_count"])
         for m in range(2, 2001):
-            writer.writerow([m, m // 2])
+            writer.writerow([m, (m + 2) // 2])
     out = tmp_path / "est"
     assert _run("estimate", "--out", str(out), "--trajectory", str(traj)) == 0
     report = json.loads((out / "report_000.json").read_text())
@@ -217,14 +221,14 @@ def test_estimate_constant_trajectory_not_detected(tmp_path):
                                   "m,count\r\n2,2\r\n"], ids=["jump-of-2", "no-steps", "header"])
 def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsys, body):
     good = tmp_path / "good.csv"
-    good.write_text("m,leaf_count\n" + "".join(f"{m},{m // 2}\n" for m in range(2, 200)))
+    good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
     bad = tmp_path / "bad.csv"
     bad.write_bytes(body.encode())
     out = tmp_path / "never"
     assert _run("estimate", "--out", str(out), "--trajectory", str(good),
                 "--trajectory", str(bad)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad.csv" in err
     assert not out.exists()
 
 

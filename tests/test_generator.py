@@ -269,6 +269,9 @@ MALFORMED_TRAJECTORIES = {
     "count-above-m": "m,leaf_count\r\n2,3\r\n3,3\r\n",
     "negative-count": "m,leaf_count\r\n2,2\r\n3,-1\r\n",
     "jump-of-2": "m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n",
+    "drop-of-1": "m,leaf_count\r\n2,2\r\n3,3\r\n4,2\r\n",
+    "starts-at-3-leaves": "m,leaf_count\r\n2,3\r\n3,3\r\n4,4\r\n",
+    "starts-at-1-leaf": "m,leaf_count\r\n2,1\r\n3,2\r\n4,3\r\n",
 }
 
 
