@@ -260,9 +260,12 @@ def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -
 
 # ---------------------------------------------------------------- fclt
 
-def _fclt_rep(task: tuple) -> list[float]:
-    sched_json, n, seed, stream, t_grid = task
+def _fclt_task(task: tuple):
+    """One tree's G_n path on the t grid, or, when ups_reps is set, the duration sample."""
+    sched_json, n, seed, stream, t_grid, ups_reps = task
     schedule = ChangePointSchedule.from_json(sched_json)
+    if ups_reps:
+        return upsilon_clt_sample(schedule, n, ups_reps, SeededRng(seed, stream))
     tree = grow_tree(schedule, n, SeededRng(seed, stream), RecordFlags(leaves=True))
     return list(gn_path(tree.leaf_trajectory, schedule, t_grid))
 
@@ -271,8 +274,18 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
     schedule = _schedule_from(cfg)
     n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
     t_grid = [float(t) for t in cfg["t_grid"]]
-    tasks = [(schedule.to_json(), n, seed, rep, t_grid) for rep in range(reps)]
-    rows = np.asarray(_pool_map(_fclt_rep, tasks, int(cfg["threads"])))
+    tasks = [(schedule.to_json(), n, seed, rep, t_grid, 0) for rep in range(reps)]
+    seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
+    sample_z = schedule.num_change_points == 1
+    if sample_z:
+        # first in the pool, so one worker draws it while the others grow trees
+        tasks.insert(0, (schedule.to_json(), n, seed, _UPSILON_STREAM_BASE, None,
+                         int(cfg["upsilon_reps"])))
+        seeds.append({"seed": seed, "stream_id": _UPSILON_STREAM_BASE})
+    results = _pool_map(_fclt_task, tasks, int(cfg["threads"]))
+    if sample_z:
+        write_zsample_csv(results.pop(0), out_dir / "upsilon_z.csv")
+    rows = np.asarray(results)
 
     moments = [
         (t, float(rows[:, j].mean()), float(rows[:, j].var(ddof=1)), variance_gn(t, schedule), reps)
@@ -280,13 +293,6 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
     ]
     write_csv(out_dir / "gn_moments.csv", ["t", "mean_gn", "var_gn", "target_var", "reps"],
               list(zip(*moments)))
-
-    seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
-    if schedule.num_change_points == 1:
-        ups_reps = int(cfg["upsilon_reps"])
-        z = upsilon_clt_sample(schedule, n, ups_reps, SeededRng(seed, _UPSILON_STREAM_BASE))
-        write_zsample_csv(z, out_dir / "upsilon_z.csv")
-        seeds.append({"seed": seed, "stream_id": _UPSILON_STREAM_BASE})
     return seeds
 
 

@@ -61,8 +61,11 @@ class EstimatorConfig:
     def validate(self) -> "EstimatorConfig":
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.near_max_threshold is not None and self.near_max_threshold <= 0:
-            raise ValueError("near_max_threshold must be > 0")
+        # written as "not ... " so that NaN fails the check too
+        if self.near_max_threshold is not None and not self.near_max_threshold > 0:
+            raise ValueError(f"near_max_threshold must be > 0, got {self.near_max_threshold}")
+        if self.detection_floor is not None and not self.detection_floor >= 0:
+            raise ValueError(f"detection_floor must be >= 0, got {self.detection_floor}")
         return self
 
 

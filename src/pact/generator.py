@@ -29,7 +29,6 @@ from .model_core import (
     RngLike,
     SizeTooSmall,
     as_generator,
-    step_offsets,
     validate_schedule,
     write_csv,
 )
@@ -98,19 +97,22 @@ class GrowingTree:
 
 
 def _leaf_trajectory(parent: np.ndarray, n: int) -> LeafTrajectory:
-    ms = np.arange(2, n + 1)
-    first_child = np.full(n + 1, n + 1, dtype=np.int64)
-    rev = ms[::-1]
-    first_child[parent[rev]] = rev  # last write wins -> smallest child index
-    root_children = ms[parent[ms] == 1]
-    root_second = int(root_children[1]) if root_children.size >= 2 else n + 1
+    """Leaf counts N(m), m = 2..n: vertex m adds a leaf and takes one from its parent
+    when it is the parent's first child, or the root's second."""
+    index = np.int32 if n + 1 < 2**31 else np.int64  # first_child holds up to n + 1
+    first_child = np.full(n + 1, n + 1, dtype=index)
+    # children in descending order: the last write, the smallest child, wins
+    first_child[parent[:1:-1].astype(index)] = np.arange(n, 1, -1, dtype=index)
     counts = np.empty(n - 1, dtype=np.int64)
     counts[0] = 2  # at m=2 both the root (out-degree 1) and vertex 2 have degree 1
     if n > 2:
-        p = parent[3 : n + 1]
-        steps = np.arange(3, n + 1)
-        drop = np.where(p == 1, steps == root_second, first_child[p] == steps)
-        counts[1:] = 2 + np.cumsum(1 - drop.astype(np.int64))
+        # the root never matches, since first_child[1] = 2 < every step here
+        counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
+        del first_child
+        np.cumsum(counts, out=counts)
+        root_children = np.flatnonzero(parent[3:] == 1)
+        if root_children.size:  # the root's second child ends its time as a leaf
+            counts[root_children[0] + 1 :] -= 1
     return LeafTrajectory(n=n, counts=counts)
 
 
@@ -136,29 +138,37 @@ def grow_tree(
             raise ValueError(f"degree checkpoint {m} outside 2..{n}")
     gen = as_generator(rng)
 
-    offs = step_offsets(schedule, n)
+    # entering vertex m = i + 2 joins a tree of size s = i + 1; one draw gives
+    # coin (the mixture choice) and pick (the uniform index) for every step
+    draws = gen.random(2 * (n - 1))
+    coin, pick = draws[: n - 1], draws[n - 1 :]
     sizes = np.arange(1, n, dtype=np.float64)
-    total_weight = (2.0 + offs) * sizes - 1.0
-    copy_p = (sizes - 1.0) / total_weight
-    coin = gen.random(n - 1)
-    pick = gen.random(n - 1)
-    is_copy = coin < copy_p
-    target = np.where(
-        is_copy,
-        2 + (pick * (sizes - 1.0)).astype(np.int64),
-        1 + (pick * sizes).astype(np.int64),
-    )
-
-    parent = np.zeros(n + 1, dtype=np.int64)
-    parent[2:] = target
     unresolved = np.zeros(n + 1, dtype=bool)
-    unresolved[2:] = is_copy
+    is_copy = unresolved[2:]
+    bounds = schedule.boundaries(n)
+    for c, lo, hi in zip(schedule.offsets(), bounds, bounds[1:]):
+        seg = slice(max(lo - 1, 0), max(hi - 1, 0))  # steps max(lo + 1, 2)..hi
+        copy_p = (sizes[seg] - 1.0) / ((2.0 + c) * sizes[seg] - 1.0)
+        np.less(coin[seg], copy_p, out=is_copy[seg])
+    del copy_p  # each del frees an array before the next one is allocated
+    # copy: 2 + floor(pick (s - 1)), a uniform edge u in 2..s; else 1 + floor(pick s)
+    np.subtract(sizes, is_copy, out=sizes)
+    pick *= sizes
+    del sizes
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[:2] = 0
+    parent[2:] = pick  # truncates, as astype does
+    del draws, coin, pick
+    parent[2:] += is_copy
+    parent[2:] += 1
+
     pending = np.nonzero(unresolved)[0]
     while pending.size:
         t = parent[pending]
         parent[pending] = parent[t]
         unresolved[pending] = unresolved[t]
         pending = pending[unresolved[pending]]
+    del unresolved, is_copy
 
     out_degree = np.bincount(parent[2:], minlength=n + 1)
     tree = GrowingTree(n=n, parent=parent, out_degree=out_degree)

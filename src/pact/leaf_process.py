@@ -230,14 +230,20 @@ def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
 def gn_path(trajectory: LeafTrajectory, schedule: ChangePointSchedule, grid) -> np.ndarray:
     """Centred, sqrt(n)-scaled leaf-count path (N(nt) - nt p_inf(t)) / sqrt(n).
 
-    Leaf counts are linearly interpolated between recorded integer steps.
+    Leaf counts are linearly interpolated between recorded integer steps.  Only
+    the steps that bracket some n*t are handed to np.interp: each n*t still
+    falls between the same two steps, so the values are those of interpolating
+    over every step, bit for bit.
     """
     grid_arr = np.asarray(grid, dtype=np.float64)
-    if np.any(grid_arr <= 0.0) or np.any(grid_arr > 1.0):
+    if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):
         raise HorizonOutOfRange(f"grid must lie in (0, 1], got {grid}")
     n = trajectory.n
-    counts_at = np.interp(n * grid_arr, trajectory.steps(), trajectory.counts)
-    centred = counts_at - n * grid_arr * np.asarray(p_inf(grid_arr, schedule))
+    x = n * grid_arr
+    below = np.clip(np.floor(x).astype(np.int64).ravel(), 2, n)
+    steps = np.unique(np.concatenate([below, np.minimum(below + 1, n)]))
+    counts_at = np.interp(x, steps, trajectory.counts[steps - 2])
+    centred = counts_at - x * np.asarray(p_inf(grid_arr, schedule))
     return centred / np.sqrt(n)
 
 

@@ -135,19 +135,6 @@ def validate_schedule(schedule: ChangePointSchedule) -> ChangePointSchedule:
     return schedule
 
 
-def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
-    """Active offset for each entering vertex m = 2..n, as an array of length n-1."""
-    offs = np.empty(n - 1, dtype=np.float64)
-    bounds = schedule.boundaries(n)
-    offsets = schedule.offsets()
-    for j, c in enumerate(offsets):
-        lo = max(bounds[j] + 1, 2)
-        hi = bounds[j + 1]
-        if hi >= lo:
-            offs[lo - 2 : hi - 1] = c
-    return offs
-
-
 @dataclass(frozen=True)
 class SeededRng:
     """Reproducible counter-based random stream.

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each one is the slow, direct form of something `pact` computes faster or in
-closed form: a step-by-step attachment sampler, point counts from explicit
+closed form: a step-by-step attachment sampler, the sequential growth loop
+that grow_tree vectorizes, point counts from explicit
 exponential waits, the full holding-time clock of the continuous-time
 embedding, the exact leaf expectation recursion with its scalar weights,
 non-root leaf counts and window means.  None of them is used by `pact` itself.
@@ -18,7 +19,6 @@ from pact.model_core import (
     ChangePointSchedule,
     SizeTooSmall,
     as_generator,
-    step_offsets,
     validate_schedule,
 )
 
@@ -134,6 +134,55 @@ def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, floa
         if bounds[j] < m <= bounds[j + 1]:
             return j, offset
     raise AssertionError("unreachable: boundaries partition (0, n]")
+
+
+def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
+    """Active offset for each entering vertex m = 2..n, as an array of length n-1."""
+    offs = np.empty(n - 1, dtype=np.float64)
+    bounds = schedule.boundaries(n)
+    offsets = schedule.offsets()
+    for j, c in enumerate(offsets):
+        lo = max(bounds[j] + 1, 2)
+        hi = bounds[j + 1]
+        if hi >= lo:
+            offs[lo - 2 : hi - 1] = c
+    return offs
+
+
+def grow_tree_sequential(schedule: ChangePointSchedule, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The parent array and leaf counts N(2..n) of grow_tree, one step at a time.
+
+    Reads the same draws as grow_tree: n - 1 mixture coins, then n - 1 uniform
+    picks.  At step m the tree has s = m - 1 vertices; a copy step takes the
+    parent of the uniform vertex u in 2..s, which is already resolved, and a
+    direct step takes the uniform vertex in 1..s.
+    """
+    gen = as_generator(rng)
+    coin = gen.random(n - 1).tolist()
+    pick = gen.random(n - 1).tolist()
+    parent = [0] * (n + 1)
+    out_degree = [0] * (n + 1)
+    counts = []
+    leaves = 0
+    for m in range(2, n + 1):
+        s = m - 1
+        _, c = segment_of(schedule, m, n)
+        i = m - 2
+        if coin[i] < (s - 1.0) / ((2.0 + c) * s - 1.0):
+            p = parent[2 + int(pick[i] * (s - 1.0))]
+        else:
+            p = 1 + int(pick[i] * s)
+        parent[m] = p
+        # vertex m arrives as a leaf; the root is a leaf while its out-degree is 1,
+        # any other vertex until its first child
+        leaves += 1
+        if p == 1:
+            leaves += {0: 1, 1: -1}.get(out_degree[1], 0)
+        elif out_degree[p] == 0:
+            leaves -= 1
+        out_degree[p] += 1
+        counts.append(leaves)
+    return np.array(parent, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def w_m(m: int, n: int, schedule: ChangePointSchedule) -> float:

@@ -122,6 +122,23 @@ def test_gamma_hat_no_change_detected_on_constant():
     assert report.to_json()["gamma_hat"] is None
 
 
+@pytest.mark.parametrize("field,value", [
+    ("near_max_threshold", np.nan), ("near_max_threshold", 0.0), ("near_max_threshold", -1e-3),
+    ("detection_floor", np.nan), ("detection_floor", -1.0),
+])
+def test_config_rejects_bad_threshold_and_floor(field, value):
+    config = EstimatorConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        config.validate()
+    with pytest.raises(ValueError, match=field):
+        estimate(_constant_traj(1000, 0.4), config)
+
+
+def test_config_accepts_zero_floor():
+    report = estimate(_step_traj(1000, 0.4, 0.6, 0.5), EstimatorConfig(detection_floor=0.0))
+    assert report.detected and report.detection_floor == 0.0
+
+
 def test_report_json_contract():
     traj = _step_traj(20_000, 0.3, 0.7, 0.5)
     report = estimate(traj, EstimatorConfig(epsilon=0.1))

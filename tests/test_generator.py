@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import AttachmentSampler
+from oracles import AttachmentSampler, grow_tree_sequential
 from pact.generator import (
     GrowingTree,
     RecordFlags,
@@ -120,6 +122,36 @@ def test_grow_tree_replays_bit_identically():
     a = grow_tree(SINGLE, 4000, SeededRng(7, 3))
     b = grow_tree(SINGLE, 4000, SeededRng(7, 3))
     assert np.array_equal(a.parent, b.parent)
+
+
+@st.composite
+def _sized_schedules(draw):
+    """(n, schedule) with 0-3 change points, each gamma = (floor + eighths/8) / n.
+
+    Small floors put floor(gamma n) below 2, and equal floors put two
+    boundaries in the same step.
+    """
+    n = draw(st.integers(2, 3000))
+    k = draw(st.integers(0, 3))
+    floor = st.one_of(st.integers(0, min(2, n - 1)), st.integers(0, n - 1))
+    floors = sorted(draw(st.lists(floor, min_size=k, max_size=k)))
+    eighths = sorted(draw(st.lists(st.integers(1, 7), min_size=k, max_size=k, unique=True)))
+    betas = draw(st.lists(st.floats(0.05, 10.0), min_size=k, max_size=k))
+    gammas = [(f + e / 8) / n for f, e in zip(floors, eighths)]
+    return n, ChangePointSchedule(alpha=draw(st.floats(0.0, 10.0)), segments=zip(gammas, betas))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_sized_schedules(), seed=st.integers(0, 2**32))
+@example(case=(2, PLAIN), seed=0)
+@example(case=(10, ChangePointSchedule(alpha=1.0, segments=((0.05, 2.0), (0.15, 0.5)))), seed=1)
+@example(case=(10, ChangePointSchedule(alpha=0.0, segments=((0.51, 3.0), (0.55, 0.2)))), seed=2)
+def test_grow_tree_matches_sequential_reference(case, seed):
+    n, schedule = case
+    tree = grow_tree(schedule, n, SeededRng(seed, 5), RecordFlags(leaves=True))
+    parent, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 5))
+    assert np.array_equal(tree.parent, parent)
+    assert np.array_equal(tree.leaf_trajectory.counts, counts)
 
 
 def test_leaf_trajectory_matches_truncated_histograms():

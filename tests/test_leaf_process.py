@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_leaves, nonroot_leaf_counts, w_m
@@ -250,6 +250,34 @@ def test_gn_path_centering_identity():
     grid = ms[49::100] / n
     path = gn_path(traj, SINGLE, grid)
     assert np.max(np.abs(path)) < 1e-12
+
+
+def _gn_path_every_step(trajectory, schedule, grid):
+    """gn_path with np.interp over every recorded step."""
+    ts = np.asarray(grid, dtype=np.float64)
+    n = trajectory.n
+    counts_at = np.interp(n * ts, trajectory.steps(), trajectory.counts)
+    return (counts_at - n * ts * np.asarray(p_inf(ts, schedule))) / np.sqrt(n)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(2, 2000),
+       grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=12))
+@example(n=2, grid=[0.25, 0.5, 1.0])
+@example(n=3, grid=[0.1, 0.5, 2 / 3, 0.9, 1.0])
+@example(n=997, grid=[1e-9, 1 / 997, 1.5 / 997, 2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0])
+def test_gn_path_brackets_match_interpolating_every_step(n, grid):
+    # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
+    tree = grow_tree(SINGLE, n, SeededRng(52, n), RecordFlags(leaves=True))
+    path = gn_path(tree.leaf_trajectory, SINGLE, grid)
+    assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory, SINGLE, grid))
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
+def test_gn_path_rejects_grid_outside_unit_interval(grid):
+    tree = grow_tree(SINGLE, 100, SeededRng(53), RecordFlags(leaves=True))
+    with pytest.raises(HorizonOutOfRange, match="grid must lie"):
+        gn_path(tree.leaf_trajectory, SINGLE, grid)
 
 
 def test_gn_ensemble_light():

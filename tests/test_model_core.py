@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_of
+from oracles import segment_of, step_offsets
 from pact.model_core import (
     ChangePointSchedule,
     NonPositiveParameter,
     SeededRng,
     UnorderedChangePoints,
-    step_offsets,
     validate_schedule,
     write_csv,
 )
