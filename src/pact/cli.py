@@ -4,7 +4,7 @@ One executable, five subcommands:
 
     simulate   grow trees, write tree/trajectory/degree-histogram artifacts
     limits     exact pmf, Monte Carlo limit-law pmf/CCDF, limit curves
-    estimate   change-point reports from trajectory CSVs
+    estimate   change-point reports from trajectory CSVs, one pool task per file
     fclt       scaled leaf-count marginal moments + standardized duration sample
     maxdeg     ensemble of maximal degrees across sizes
 
@@ -12,12 +12,16 @@ Every run writes its artifacts plus a manifest.json (config echo, seed list,
 version, wall clock, output digests) into --out.  Configuration comes from an
 optional JSON file (--config) with per-key overrides from flags; flags win.
 Re-running with the same merged config reproduces byte-identical CSVs.
+--threads sets the worker pool size.  simulate, fclt and maxdeg default to 1;
+estimate defaults to the usable CPU count and processes its trajectories in
+parallel, with the same bytes as --threads 1.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,7 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorConfig, dn_curve, gamma_hat, limit_D, write_dn_csv, write_report_json
+from .estimator import (
+    EstimateReport,
+    EstimatorConfig,
+    dn_curve,
+    gamma_hat,
+    limit_D,
+    write_dn_csv,
+    write_report_json,
+)
 from .embedding import upsilon_clt_sample, write_zsample_csv
 from .generator import (
     RecordFlags,
@@ -104,10 +116,11 @@ _DEFAULTS: dict[str, dict] = {
                  "checkpoints": []},
     "limits": {"seed": 42, "alpha": 1.0, "beta": [], "gamma": [], "draws": 100000,
                "horizon_t": 1.0, "kmax": 200, "curve_points": 200, "epsilon": 0.1},
+    # threads None: the usable CPU count, resolved by _merge_config
     "estimate": {"epsilon": 0.1, "trajectories": [], "alpha": None, "beta": [],
-                 "gamma": []},
+                 "gamma": [], "threads": None},
     "fclt": {"n": 10000, "reps": 200, "seed": 42, "threads": 1, "alpha": 6.0,
-             "beta": [1.0], "gamma": [0.5], "t_grid": [0.25, 0.5, 0.75, 1.0],
+             "beta": [], "gamma": [], "t_grid": [0.25, 0.5, 0.75, 1.0],
              "upsilon_reps": 200},
     "maxdeg": {"reps": 50, "seed": 42, "threads": 1, "alpha": 0.0, "beta": [],
                "gamma": [], "n_list": [10000, 100000]},
@@ -132,7 +145,16 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None and value != []:
             merged[key] = value
+    if "threads" in merged and merged["threads"] is None:
+        merged["threads"] = _usable_cpus()
     return merged
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _schedule_from(cfg: dict) -> ChangePointSchedule:
@@ -146,12 +168,15 @@ def _schedule_from(cfg: dict) -> ChangePointSchedule:
     return validate_schedule(schedule)
 
 
-def _pool_map(fn, tasks, threads: int):
-    if threads > 1:
+def _pool_map(fn, tasks: list, threads: int) -> list:
+    """[fn(t) for t in tasks], in order, on at most min(threads, len(tasks)) processes."""
+    workers = min(threads, len(tasks))
+    if workers > 1:
         # imported here: it costs every single-process run about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # under fork every worker starts up front, so start no more than there are tasks
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -235,24 +260,29 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
 
 # ---------------------------------------------------------------- estimate
 
+def _estimate_task(task: tuple) -> EstimateReport:
+    """Estimate one trajectory; write its report_<tag>.json and dn_curve_<tag>.csv."""
+    traj, config, schedule, out_dir, tag = task
+    curve = dn_curve(traj, config)
+    report = gamma_hat(curve, config)
+    d_lim = None
+    if schedule is not None:
+        d_lim = np.asarray(limit_D(curve.ts, schedule, config.epsilon))
+    write_report_json(report, out_dir / f"report_{tag}.json")
+    write_dn_csv(curve, out_dir / f"dn_curve_{tag}.csv", d_lim)
+    return report
+
+
 def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -> list[dict]:
-    """Estimate on the trajectories main() loaded from cfg["trajectories"], in order."""
+    """Estimate on the trajectories main() loaded from cfg["trajectories"], one pool task each."""
     schedule = None
     if cfg.get("alpha") is not None and cfg.get("gamma"):
         schedule = _schedule_from(cfg)
     config = EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
-    rows = []
-    for i, (traj_path, traj) in enumerate(zip(cfg["trajectories"], trajectories)):
-        curve = dn_curve(traj, config)
-        report = gamma_hat(curve, config)
-        d_lim = None
-        if schedule is not None:
-            d_lim = np.asarray(limit_D(curve.ts, schedule, config.epsilon))
-        tag = f"{i:03d}"
-        write_report_json(report, out_dir / f"report_{tag}.json")
-        write_dn_csv(curve, out_dir / f"dn_curve_{tag}.csv", d_lim)
-        rows.append((Path(traj_path).name, "" if report.gamma_hat is None else report.gamma_hat,
-                     report.dn_star, int(report.detected)))
+    tasks = [(traj, config, schedule, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
+    reports = _pool_map(_estimate_task, tasks, int(cfg["threads"]))
+    rows = [(Path(traj_path).name, "" if r.gamma_hat is None else r.gamma_hat, r.dn_star,
+             int(r.detected)) for traj_path, r in zip(cfg["trajectories"], reports)]
     write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
               list(zip(*rows)))
     return []

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pact.cli import main
+from pact.cli import _pool_map, main
 
 
 def _run(*argv) -> int:
@@ -133,6 +134,7 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["estimate", "--trajectory", __file__, "--epsilon", "1.5"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO],  # d_limit needs one change point
     ["limits", *TWO, "--horizon-t", "0.7"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--threads", "0"],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -232,6 +234,42 @@ def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsy
     assert not out.exists()
 
 
+def test_estimate_pool_matches_serial_in_input_order(tmp_path):
+    sim = tmp_path / "sim"
+    assert _run("simulate", "--out", str(sim), "--n", "3000", "--seed", "4", "--reps", "2",
+                "--no-trees", *SINGLE) == 0
+    a, b = sim / "trajectory_r000.csv", sim / "trajectory_r001.csv"
+    inputs = ["--trajectory", str(a), "--trajectory", str(b), "--trajectory", str(a), *SINGLE]
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert _run("estimate", "--out", str(pooled), *inputs) == 0
+    assert _run("estimate", "--out", str(serial), *inputs, "--threads", "1") == 0
+    assert _hashes(pooled) == _hashes(serial)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert json.loads((pooled / "manifest.json").read_text())["config"]["threads"] == cpus
+    curves = [(pooled / f"dn_curve_{i:03d}.csv").read_bytes() for i in range(3)]
+    assert curves[0] == curves[2] != curves[1]
+    with open(pooled / "gamma_hats.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["file"] for r in rows] == [a.name, b.name, a.name]
+    reports = [json.loads((pooled / f"report_{i:03d}.json").read_text()) for i in range(3)]
+    assert [float(r["dn_star"]) for r in rows] == [r["dn_star"] for r in reports]
+
+
+def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    assert _pool_map(abs, [-1], 4) == [1]
+    assert _pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert _pool_map(abs, [-1, -2], 8) == [1, 2]
+    assert started == [2, 2]
+
+
 def test_import_loads_no_scipy():
     code = "import sys, pact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -254,6 +292,13 @@ def test_fclt_outputs(tmp_path):
     assert all(float(r["target_var"]) > 0 for r in rows)
     z_lines = (out / "upsilon_z.csv").read_text().splitlines()
     assert len(z_lines) == 17
+
+
+def test_fclt_defaults_to_no_change_point(tmp_path):
+    out = tmp_path / "fclt"
+    assert _run("fclt", "--out", str(out), "--alpha", "1", "--n", "2000", "--reps", "4") == 0
+    assert (out / "gn_moments.csv").exists()
+    assert not (out / "upsilon_z.csv").exists()
 
 
 def test_maxdeg_outputs(tmp_path):
