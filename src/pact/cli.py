@@ -176,8 +176,10 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         # under fork every worker starts up front, so start no more than there are tasks
+        # tasks go out in chunks, about 8 per worker, instead of one round trip each
+        chunksize = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
+            return list(pool.map(fn, tasks, chunksize=chunksize))
     return [fn(t) for t in tasks]
 
 
@@ -296,8 +298,8 @@ def _fclt_task(task: tuple):
     schedule = ChangePointSchedule.from_json(sched_json)
     if ups_reps:
         return upsilon_clt_sample(schedule, n, ups_reps, SeededRng(seed, stream))
-    tree = grow_tree(schedule, n, SeededRng(seed, stream), RecordFlags(leaves=True))
-    return list(gn_path(tree.leaf_trajectory, schedule, t_grid))
+    tree = grow_tree(schedule, n, SeededRng(seed, stream))
+    return list(gn_path(tree, schedule, t_grid))
 
 
 def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
@@ -340,16 +342,18 @@ def cmd_maxdeg(cfg: dict, out_dir: Path) -> list[dict]:
     reps, seed = int(cfg["reps"]), int(cfg["seed"])
     n_list = [int(n) for n in cfg["n_list"]]
     exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
-    seeds, rows = [], []
+    # one pool for every size: stream ni * reps + rep is size ni's rep-th tree
+    tasks = [(schedule.to_json(), n, seed, ni * reps + rep)
+             for ni, n in enumerate(n_list) for rep in range(reps)]
+    m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
+    rows = []
     for ni, n in enumerate(n_list):
-        tasks = [(schedule.to_json(), n, seed, ni * reps + rep) for rep in range(reps)]
-        m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
-        scaled = [m1 / n**exponent for m1 in m1s]
-        rows += zip([n] * reps, range(reps), m1s, scaled)
-        seeds += [{"seed": seed, "stream_id": ni * reps + rep} for rep in range(reps)]
+        size_m1s = m1s[ni * reps : (ni + 1) * reps]
+        scaled = [m1 / n**exponent for m1 in size_m1s]
+        rows += zip([n] * reps, range(reps), size_m1s, scaled)
         print(f"n={n}: median scaled max degree = {float(np.median(scaled)):.4f}")
     write_csv(out_dir / "maxdeg.csv", ["n", "rep", "max_degree", "scaled"], list(zip(*rows)))
-    return seeds
+    return [{"seed": seed, "stream_id": task[3]} for task in tasks]
 
 
 # ---------------------------------------------------------------- driver
@@ -454,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
             if not all(0.0 < float(t) <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
+            if schedule.num_change_points > 1:
+                raise ValueError(f"fclt's limit curves need at most one change point, "
+                                 f"got {schedule.num_change_points}")
         elif args.command == "maxdeg" and any(int(n) < 2 for n in cfg["n_list"]):
             raise ValueError(f"every n must be >= 2, got {cfg['n_list']}")
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

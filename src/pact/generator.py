@@ -17,6 +17,7 @@ vectorized passes.
 """
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -73,9 +74,13 @@ class GrowingTree:
 
     n: int
     parent: np.ndarray
-    out_degree: np.ndarray
     leaf_trajectory: LeafTrajectory | None = None
     degree_snapshots: dict[int, DegreeHistogram] = field(default_factory=dict)
+
+    @functools.cached_property
+    def out_degree(self) -> np.ndarray:
+        """out_degree[v] = number of children of v (index 0 unused), counted on first use."""
+        return np.bincount(self.parent[2 : self.n + 1], minlength=self.n + 1)
 
     def total_degrees(self) -> np.ndarray:
         """Total degree of vertices 1..n; the root's degree is its out-degree."""
@@ -83,17 +88,33 @@ class GrowingTree:
         deg[0] -= 1
         return deg
 
+    def leaf_counts(self, steps) -> np.ndarray:
+        """Leaf counts N(m) at sorted steps m in 2..n, from the parent array alone.
+
+        N(m) = m - #{v >= 2 with a child <= m} - [the root has >= 2 children <= m]:
+        every vertex but the root is a leaf until its first child arrives, and
+        the root is one while it has a single child.
+        """
+        steps = np.asarray(steps, dtype=np.int64)
+        if steps.size and (steps[0] < 2 or steps[-1] > self.n or np.any(np.diff(steps) < 0)):
+            raise ValueError(f"steps must be sorted and lie in 2..{self.n}")
+        has_child = np.zeros(self.n + 1, dtype=bool)
+        counts = np.empty(steps.size, dtype=np.int64)
+        root_children, prev = 0, 1
+        for i, m in enumerate(steps):
+            arrivals = self.parent[prev + 1 : m + 1]  # vertices prev+1..m, each a child
+            has_child[arrivals] = True
+            root_children += np.count_nonzero(arrivals == 1)
+            counts[i] = m - np.count_nonzero(has_child[2:]) - (root_children >= 2)
+            prev = m
+        return counts
+
     def check_invariants(self) -> None:
         if self.parent[1] != 0:
             raise AssertionError("root sentinel parent must be 0")
         ms = np.arange(2, self.n + 1)
         if np.any(self.parent[ms] >= ms) or np.any(self.parent[ms] < 1):
             raise AssertionError("parents must be earlier vertices")
-        if int(self.out_degree.sum()) != self.n - 1:
-            raise AssertionError("edge count != n - 1")
-        recount = np.bincount(self.parent[2:], minlength=self.n + 1)
-        if not np.array_equal(recount, self.out_degree):
-            raise AssertionError("out_degree inconsistent with parent array")
 
 
 def _leaf_trajectory(parent: np.ndarray, n: int) -> LeafTrajectory:
@@ -170,8 +191,7 @@ def grow_tree(
         pending = pending[unresolved[pending]]
     del unresolved, is_copy
 
-    out_degree = np.bincount(parent[2:], minlength=n + 1)
-    tree = GrowingTree(n=n, parent=parent, out_degree=out_degree)
+    tree = GrowingTree(n=n, parent=parent)
     if record.leaves:
         tree.leaf_trajectory = _leaf_trajectory(parent, n)
     for m in record.degree_checkpoints:
@@ -223,9 +243,7 @@ def load_tree(path) -> GrowingTree:
         raw = fh.read(8 * n)
     parent = np.zeros(n + 1, dtype=np.int64)
     parent[1:] = np.frombuffer(raw, dtype="<u8").astype(np.int64)
-    # clipped so that a corrupt parent cannot size the bincount; check_invariants rejects it
-    out_degree = np.bincount(parent[2:].clip(0, n), minlength=n + 1)
-    tree = GrowingTree(n=int(n), parent=parent, out_degree=out_degree)
+    tree = GrowingTree(n=int(n), parent=parent)
     try:
         tree.check_invariants()
     except AssertionError as exc:

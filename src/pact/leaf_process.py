@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .model_core import ChangePointSchedule, HorizonOutOfRange, validate_schedule, write_csv
+
+if TYPE_CHECKING:
+    from .generator import GrowingTree
 
 
 @dataclass
@@ -37,6 +40,10 @@ class LeafTrajectory:
 
     def proportions(self) -> np.ndarray:
         return self.counts / self.steps()
+
+    def leaf_counts(self, steps) -> np.ndarray:
+        """Leaf counts N(m) at steps m in 2..n."""
+        return self.counts[np.asarray(steps, dtype=np.int64) - 2]
 
     def check_invariants(self) -> None:
         ms = self.steps()
@@ -227,22 +234,24 @@ def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
     return float(g * g * phi(t, schedule))
 
 
-def gn_path(trajectory: LeafTrajectory, schedule: ChangePointSchedule, grid) -> np.ndarray:
+def gn_path(source: LeafTrajectory | GrowingTree, schedule: ChangePointSchedule,
+            grid) -> np.ndarray:
     """Centred, sqrt(n)-scaled leaf-count path (N(nt) - nt p_inf(t)) / sqrt(n).
 
-    Leaf counts are linearly interpolated between recorded integer steps.  Only
-    the steps that bracket some n*t are handed to np.interp: each n*t still
-    falls between the same two steps, so the values are those of interpolating
-    over every step, bit for bit.
+    Leaf counts are linearly interpolated between integer steps.  Only the
+    steps that bracket some n*t are read, through source.leaf_counts, so a
+    tree need not record its whole trajectory: each n*t still falls between
+    the same two steps, and the values are those of interpolating over every
+    step, bit for bit.
     """
     grid_arr = np.asarray(grid, dtype=np.float64)
     if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):
         raise HorizonOutOfRange(f"grid must lie in (0, 1], got {grid}")
-    n = trajectory.n
+    n = source.n
     x = n * grid_arr
     below = np.clip(np.floor(x).astype(np.int64).ravel(), 2, n)
     steps = np.unique(np.concatenate([below, np.minimum(below + 1, n)]))
-    counts_at = np.interp(x, steps, trajectory.counts[steps - 2])
+    counts_at = np.interp(x, steps, source.leaf_counts(steps))
     centred = counts_at - x * np.asarray(p_inf(grid_arr, schedule))
     return centred / np.sqrt(n)
 

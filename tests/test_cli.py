@@ -126,6 +126,7 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["fclt", "--reps", "0"],
     ["fclt", "--reps", "1"],
     ["fclt", "--t", "1.5"],
+    ["fclt", *TWO, "--n", "100", "--reps", "2"],  # p_inf needs at most one change point
     ["simulate", "--checkpoint", "200", "--n", "100"],
     ["simulate", "--n", "0"],
     ["simulate", "--threads", "0"],
@@ -294,6 +295,16 @@ def test_fclt_outputs(tmp_path):
     assert len(z_lines) == 17
 
 
+def test_fclt_pool_matches_serial(tmp_path):
+    # 41 tasks on 2 workers go out in chunks of 2
+    base = ["fclt", "--n", "2000", "--reps", "40", "--upsilon-reps", "20", "--seed", "8", *SINGLE]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert _run(*base, "--out", str(serial), "--threads", "1") == 0
+    assert _run(*base, "--out", str(pooled), "--threads", "2") == 0
+    assert _hashes(serial) == _hashes(pooled)
+    assert set(_hashes(pooled)) == {"gn_moments.csv", "upsilon_z.csv"}
+
+
 def test_fclt_defaults_to_no_change_point(tmp_path):
     out = tmp_path / "fclt"
     assert _run("fclt", "--out", str(out), "--alpha", "1", "--n", "2000", "--reps", "4") == 0
@@ -313,6 +324,25 @@ def test_maxdeg_outputs(tmp_path):
         assert float(r["scaled"]) == pytest.approx(
             int(r["max_degree"]) / np.sqrt(int(r["n"])), rel=1e-12
         )
+
+
+def test_maxdeg_pool_matches_serial(tmp_path, capsys):
+    base = ["maxdeg", "--reps", "5", "--alpha", "6", "--beta", "1", "--gamma", "0.5",
+            "--n", "300", "--n", "600", "--n", "300", "--seed", "9"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert _run(*base, "--out", str(serial), "--threads", "1") == 0
+    printed = capsys.readouterr().out
+    assert _run(*base, "--out", str(pooled), "--threads", "2") == 0
+    assert capsys.readouterr().out.replace("pooled", "serial") == printed
+    assert _hashes(serial) == _hashes(pooled)
+    manifest = json.loads((pooled / "manifest.json").read_text())
+    assert [s["stream_id"] for s in manifest["seeds"]] == list(range(15))
+    with open(pooled / "maxdeg.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n"], r["rep"]) for r in rows] == [
+        (str(n), str(rep)) for n in (300, 600, 300) for rep in range(5)]
+    # the repeated size draws its own streams
+    assert [r["max_degree"] for r in rows[:5]] != [r["max_degree"] for r in rows[10:]]
 
 
 def test_maxdeg_scales_by_pre_change_exponent(tmp_path):

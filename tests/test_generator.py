@@ -24,13 +24,11 @@ PLAIN = ChangePointSchedule(alpha=1.0)
 
 
 def _star4() -> GrowingTree:
-    parent = np.array([0, 0, 1, 1, 1], dtype=np.int64)
-    return GrowingTree(n=4, parent=parent, out_degree=np.bincount(parent[2:], minlength=5))
+    return GrowingTree(n=4, parent=np.array([0, 0, 1, 1, 1], dtype=np.int64))
 
 
 def _path3() -> GrowingTree:
-    parent = np.array([0, 0, 1, 2], dtype=np.int64)
-    return GrowingTree(n=3, parent=parent, out_degree=np.bincount(parent[2:], minlength=4))
+    return GrowingTree(n=3, parent=np.array([0, 0, 1, 2], dtype=np.int64))
 
 
 def test_sample_parent_single_vertex_is_root():
@@ -154,6 +152,32 @@ def test_grow_tree_matches_sequential_reference(case, seed):
     assert np.array_equal(tree.leaf_trajectory.counts, counts)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_sized_schedules(), seed=st.integers(0, 2**32), data=st.data())
+@example(case=(2, PLAIN), seed=0, data=None)
+@example(case=(3, PLAIN), seed=3, data=None)
+def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data):
+    n, schedule = case
+    tree = grow_tree(schedule, n, SeededRng(seed, 6), RecordFlags(leaves=True))
+    _, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 6))
+    root_children = np.flatnonzero(tree.parent[3:] == 1) + 3
+    second = int(root_children[0]) if root_children.size else n
+    drawn = [] if data is None else data.draw(st.lists(st.integers(2, n), max_size=8))
+    # the first and last steps, and the steps around the root's second child
+    steps = np.unique([2, n, second, max(second - 1, 2), *drawn])
+    assert np.array_equal(tree.leaf_counts(steps), tree.leaf_trajectory.counts[steps - 2])
+    assert np.array_equal(tree.leaf_counts(steps), counts[steps - 2])
+    assert np.array_equal(tree.leaf_trajectory.leaf_counts(steps), counts[steps - 2])
+    assert np.array_equal(tree.leaf_counts(np.arange(2, n + 1)), counts)
+
+
+@pytest.mark.parametrize("steps", [[1], [5, 3], [2, 11]], ids=["below-2", "unsorted", "above-n"])
+def test_leaf_counts_reject_steps_outside_the_tree(steps):
+    tree = grow_tree(SINGLE, 10, SeededRng(16))
+    with pytest.raises(ValueError, match="sorted"):
+        tree.leaf_counts(steps)
+
+
 def test_leaf_trajectory_matches_truncated_histograms():
     tree = grow_tree(SINGLE, 2000, SeededRng(8), RecordFlags(leaves=True))
     traj = tree.leaf_trajectory
@@ -205,6 +229,13 @@ def test_degree_histogram_handshake_identity():
 def test_max_degree():
     assert max_degree(_star4()) == 3
     assert max_degree(_path3()) == 2
+
+
+def test_out_degree_is_counted_from_the_parents():
+    assert _star4().out_degree.tolist() == [0, 3, 0, 0, 0]
+    assert _path3().out_degree.tolist() == [0, 1, 1, 0]
+    tree = grow_tree(SINGLE, 500, SeededRng(17))
+    assert np.array_equal(tree.out_degree, np.bincount(tree.parent[2:], minlength=501))
 
 
 def test_degree_checkpoints_recorded():

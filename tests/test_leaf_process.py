@@ -271,6 +271,8 @@ def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     tree = grow_tree(SINGLE, n, SeededRng(52, n), RecordFlags(leaves=True))
     path = gn_path(tree.leaf_trajectory, SINGLE, grid)
     assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory, SINGLE, grid))
+    # the tree itself, which counts leaves from its parents, gives the same bits
+    assert np.array_equal(gn_path(tree, SINGLE, grid), path)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
