@@ -4,7 +4,7 @@ One executable, five subcommands:
 
     simulate   grow trees, write tree/trajectory/degree-histogram artifacts
     limits     exact pmf, Monte Carlo limit-law pmf/CCDF, limit curves
-    estimate   change-point reports from trajectory CSVs, one pool task per file
+    estimate   change-point reports and thinned D_n curves from trajectory CSVs
     fclt       scaled leaf-count marginal moments + standardized duration sample
     maxdeg     ensemble of maximal degrees across sizes
 
@@ -12,16 +12,14 @@ Every run writes its artifacts plus a manifest.json (config echo, seed list,
 version, wall clock, output digests) into --out.  Configuration comes from an
 optional JSON file (--config) with per-key overrides from flags; flags win.
 Re-running with the same merged config reproduces byte-identical CSVs.
---threads sets the worker pool size.  simulate, fclt and maxdeg default to 1;
-estimate defaults to the usable CPU count and processes its trajectories in
-parallel, with the same bytes as --threads 1.
+--threads sets the worker pool size; every subcommand defaults to 1, one
+process, and gives the same bytes with any pool size.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -36,6 +34,7 @@ from .estimator import (
     dn_curve,
     gamma_hat,
     limit_D,
+    thin_dn_curve,
     write_dn_csv,
     write_report_json,
 )
@@ -116,9 +115,8 @@ _DEFAULTS: dict[str, dict] = {
                  "checkpoints": []},
     "limits": {"seed": 42, "alpha": 1.0, "beta": [], "gamma": [], "draws": 100000,
                "horizon_t": 1.0, "kmax": 200, "curve_points": 200, "epsilon": 0.1},
-    # threads None: the usable CPU count, resolved by _merge_config
     "estimate": {"epsilon": 0.1, "trajectories": [], "alpha": None, "beta": [],
-                 "gamma": [], "threads": None},
+                 "gamma": [], "threads": 1},
     "fclt": {"n": 10000, "reps": 200, "seed": 42, "threads": 1, "alpha": 6.0,
              "beta": [], "gamma": [], "t_grid": [0.25, 0.5, 0.75, 1.0],
              "upsilon_reps": 200},
@@ -145,16 +143,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None and value != []:
             merged[key] = value
-    if "threads" in merged and merged["threads"] is None:
-        merged["threads"] = _usable_cpus()
     return merged
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one, else all."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _schedule_from(cfg: dict) -> ChangePointSchedule:
@@ -263,10 +252,11 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
 # ---------------------------------------------------------------- estimate
 
 def _estimate_task(task: tuple) -> EstimateReport:
-    """Estimate one trajectory; write its report_<tag>.json and dn_curve_<tag>.csv."""
+    """Estimate one trajectory; write its report_<tag>.json and thinned dn_curve_<tag>.csv."""
     traj, config, schedule, out_dir, tag = task
     curve = dn_curve(traj, config)
     report = gamma_hat(curve, config)
+    curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
     d_lim = None
     if schedule is not None:
         d_lim = np.asarray(limit_D(curve.ts, schedule, config.epsilon))
@@ -434,9 +424,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("estimate needs at least one --trajectory file")
             EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
             if cfg.get("alpha") is not None and cfg.get("gamma"):
-                k = _schedule_from(cfg).num_change_points
+                overlay = _schedule_from(cfg)
+                k = overlay.num_change_points
                 if k > 1:
                     raise ValueError(f"the d_limit overlay needs one change point, got {k}")
+                if not float(cfg["epsilon"]) < overlay.gamma:
+                    raise ValueError(f"the d_limit overlay needs epsilon < gamma = "
+                                     f"{overlay.gamma}, got {cfg['epsilon']}")
             for t in cfg["trajectories"]:
                 if not Path(t).is_file():
                     raise ValueError(f"trajectory file not found: {t}")

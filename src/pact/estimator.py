@@ -32,6 +32,10 @@ from .leaf_process import LeafTrajectory, leaf_proportion_integral, p_inf
 from .model_core import ChangePointSchedule, validate_schedule, write_csv
 
 
+# most rows of the regular grid that dn_curve_*.csv holds for one curve
+DN_CSV_ROWS = 2001
+
+
 class BadInterval(ValueError):
     """Interval endpoints out of order or outside (0, 1]."""
 
@@ -107,9 +111,8 @@ class EstimateReport:
 
 def _prefix_sums(trajectory: LeafTrajectory) -> np.ndarray:
     """P with P[k] = sum of leaf proportions over steps 2..k (P[0] = P[1] = 0)."""
-    n = trajectory.n
-    out = np.zeros(n + 1, dtype=np.float64)
-    out[2:] = np.cumsum(trajectory.proportions())
+    out = np.zeros(trajectory.n + 1, dtype=np.float64)
+    np.cumsum(trajectory.proportions(), out=out[2:])
     return out
 
 
@@ -122,18 +125,32 @@ def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
     """Evaluate D_n at t = m/n for every step m with n*epsilon < m < n, then at t = 1.
 
     The t=1 endpoint is assigned 0 by continuity of the (1-t) factor, so the
-    curve is never empty.
+    curve is never empty.  Every step is computed in place in a few buffers of
+    the curve's length; the window sizes m - m_lo and n - m are exact in
+    float64, so each value has the bits of the direct array expression.
     """
     config.validate()
     n = trajectory.n
     m_lo = _window_bounds(n, config.epsilon)
     prefix = _prefix_sums(trajectory)
-    ms = np.arange(m_lo + 1, n)
-    ts = ms / n
-    before = (prefix[ms] - prefix[m_lo]) / (ms - m_lo)
-    after = (prefix[n] - prefix[ms]) / (n - ms)
-    dn = (1.0 - ts) * np.abs(before - after)
-    return DnCurve(ts=np.append(ts, 1.0), values=np.append(dn, 0.0), n=n, epsilon=config.epsilon)
+    k = n - 1 - m_lo  # steps m_lo+1 .. n-1
+    ts = np.empty(k + 1)
+    values = np.empty(k + 1)
+    ts[k], values[k] = 1.0, 0.0
+    sizes = np.arange(1.0, k + 1.0)  # m - m_lo; reversed, n - m
+    np.add(sizes, m_lo, out=ts[:k])
+    ts[:k] /= n
+    head = prefix[m_lo + 1 : n]  # prefix[m] for every step m
+    dn = values[:k]
+    np.subtract(head, prefix[m_lo], out=dn)
+    dn /= sizes  # mean before
+    after = prefix[n] - head
+    after /= sizes[::-1]
+    dn -= after
+    np.abs(dn, out=dn)
+    np.subtract(1.0, ts[:k], out=sizes)
+    dn *= sizes
+    return DnCurve(ts=ts, values=values, n=n, epsilon=config.epsilon)
 
 
 def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
@@ -204,8 +221,30 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
     return out if out.ndim else float(out)
 
 
+def thin_dn_curve(curve: DnCurve, report: EstimateReport) -> DnCurve:
+    """The rows of `curve` that dn_curve_*.csv holds.
+
+    A curve of at most DN_CSV_ROWS rows is returned whole.  A longer one keeps
+    the rows at round(linspace(0, L-1, DN_CSV_ROWS)), which include the first
+    step and t = 1, plus the maximum and both edges of the near-max set, in
+    order and each once.  Each kept row is the curve's own (t, dn) pair.
+    """
+    rows = len(curve.ts)
+    if rows <= DN_CSV_ROWS:
+        return curve
+    grid = np.rint(np.linspace(0, rows - 1, DN_CSV_ROWS)).astype(np.intp)
+    edges = np.searchsorted(curve.ts, [report.near_max_min, report.near_max_max])
+    keep = np.unique(np.concatenate([grid, edges, [np.argmax(curve.values)]]))
+    return DnCurve(ts=curve.ts[keep], values=curve.values[keep], n=curve.n,
+                   epsilon=curve.epsilon)
+
+
 def write_dn_csv(curve: DnCurve, path, d_limit: np.ndarray | None = None) -> None:
-    """Columns t, dn, d_limit; d_limit is left empty when no limit curve is given."""
+    """One row per point of `curve`: columns t, dn, d_limit.
+
+    The CLI passes the curve that thin_dn_curve keeps; d_limit is left empty
+    when no limit curve is given.
+    """
     third = [""] * len(curve.ts) if d_limit is None else d_limit
     write_csv(path, ["t", "dn", "d_limit"], [curve.ts, curve.values, third])
 

@@ -5,7 +5,8 @@ closed form: a step-by-step attachment sampler, the sequential growth loop
 that grow_tree vectorizes, point counts from explicit
 exponential waits, the full holding-time clock of the continuous-time
 embedding, the exact leaf expectation recursion with its scalar weights,
-non-root leaf counts and window means.  None of them is used by `pact` itself.
+non-root leaf counts, window means and the D_n curve as one array expression.
+None of them is used by `pact` itself.
 """
 from __future__ import annotations
 
@@ -235,6 +236,20 @@ def split_means(trajectory, t: float, epsilon: float) -> tuple[float, float]:
         raise ValueError(f"a window of t={t}, eps={epsilon} holds no step")
     props = trajectory.proportions()  # step m at index m - 2
     return float(props[m_lo - 1 : m_t - 1].mean()), float(props[m_t - 1 :].mean())
+
+
+def dn_curve_direct(trajectory, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, D_n) at t = m/n for n*eps < m < n, then (1, 0), from gathered prefix sums."""
+    n = trajectory.n
+    m_lo = max(math.floor(n * epsilon), 1)
+    prefix = np.zeros(n + 1)
+    prefix[2:] = np.cumsum(trajectory.proportions())
+    ms = np.arange(m_lo + 1, n)
+    ts = ms / n
+    before = (prefix[ms] - prefix[m_lo]) / (ms - m_lo)
+    after = (prefix[n] - prefix[ms]) / (n - ms)
+    dn = (1.0 - ts) * np.abs(before - after)
+    return np.append(ts, 1.0), np.append(dn, 0.0)
 
 
 @dataclass

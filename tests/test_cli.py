@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 from pact.cli import _pool_map, main
+from pact.estimator import DN_CSV_ROWS, EstimatorConfig, dn_curve, limit_D, write_dn_csv
+from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
+from pact.model_core import ChangePointSchedule
 
 
 def _run(*argv) -> int:
@@ -136,6 +140,8 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO],  # d_limit needs one change point
     ["limits", *TWO, "--horizon-t", "0.7"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--threads", "0"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.6"],  # d_limit: eps < gamma
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.5"],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -242,11 +248,10 @@ def test_estimate_pool_matches_serial_in_input_order(tmp_path):
     a, b = sim / "trajectory_r000.csv", sim / "trajectory_r001.csv"
     inputs = ["--trajectory", str(a), "--trajectory", str(b), "--trajectory", str(a), *SINGLE]
     pooled, serial = tmp_path / "pooled", tmp_path / "serial"
-    assert _run("estimate", "--out", str(pooled), *inputs) == 0
-    assert _run("estimate", "--out", str(serial), *inputs, "--threads", "1") == 0
+    assert _run("estimate", "--out", str(pooled), *inputs, "--threads", "2") == 0
+    assert _run("estimate", "--out", str(serial), *inputs) == 0
     assert _hashes(pooled) == _hashes(serial)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert json.loads((pooled / "manifest.json").read_text())["config"]["threads"] == cpus
+    assert json.loads((serial / "manifest.json").read_text())["config"]["threads"] == 1
     curves = [(pooled / f"dn_curve_{i:03d}.csv").read_bytes() for i in range(3)]
     assert curves[0] == curves[2] != curves[1]
     with open(pooled / "gamma_hats.csv") as fh:
@@ -254,6 +259,66 @@ def test_estimate_pool_matches_serial_in_input_order(tmp_path):
     assert [r["file"] for r in rows] == [a.name, b.name, a.name]
     reports = [json.loads((pooled / f"report_{i:03d}.json").read_text()) for i in range(3)]
     assert [float(r["dn_star"]) for r in rows] == [r["dn_star"] for r in reports]
+
+
+def _hashed_trajectory(path, n: int, p_before: float, p_after: float) -> None:
+    """Step m > 2 adds a leaf when a multiplicative hash of m, read as a fraction, is below p.
+
+    p switches from p_before to p_after at m = n/2.  Integer arithmetic only, so the
+    file is the same on every platform and numpy version.
+    """
+    ms = np.arange(3, n + 1, dtype=np.uint64)
+    u = ms * np.uint64(2654435761) % np.uint64(1 << 32)
+    rises = (u < np.where(ms <= n // 2, p_before, p_after) * 2.0**32).astype(np.int64)
+    counts = np.concatenate([[2], 2 + np.cumsum(rises)])
+    write_trajectory_csv(LeafTrajectory(n=n, counts=counts), path)
+
+
+def _dn_rows(path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "dn", "d_limit"]
+    return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+def test_estimate_writes_a_slice_of_a_long_dn_curve(tmp_path):
+    flat, step = tmp_path / "flat.csv", tmp_path / "step.csv"
+    _hashed_trajectory(flat, 500_000, 0.53, 0.6)
+    _hashed_trajectory(step, 500_000, 0.4, 0.8)
+    out = tmp_path / "est"
+    assert _run("estimate", "--out", str(out), "--trajectory", str(flat),
+                "--trajectory", str(step), *SINGLE) == 0
+    # gamma_hat reads every step of the curve, not the written slice; these digests pin that
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("report_000.json", "report_001.json", "gamma_hats.csv")}
+    assert digests == {"report_000.json": "01029a660c219088", "report_001.json": "262ca3d8b99661cf",
+                       "gamma_hats.csv": "d4422d2e34636a3a"}
+    config = EstimatorConfig(epsilon=0.1)
+    for i, path in enumerate((flat, step)):
+        report = json.loads((out / f"report_{i:03d}.json").read_text())
+        curve = dn_curve(read_trajectory_csv(path), config)
+        rows = _dn_rows(out / f"dn_curve_{i:03d}.csv")
+        assert DN_CSV_ROWS <= len(rows) <= DN_CSV_ROWS + 3 < len(curve.ts)
+        idx = np.searchsorted(curve.ts, rows[:, 0])
+        assert np.all(np.diff(idx) > 0) and idx[0] == 0 and idx[-1] == len(curve.ts) - 1
+        assert curve.ts[idx].tobytes() == rows[:, 0].tobytes()
+        assert curve.values[idx].tobytes() == rows[:, 1].tobytes()
+        assert rows[:, 1].max() == report["dn_star"]
+        assert {report["near_max_min"], report["near_max_max"]} <= set(rows[:, 0])
+        d_lim = limit_D(rows[:, 0], ChangePointSchedule.single(6.0, 1.0, 0.5), 0.1)
+        assert d_lim.tobytes() == rows[:, 2].tobytes()
+
+
+def test_estimate_writes_a_short_dn_curve_whole(tmp_path):
+    traj = tmp_path / "traj.csv"
+    _hashed_trajectory(traj, 2200, 0.4, 0.8)
+    out = tmp_path / "est"
+    assert _run("estimate", "--out", str(out), "--trajectory", str(traj), *SINGLE) == 0
+    curve = dn_curve(read_trajectory_csv(traj), EstimatorConfig(epsilon=0.1))
+    assert len(curve.ts) == 1980 <= DN_CSV_ROWS
+    whole = tmp_path / "whole.csv"
+    write_dn_csv(curve, whole, limit_D(curve.ts, ChangePointSchedule.single(6.0, 1.0, 0.5), 0.1))
+    assert (out / "dn_curve_000.csv").read_bytes() == whole.read_bytes()
 
 
 def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import split_means
+from oracles import dn_curve_direct, split_means
 from pact.estimator import (
+    DN_CSV_ROWS,
     BadInterval,
     EstimatorConfig,
     dn_curve,
@@ -10,6 +11,7 @@ from pact.estimator import (
     gamma_hat,
     limit_D,
     limit_H,
+    thin_dn_curve,
     write_dn_csv,
 )
 from pact.generator import RecordFlags, grow_tree
@@ -65,6 +67,23 @@ def test_dn_curve_constant_is_zero():
     curve = dn_curve(_constant_traj(500, 0.37), EstimatorConfig(epsilon=0.1))
     assert np.max(np.abs(curve.values)) < 1e-12
     assert curve.ts[-1] == 1.0 and curve.values[-1] == 0.0
+
+
+def _simulated_traj(n: int, seed: int) -> LeafTrajectory:
+    return grow_tree(SINGLE, n, SeededRng(seed), RecordFlags(leaves=True)).leaf_trajectory
+
+
+@pytest.mark.parametrize("make, epsilon", [
+    (lambda: _simulated_traj(20_000, 63), 0.1),
+    (lambda: _constant_traj(3000, 0.5), 0.37),
+    (lambda: _constant_traj(3, 0.5), 0.5),
+], ids=["simulated", "constant", "two steps"])
+def test_dn_curve_bits_match_direct_expression(make, epsilon):
+    traj = make()
+    curve = dn_curve(traj, EstimatorConfig(epsilon=epsilon))
+    ts, dn = dn_curve_direct(traj, epsilon)
+    assert curve.ts.tobytes() == ts.tobytes()
+    assert curve.values.tobytes() == dn.tobytes()
 
 
 def test_dn_affine_invariance():
@@ -199,3 +218,45 @@ def test_dn_csv(tmp_path):
     path2 = tmp_path / "dn2.csv"
     write_dn_csv(curve, path2)
     assert path2.read_text().splitlines()[1].endswith(",")
+
+
+def _rows_of(thin, curve) -> np.ndarray:
+    """Indices of thin's rows in curve; each must be one of curve's rows, bit for bit."""
+    idx = np.searchsorted(curve.ts, thin.ts)
+    assert np.all(np.diff(idx) > 0)
+    assert curve.ts[idx].tobytes() == thin.ts.tobytes()
+    assert curve.values[idx].tobytes() == thin.values.tobytes()
+    return idx
+
+
+@pytest.mark.parametrize("make, threshold", [
+    (lambda: _simulated_traj(200_000, 64), None),
+    (lambda: _step_traj(50_000, 0.3, 0.7, 0.5), 1e-4),
+    (lambda: _constant_traj(50_000, 0.5), None),  # the near-max set is every row
+], ids=["simulated", "clean step", "flat"])
+def test_thin_dn_curve_keeps_grid_max_and_near_max_edges(make, threshold):
+    config = EstimatorConfig(epsilon=0.1, near_max_threshold=threshold)
+    curve = dn_curve(make(), config)
+    report = gamma_hat(curve, config)
+    thin = thin_dn_curve(curve, report)
+    idx = _rows_of(thin, curve)
+    assert len(curve.ts) > DN_CSV_ROWS and DN_CSV_ROWS <= len(idx) <= DN_CSV_ROWS + 3
+    grid = np.rint(np.linspace(0, len(curve.ts) - 1, DN_CSV_ROWS)).astype(int)
+    assert set(grid) <= set(idx)
+    assert idx[0] == 0 and thin.ts[-1] == 1.0 and thin.values[-1] == 0.0
+    assert thin.values.max() == report.dn_star
+    assert report.near_max_min in thin.ts and report.near_max_max in thin.ts
+    assert (thin.n, thin.epsilon) == (curve.n, curve.epsilon)
+
+
+@pytest.mark.parametrize("n, rows", [(2223, DN_CSV_ROWS), (2224, DN_CSV_ROWS + 1)])
+def test_thin_dn_curve_returns_a_short_curve_whole(n, rows):
+    config = EstimatorConfig(epsilon=0.1)
+    curve = dn_curve(_step_traj(n, 0.4, 0.6, 0.5), config)
+    assert len(curve.ts) == rows
+    thin = thin_dn_curve(curve, gamma_hat(curve, config))
+    if rows <= DN_CSV_ROWS:
+        assert thin is curve
+    else:
+        assert DN_CSV_ROWS <= len(thin.ts) <= rows
+        _rows_of(thin, curve)
