@@ -59,7 +59,7 @@ from .leaf_process import (
 from .limit_laws import (
     ccdf_from_samples,
     p_alpha_table,
-    sample_d_theta,
+    sample_d_theta,  # unused here; bench/traced.py wraps this name on pact.cli
     sample_d_theta_multi,
     write_pmf_csv,
 )
@@ -226,22 +226,14 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
     write_pmf_csv(range(1, kmax + 1), table[1:], out_dir / "p_alpha_pmf.csv")
 
     ts = np.linspace(1.0 / int(cfg["curve_points"]), 1.0, int(cfg["curve_points"]))
-    if schedule.num_change_points <= 1:
-        write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
+    write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.num_change_points >= 1:
-        rng = SeededRng(seed, 0)
-        draws = int(cfg["draws"])
-        horizon = float(cfg["horizon_t"])
-        if schedule.num_change_points == 1:
-            batch = sample_d_theta(schedule, rng, draws, horizon)
-        else:
-            batch = sample_d_theta_multi(schedule, rng, draws, horizon)
+        batch = sample_d_theta_multi(schedule, SeededRng(seed, 0), int(cfg["draws"]),
+                                     float(cfg["horizon_t"]))
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
         ks, cc = ccdf_from_samples(batch.values)
         write_pmf_csv(ks, cc, out_dir / "d_theta_ccdf.csv")
-
-    if schedule.num_change_points == 1:
         eps = float(cfg["epsilon"])
         grid = np.linspace(eps, 1.0, int(cfg["curve_points"]))
         dvals = np.asarray(limit_D(grid, schedule, eps))
@@ -265,11 +257,18 @@ def _estimate_task(task: tuple) -> EstimateReport:
     return report
 
 
+def _overlay(cfg: dict) -> ChangePointSchedule | None:
+    """estimate's d_limit schedule: None unless alpha, beta or gamma is given, then all of them."""
+    if cfg["alpha"] is None and not cfg["beta"] and not cfg["gamma"]:
+        return None
+    if cfg["alpha"] is None or not cfg["gamma"]:
+        raise ValueError("the d_limit overlay needs alpha and at least one beta/gamma pair")
+    return _schedule_from(cfg)
+
+
 def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -> list[dict]:
     """Estimate on the trajectories main() loaded from cfg["trajectories"], one pool task each."""
-    schedule = None
-    if cfg.get("alpha") is not None and cfg.get("gamma"):
-        schedule = _schedule_from(cfg)
+    schedule = _overlay(cfg)
     config = EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
     tasks = [(traj, config, schedule, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
     reports = _pool_map(_estimate_task, tasks, int(cfg["threads"]))
@@ -423,14 +422,10 @@ def main(argv: list[str] | None = None) -> int:
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
             EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
-            if cfg.get("alpha") is not None and cfg.get("gamma"):
-                overlay = _schedule_from(cfg)
-                k = overlay.num_change_points
-                if k > 1:
-                    raise ValueError(f"the d_limit overlay needs one change point, got {k}")
-                if not float(cfg["epsilon"]) < overlay.gamma:
-                    raise ValueError(f"the d_limit overlay needs epsilon < gamma = "
-                                     f"{overlay.gamma}, got {cfg['epsilon']}")
+            overlay = _overlay(cfg)
+            if overlay is not None and not float(cfg["epsilon"]) < overlay.segments[0].gamma:
+                raise ValueError(f"the d_limit overlay needs epsilon < gamma_1 = "
+                                 f"{overlay.segments[0].gamma}, got {cfg['epsilon']}")
             for t in cfg["trajectories"]:
                 if not Path(t).is_file():
                     raise ValueError(f"trajectory file not found: {t}")
@@ -442,19 +437,16 @@ def main(argv: list[str] | None = None) -> int:
             if bad:
                 raise ValueError(f"checkpoints must lie in 2..n = {cfg['n']}, got {bad}")
         elif args.command == "limits" and schedule.num_change_points:
-            last = schedule.segments[-1].gamma
+            first, last = schedule.segments[0].gamma, schedule.segments[-1].gamma
             if not last < float(cfg["horizon_t"]) <= 1.0:
                 raise ValueError(f"horizon_t must lie in ({last}, 1], got {cfg['horizon_t']}")
-            if schedule.num_change_points == 1 and not 0.0 < float(cfg["epsilon"]) < last:
-                raise ValueError(f"epsilon must lie in (0, {last}), got {cfg['epsilon']}")
+            if not 0.0 < float(cfg["epsilon"]) < first:
+                raise ValueError(f"epsilon must lie in (0, {first}), got {cfg['epsilon']}")
         elif args.command == "fclt":
             if int(cfg["reps"]) < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
             if not all(0.0 < float(t) <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
-            if schedule.num_change_points > 1:
-                raise ValueError(f"fclt's limit curves need at most one change point, "
-                                 f"got {schedule.num_change_points}")
         elif args.command == "maxdeg" and any(int(n) < 2 for n in cfg["n_list"]):
             raise ValueError(f"every n must be >= 2, got {cfg['n_list']}")
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

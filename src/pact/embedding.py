@@ -15,21 +15,16 @@ import numpy as np
 from .model_core import (
     ChangePointSchedule,
     RngLike,
-    SizeTooSmall,
     as_generator,
     validate_schedule,
     write_csv,
 )
 
 
-class NoChangePoint(ValueError):
-    """Operation needs a schedule with a change point."""
-
-
 def upsilon_limit(schedule: ChangePointSchedule) -> float:
     """Limit of the after-change duration: log(1/gamma) / (2+beta)."""
     if schedule.num_change_points != 1:
-        raise NoChangePoint("limit defined for exactly one change point")
+        raise ValueError("limit defined for exactly one change point")
     return float(np.log(1.0 / schedule.gamma) / (2.0 + schedule.beta))
 
 
@@ -42,12 +37,12 @@ def upsilon_clt_sample(
     after-change holding times are simulated; they determine Y exactly.
     """
     if schedule.num_change_points != 1:
-        raise NoChangePoint("standardization defined for exactly one change point")
+        raise ValueError("standardization defined for exactly one change point")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     validate_schedule(schedule)
     if n < 2:
-        raise SizeTooSmall(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     gen = as_generator(rng)
     beta, gamma = schedule.beta, schedule.gamma
     m0 = int(np.floor(gamma * n))

@@ -13,12 +13,13 @@ threshold log(n)/sqrt(n); a detection floor converts the degenerate flat
 curve (no change, or signal below the resolvable scale) into "no change
 detected" instead of a meaningless estimate near 1.
 
-The population curve D (``limit_D``) is flat on [eps, gamma] and joins that
-plateau with zero slope at gamma: D(gamma + h) = D* - kappa h^2 + O(h^3),
-kappa = (1-eps)|p'(gamma+)| / (2(gamma-eps)).  The near-max right edge
-therefore converges like gamma + sqrt(threshold/kappa), far more slowly than
-the threshold itself; with log(n)/sqrt(n) the estimate is consistent, but at
-any fixed n it sits above gamma by about that amount.
+The population curve D (``limit_D``) is flat on [eps, gamma_1] and joins
+that plateau with zero slope at the first change point gamma_1:
+D(gamma_1 + h) = D* - kappa h^2 + O(h^3), kappa = (1-eps)|p'(gamma_1+)| /
+(2(gamma_1-eps)).  The near-max right edge therefore converges like
+gamma_1 + sqrt(threshold/kappa), far more slowly than the threshold itself;
+with log(n)/sqrt(n) the estimate is consistent, but at any fixed n it sits
+above gamma_1 by about that amount.
 """
 from __future__ import annotations
 
@@ -34,10 +35,6 @@ from .model_core import ChangePointSchedule, validate_schedule, write_csv
 
 # most rows of the regular grid that dn_curve_*.csv holds for one curve
 DN_CSV_ROWS = 2001
-
-
-class BadInterval(ValueError):
-    """Interval endpoints out of order or outside (0, 1]."""
 
 
 @dataclass
@@ -182,7 +179,7 @@ def estimate(trajectory: LeafTrajectory, config: EstimatorConfig | None = None) 
 def limit_H(s: float, t: float, schedule: ChangePointSchedule) -> float:
     """Mean limiting leaf proportion over a uniformly sampled time in [s, t]."""
     if not 0.0 < s < t <= 1.0:
-        raise BadInterval(f"need 0 < s < t <= 1, got s={s}, t={t}")
+        raise ValueError(f"need 0 < s < t <= 1, got s={s}, t={t}")
     validate_schedule(schedule)
     return float(
         (leaf_proportion_integral(t, schedule) - leaf_proportion_integral(s, schedule)) / (t - s)
@@ -190,25 +187,26 @@ def limit_H(s: float, t: float, schedule: ChangePointSchedule) -> float:
 
 
 def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
-    """Population counterpart of D_n; vectorized in t.
+    """Population counterpart of D_n, (1-t)|H[eps,t] - H[t,1]|, for k >= 1 change points.
 
-    Constant (1-gamma)|p_gamma - H[gamma,1]| on [eps, gamma]; equals
-    (1-eps)|H[eps,t] - H[eps,1]| above gamma, decreasing to 0 at t=1.
-    The join at gamma has zero slope, since d/dt H[eps,t] = (p_inf(t) -
-    H[eps,t])/(t-eps) vanishes where H[eps,gamma] = p_gamma; near gamma,
-    D = plateau - kappa (t-gamma)^2 with kappa = (1-eps)|p'(gamma+)| /
-    (2(gamma-eps)), so the right edge of {t : D(t) >= plateau - threshold}
-    is gamma + sqrt(threshold/kappa) to leading order.
+    p_inf is constant before the first change point gamma_1, so D is the
+    constant (1-gamma_1)|p(gamma_1) - H[gamma_1,1]| on [eps, gamma_1]; above
+    gamma_1 it equals (1-eps)|H[eps,t] - H[eps,1]|, which reaches 0 at t=1.
+    The join at gamma_1 has zero slope, since d/dt H[eps,t] = (p_inf(t) -
+    H[eps,t])/(t-eps) vanishes where H[eps,gamma_1] = p(gamma_1); near it,
+    D = plateau - kappa (t-gamma_1)^2 with kappa = (1-eps)|p'(gamma_1+)| /
+    (2(gamma_1-eps)), so the right edge of {t : D(t) >= plateau - threshold}
+    is gamma_1 + sqrt(threshold/kappa) to leading order.
     """
     validate_schedule(schedule)
-    if schedule.num_change_points != 1:
-        raise BadInterval("limit curve needs exactly one change point")
-    gamma = schedule.gamma
+    if not schedule.segments:
+        raise ValueError("limit_D needs a change point")
+    gamma = schedule.segments[0].gamma
     if not 0.0 < epsilon < gamma:
-        raise BadInterval(f"need 0 < epsilon < gamma={gamma}, got {epsilon}")
+        raise ValueError(f"need 0 < epsilon < gamma_1={gamma}, got {epsilon}")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < epsilon) or np.any(t_arr > 1.0):
-        raise BadInterval(f"t must lie in [{epsilon}, 1], got {t}")
+        raise ValueError(f"t must lie in [{epsilon}, 1], got {t}")
     p_gamma = float(p_inf(gamma, schedule))
     plateau = (1.0 - gamma) * abs(p_gamma - limit_H(gamma, 1.0, schedule))
     h_eps_1 = limit_H(epsilon, 1.0, schedule)

@@ -28,7 +28,6 @@ from .leaf_process import LeafTrajectory
 from .model_core import (
     ChangePointSchedule,
     RngLike,
-    SizeTooSmall,
     as_generator,
     validate_schedule,
     write_csv,
@@ -152,7 +151,7 @@ def grow_tree(
     """
     validate_schedule(schedule)
     if n < 2:
-        raise SizeTooSmall(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     record = record or RecordFlags()
     for m in record.degree_checkpoints:
         if not 2 <= m <= n:

@@ -1,24 +1,29 @@
-"""Leaf-count statistics: limit curve and FCLT scaling.
+"""Leaf-count statistics: limit curve and FCLT scaling, for any number of change points.
 
 A leaf is a vertex of total degree 1, where the root's total degree is its
-out-degree.  The limiting leaf fraction at rescaled time t is constant before
-the change point and then relaxes toward the post-change equilibrium:
+out-degree.  Segment j of the schedule is (gamma_j, gamma_{j+1}], with
+gamma_0 = 0, gamma_{k+1} = 1 and offset c_j (alpha on segment 0, beta_j
+after).  Inside it the limiting leaf fraction solves t p' = 1 - p/p*_j, so it
+relaxes from its value at gamma_j toward the equilibrium p*_j:
 
-    p_inf(t) = (2+a)/(3+2a)                                   for t <= gamma
-    p_inf(t) = (2+b)/(3+2b) + (gamma/t)^chi * (p_pre - p_post) for t >  gamma
+    p_inf(t) = p*_0                                            on segment 0
+    p_inf(t) = p*_j + (gamma_j/t)^chi_j (p(gamma_j) - p*_j)     on segment j
 
-with chi = (3+2b)/(2+b); the second line equals the expanded form
-(2+b)/(3+2b) * (1 - (gamma/t)^chi) + (gamma/t)^((3+2b)/(2+b)) * (2+a)/(3+2a).
+with p*_c = (2+c)/(3+2c) and chi_j = (3+2c_j)/(2+c_j) = 1/p*_j.  Every closed
+form below follows this recursion through one table of the values carried
+into each segment: p, sigma2, sigma_m2, mu and g take segment 0's
+expression and, above each gamma_j, segment j's; the integrals I and phi
+are sums of one term per segment.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .model_core import ChangePointSchedule, HorizonOutOfRange, validate_schedule, write_csv
+from .model_core import ChangePointSchedule, validate_schedule, write_csv
 
 if TYPE_CHECKING:
     from .generator import GrowingTree
@@ -86,29 +91,64 @@ def delta_exponent(u: float) -> float:
     return (1.0 + u) / (2.0 + u)
 
 
-def _single_params(schedule: ChangePointSchedule) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) with the empty schedule read as beta=alpha, gamma=1."""
+class _Segment(NamedTuple):
+    """Segment j of the limit curves, (gamma, end], with the values carried into it at gamma.
+
+    Row 0 is the segment before the first change point, with gamma = 0; its
+    scale factors are normalised at t = 1, where g = 1.
+    """
+
+    gamma: float
+    end: float  # gamma_{j+1}, or 1 for the last segment
+    d: float  # delta_exponent of the segment's offset
+    chi: float
+    p_star: float  # the equilibrium leaf fraction the segment relaxes toward
+    p_gamma: float  # p(gamma)
+    g_coef: float  # g(t) = g_coef t^(-d) on the segment
+    inv_g2: float  # 1 / g(gamma)^2
+    phi_pre: float  # gamma / g(gamma)^2, the factor of the segment's term of phi
+
+
+def _segments(schedule: ChangePointSchedule) -> list[_Segment]:
+    """One row per segment.
+
+    The constants are Python float powers in a fixed association, which the
+    pinned bytes of the k <= 1 artifacts depend on: numpy's array power and
+    a regrouped product, such as gamma**(2d) * gamma for gamma**(2d + 1),
+    can differ by an ulp.
+    """
     validate_schedule(schedule)
-    if schedule.num_change_points == 0:
-        return schedule.alpha, schedule.alpha, 1.0
-    if schedule.num_change_points == 1:
-        return schedule.alpha, schedule.beta, schedule.gamma
-    raise ValueError("limit curves are defined for at most one change point")
+    gammas = [0.0] + [s.gamma for s in schedule.segments]
+    rows: list[_Segment] = []
+    for gamma, end, offset in zip(gammas, gammas[1:] + [1.0], schedule.offsets()):
+        d, p_star = delta_exponent(offset), (2.0 + offset) / (3.0 + 2.0 * offset)
+        chi = (3.0 + 2.0 * offset) / (2.0 + offset)
+        if not rows:
+            rows.append(_Segment(gamma, end, d, chi, p_star, p_star, 1.0, 1.0, 1.0))
+            continue
+        prev = rows[-1]
+        p_gamma = prev.p_star + (prev.gamma / gamma) ** prev.chi * (prev.p_gamma - prev.p_star)
+        scale = gamma / (prev.gamma or 1.0)  # row 0's factors are normalised at t = 1
+        rows.append(_Segment(gamma, end, d, chi, p_star, p_gamma,
+                             prev.g_coef * gamma ** (d - prev.d),
+                             prev.inv_g2 * scale ** (2 * prev.d),
+                             prev.phi_pre * scale ** (2 * prev.d + 1)))
+    return rows
 
 
 def _parse(t, schedule: ChangePointSchedule, open_at_zero: bool):
-    """The closed forms' shared first step: (ts, alpha, beta, gamma), ts = t as a 1-d array.
+    """The closed forms' shared first step: (ts, segments), ts = t as a 1-d array.
 
     t must lie in (0, 1] when open_at_zero and in [0, 1] otherwise; NaN lies
     in neither.  A scalar t becomes a one-element array, so it runs through
     the same array kernels as a grid and gives the same bits.
     """
-    alpha, beta, gamma = _single_params(schedule)
+    rows = _segments(schedule)
     ts = np.asarray(t, dtype=np.float64)
     low = ts > 0.0 if open_at_zero else ts >= 0.0
     if not np.all(low & (ts <= 1.0)):
-        raise HorizonOutOfRange(f"t must lie in {'(' if open_at_zero else '['}0, 1], got {t}")
-    return ts.reshape(-1), alpha, beta, gamma
+        raise ValueError(f"t must lie in {'(' if open_at_zero else '['}0, 1], got {t}")
+    return ts.reshape(-1), rows
 
 
 def _shaped(out: np.ndarray, t):
@@ -117,115 +157,108 @@ def _shaped(out: np.ndarray, t):
     return out.reshape(shape) if shape else float(out[0])
 
 
-def _pre_fraction(offset: float) -> float:
-    return (2.0 + offset) / (3.0 + 2.0 * offset)
+def _piecewise(ts: np.ndarray, rows, each, first=None) -> np.ndarray:
+    """each(row 0, t), or first, on segment 0; above each gamma_j, each(row j, max(t, gamma_j))."""
+    out = each(rows[0], ts) if first is None else first
+    for r in rows[1:]:
+        out = np.where(ts > r.gamma, each(r, np.maximum(ts, r.gamma)), out)
+    return out
 
 
-def _leaf_fraction(ts: np.ndarray, alpha: float, beta: float, gamma: float) -> np.ndarray:
-    p_pre = _pre_fraction(alpha)
-    p_post = _pre_fraction(beta)
-    chi = (3.0 + 2.0 * beta) / (2.0 + beta)
-    ratio = np.where(ts > gamma, gamma / np.maximum(ts, gamma), 1.0)
-    return p_post + ratio**chi * (p_pre - p_post)
+def _summed(ts: np.ndarray, rows, first: np.ndarray, each) -> np.ndarray:
+    """first plus, for each segment j >= 1, each(row j, t clipped to [gamma_j, gamma_{j+1}])."""
+    out = first
+    for r in rows[1:]:
+        out = out + each(r, np.clip(ts, r.gamma, r.end))
+    return out
+
+
+def _leaf_fraction(ts: np.ndarray, rows) -> np.ndarray:
+    return _piecewise(ts, rows, lambda r, tc: (
+        r.p_star + (r.gamma / tc) ** r.chi * (r.p_gamma - r.p_star)),
+        np.full_like(ts, rows[0].p_star))
+
+
+def _sigma2(ts: np.ndarray, rows) -> np.ndarray:
+    pt = _leaf_fraction(ts, rows)
+    return _piecewise(ts, rows, lambda r, _: r.d * pt * (1 - r.d * pt))
 
 
 def p_inf(t, schedule: ChangePointSchedule):
     """Limiting leaf proportion at rescaled time t in (0, 1]; vectorized in t."""
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
-    return _shaped(_leaf_fraction(ts, alpha, beta, gamma), t)
+    ts, rows = _parse(t, schedule, open_at_zero=True)
+    return _shaped(_leaf_fraction(ts, rows), t)
 
 
 def leaf_proportion_integral(x, schedule: ChangePointSchedule):
     """Exact antiderivative I(x) = integral_0^x p_inf(u) du for x in [0, 1]; vectorized in x."""
-    xs, alpha, beta, gamma = _parse(x, schedule, open_at_zero=False)
-    p_pre = _pre_fraction(alpha)
-    p_post = _pre_fraction(beta)
-    chi = (3.0 + 2.0 * beta) / (2.0 + beta)
-    xc = np.maximum(xs, gamma)
-    # integral of (gamma/u)^chi from gamma to xc (chi > 1, so the exponent 1-chi < 0)
-    tail = gamma**chi * (xc ** (1.0 - chi) - gamma ** (1.0 - chi)) / (1.0 - chi)
-    post_part = p_post * (xc - gamma) + (p_pre - p_post) * tail
-    return _shaped(p_pre * np.minimum(xs, gamma) + post_part, x)
+    xs, rows = _parse(x, schedule, open_at_zero=False)
+
+    def each(r, xc):
+        # integral of (gamma/u)^chi from gamma to xc (chi > 1, so the exponent 1-chi < 0)
+        tail = r.gamma**r.chi * (xc ** (1.0 - r.chi) - r.gamma ** (1.0 - r.chi)) / (1.0 - r.chi)
+        return r.p_star * (xc - r.gamma) + (r.p_gamma - r.p_star) * tail
+
+    return _shaped(_summed(xs, rows, rows[0].p_star * np.minimum(xs, rows[0].end), each), x)
 
 
 def sigma_m2(t, schedule: ChangePointSchedule):
     """Variance density of the scaled leaf-count martingale for t in [0, 1]; vectorized in t."""
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
-    da = delta_exponent(alpha)
-    db = delta_exponent(beta)
-    p_gamma = _pre_fraction(alpha)
-    pre = ts ** (2 * da) * (da * p_gamma * (1 - da * p_gamma))
-    pt = _leaf_fraction(ts, alpha, beta, gamma)  # used only above gamma
-    post = gamma ** (2 * da) * (np.maximum(ts, gamma) / gamma) ** (2 * db) * (
-        db * pt * (1 - db * pt)
-    )
-    return _shaped(np.where(ts <= gamma, pre, post), t)
+    ts, rows = _parse(t, schedule, open_at_zero=False)
+    s2 = _sigma2(ts, rows)
+    return _shaped(_piecewise(ts, rows, lambda r, tc: (
+        r.inv_g2 * (tc / r.gamma) ** (2 * r.d) * s2), ts ** (2 * rows[0].d) * s2), t)
 
 
 def sigma2(t, schedule: ChangePointSchedule):
-    """Instantaneous variance (unscaled) for t in [0, 1]; jumps at gamma when alpha != beta."""
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
-    da = delta_exponent(alpha)
-    db = delta_exponent(beta)
-    p_gamma = _pre_fraction(alpha)
-    pre = np.full_like(ts, da * p_gamma * (1 - da * p_gamma))
-    pt = _leaf_fraction(ts, alpha, beta, gamma)  # used only above gamma
-    post = db * pt * (1 - db * pt)
-    return _shaped(np.where(ts <= gamma, pre, post), t)
+    """Instantaneous variance (unscaled) for t in [0, 1]; jumps wherever the offset changes."""
+    ts, rows = _parse(t, schedule, open_at_zero=False)
+    return _shaped(_sigma2(ts, rows), t)
 
 
 def mu_drift(t, schedule: ChangePointSchedule):
-    """Drift of the rescaled leaf process for t in (0, 1]; jumps at gamma when alpha != beta."""
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
-    da = delta_exponent(alpha)
-    db = delta_exponent(beta)
-    pre = -da / ts ** (da + 1.0)
-    post = -db * gamma ** (db - da) / ts ** (db + 1.0)
-    return _shaped(np.where(ts <= gamma, pre, post), t)
+    """Drift g'(t) of the rescaled leaf process for t in (0, 1]; jumps at each gamma_j."""
+    ts, rows = _parse(t, schedule, open_at_zero=True)
+    return _shaped(_piecewise(ts, rows, lambda r, tc: -r.d * r.g_coef / tc ** (r.d + 1.0)), t)
 
 
 def g_scale(t, schedule: ChangePointSchedule):
-    """De-scaling factor g(t) for t in (0, 1]; continuous across the change point."""
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=True)
-    da = delta_exponent(alpha)
-    db = delta_exponent(beta)
-    pre = ts ** (-da)
-    post = gamma ** (db - da) * ts ** (-db)
-    return _shaped(np.where(ts <= gamma, pre, post), t)
+    """De-scaling factor g(t) for t in (0, 1]; continuous across every change point."""
+    ts, rows = _parse(t, schedule, open_at_zero=True)
+    return _shaped(_piecewise(ts, rows, lambda r, tc: r.g_coef * tc ** (-r.d)), t)
 
 
 def phi(t, schedule: ChangePointSchedule):
     """Variance clock phi(t) = integral_0^t sigma_m2(s) ds in closed form; vectorized in t.
 
-    Below gamma the integrand is c s^(2 da) with c = da p_pre (1 - da p_pre).
-    Above gamma it is gamma^(2 da) (s/gamma)^(2 db) db p(s) (1 - db p(s)) with
-    p(s) = p_post + (gamma/s)^chi (p_pre - p_post): a sum of three power laws
-    in s with exponents 2 db, 2 db - chi = -1/(2+b) and 2 db - 2 chi = -2.
-    Offsets are non-negative, so 2 db lies in [1, 2) and -1/(2+b) in
+    On segment 0 the integrand is c s^(2 d) with c = d p*_0 (1 - d p*_0).  On
+    segment j it is (s/gamma)^(2 d) d p(s) (1 - d p(s)) / g(gamma)^2 with
+    p(s) = p* + (gamma/s)^chi J and J = p(gamma) - p*: a sum of three power
+    laws in s with exponents 2 d, 2 d - chi = -1/(2+c) and 2 d - 2 chi = -2.
+    Offsets are non-negative, so 2 d lies in [1, 2) and -1/(2+c) in
     [-1/2, 0); none of the exponents is -1, so each term integrates to a
-    power and no logarithm appears.  With u = log(t/gamma) and
-    J = p_pre - p_post, the piece above gamma is gamma^(2 da + 1) times
+    power and no logarithm appears.  With u = log(t/gamma), t clipped to the
+    segment, the segment's term is phi_pre = gamma / g(gamma)^2 times
 
-        db p_post (1 - db p_post) expm1((2 db + 1) u) / (2 db + 1)
-        + J (1 - 2 db p_post) expm1(db u) + db^2 J^2 expm1(-u),
+        d p* (1 - d p*) expm1((2 d + 1) u) / (2 d + 1)
+        + J (1 - 2 d p*) expm1(d u) + d^2 J^2 expm1(-u),
 
     which keeps its relative accuracy for t just above gamma.
     """
-    ts, alpha, beta, gamma = _parse(t, schedule, open_at_zero=False)
-    da = delta_exponent(alpha)
-    db = delta_exponent(beta)
-    p_pre = _pre_fraction(alpha)
-    p_post = _pre_fraction(beta)
-    jump = p_pre - p_post
-    lo = np.minimum(ts, gamma)
-    total = da * p_pre * (1 - da * p_pre) * lo ** (2 * da + 1) / (2 * da + 1)
-    u = np.log(np.maximum(ts, gamma) / gamma)  # 0 up to gamma
-    post = (
-        db * p_post * (1 - db * p_post) * np.expm1((2 * db + 1) * u) / (2 * db + 1)
-        + jump * (1 - 2 * db * p_post) * np.expm1(db * u)
-        + db * db * jump * jump * np.expm1(-u)
-    )
-    return _shaped(total + gamma ** (2 * da + 1) * post, t)
+    ts, rows = _parse(t, schedule, open_at_zero=False)
+    d, p = rows[0].d, rows[0].p_star
+    first = d * p * (1 - d * p) * np.minimum(ts, rows[0].end) ** (2 * d + 1) / (2 * d + 1)
+
+    def each(r, tc):
+        u = np.log(tc / r.gamma)
+        jump = r.p_gamma - r.p_star
+        return r.phi_pre * (
+            r.d * r.p_star * (1 - r.d * r.p_star) * np.expm1((2 * r.d + 1) * u) / (2 * r.d + 1)
+            + jump * (1 - 2 * r.d * r.p_star) * np.expm1(r.d * u)
+            + r.d * r.d * jump * jump * np.expm1(-u)
+        )
+
+    return _shaped(_summed(ts, rows, first, each), t)
 
 
 def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
@@ -246,7 +279,7 @@ def gn_path(source: LeafTrajectory | GrowingTree, schedule: ChangePointSchedule,
     """
     grid_arr = np.asarray(grid, dtype=np.float64)
     if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):
-        raise HorizonOutOfRange(f"grid must lie in (0, 1], got {grid}")
+        raise ValueError(f"grid must lie in (0, 1], got {grid}")
     n = source.n
     x = n * grid_arr
     below = np.clip(np.floor(x).astype(np.int64).ravel(), 2, n)

@@ -27,28 +27,11 @@ import numpy as np
 
 from .model_core import (
     ChangePointSchedule,
-    HorizonOutOfRange,
     RngLike,
     as_generator,
     validate_schedule,
     write_csv,
 )
-
-
-class InvalidK(ValueError):
-    """Degree argument below 1."""
-
-
-class NonPositiveA(ValueError):
-    """Age-distribution truncation level must be positive."""
-
-
-class NoSegments(ValueError):
-    """Schedule has no change point."""
-
-
-class InsufficientSupport(ValueError):
-    """Too few distinct mass points for a tail fit."""
 
 
 _TAIL_TOL = 1e-12
@@ -62,7 +45,7 @@ def p_alpha_pmf(alpha: float, k):
     """
     k_arr = np.asarray(k)
     if np.any(k_arr < 1):
-        raise InvalidK(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     out = p_alpha_table(alpha, int(k_arr.max()))[k_arr]
     return out if out.ndim else float(out)
 
@@ -70,7 +53,7 @@ def p_alpha_pmf(alpha: float, k):
 def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     """pmf values indexed by degree: table[k] = p_alpha(k) for k = 1..kmax (table[0] = 0)."""
     if kmax < 1:
-        raise InvalidK(f"kmax must be >= 1, got {kmax}")
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
     table = np.zeros(kmax + 1, dtype=np.float64)
     ks = np.arange(1, kmax, dtype=np.float64)
     ratios = (ks + alpha) / (ks + 3.0 + 2.0 * alpha)
@@ -124,7 +107,7 @@ def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
     truncation level a is supplied explicitly (2+beta in the mixture laws).
     """
     if a <= 0:
-        raise NonPositiveA(f"truncation level must be > 0, got {a}")
+        raise ValueError(f"truncation level must be > 0, got {a}")
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     gen = as_generator(rng)
@@ -156,7 +139,7 @@ def sample_d_theta(
     the mass sits in the before-change branch.
     """
     if schedule.num_change_points != 1:
-        raise NoSegments("sample_d_theta needs exactly one change point")
+        raise ValueError("sample_d_theta needs exactly one change point")
     return sample_d_theta_multi(schedule, rng, size, horizon)
 
 
@@ -186,10 +169,10 @@ def sample_d_theta_multi(
     validate_schedule(schedule)
     k = schedule.num_change_points
     if k < 1:
-        raise NoSegments("sample_d_theta_multi needs at least one change point")
+        raise ValueError("sample_d_theta_multi needs at least one change point")
     last = schedule.segments[-1].gamma
     if not last < horizon <= 1.0:
-        raise HorizonOutOfRange(f"horizon must lie in ({last}, 1], got {horizon}")
+        raise ValueError(f"horizon must lie in ({last}, 1], got {horizon}")
     gen = as_generator(rng)
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
@@ -241,7 +224,7 @@ def tail_exponent(ks: np.ndarray, ccdf: np.ndarray, k_lo: int, k_hi: int) -> flo
     ccdf = np.asarray(ccdf, dtype=np.float64)
     sel = (ks >= k_lo) & (ks <= k_hi) & (ccdf > 0.0)
     if int(sel.sum()) < 30:
-        raise InsufficientSupport(
+        raise ValueError(
             f"only {int(sel.sum())} support points in [{k_lo}, {k_hi}]; need >= 30"
         )
     slope, _ = np.polyfit(np.log(ks[sel]), np.log(ccdf[sel]), 1)

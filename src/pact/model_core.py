@@ -23,22 +23,6 @@ _CSV_CHUNK = 4096
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')  # NUL, or a character the csv module quotes
 
 
-class NonPositiveParameter(ValueError):
-    """Attachment offset out of range (alpha < 0 or beta <= 0)."""
-
-
-class UnorderedChangePoints(ValueError):
-    """Change-point fractions not strictly increasing inside (0, 1)."""
-
-
-class SizeTooSmall(ValueError):
-    """Requested tree size below the 2-vertex minimum."""
-
-
-class HorizonOutOfRange(ValueError):
-    """Observation horizon t outside the valid interval."""
-
-
 class Segment(NamedTuple):
     gamma: float
     beta: float
@@ -120,16 +104,16 @@ def validate_schedule(schedule: ChangePointSchedule) -> ChangePointSchedule:
     in cross-checks); negative alpha and non-positive beta are rejected.
     """
     if not np.isfinite(schedule.alpha) or schedule.alpha < 0:
-        raise NonPositiveParameter(f"alpha must be >= 0, got {schedule.alpha}")
+        raise ValueError(f"alpha must be >= 0, got {schedule.alpha}")
     for seg in schedule.segments:
         if not np.isfinite(seg.beta) or seg.beta <= 0:
-            raise NonPositiveParameter(f"beta must be > 0, got {seg.beta}")
+            raise ValueError(f"beta must be > 0, got {seg.beta}")
         if not np.isfinite(seg.gamma):
-            raise UnorderedChangePoints(f"gamma must be finite, got {seg.gamma}")
+            raise ValueError(f"gamma must be finite, got {seg.gamma}")
     gammas = [s.gamma for s in schedule.segments]
     for prev, cur in zip([0.0] + gammas, gammas + [1.0]):
         if not prev < cur:
-            raise UnorderedChangePoints(
+            raise ValueError(
                 f"change points must satisfy 0 < gamma_1 < ... < gamma_k < 1, got {gammas}"
             )
     return schedule

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pact.embedding import NoChangePoint
 from pact.model_core import (
     ChangePointSchedule,
-    SizeTooSmall,
     as_generator,
     validate_schedule,
 )
@@ -201,7 +199,7 @@ def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
     """
     validate_schedule(schedule)
     if n < 2:
-        raise SizeTooSmall(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     out = np.empty(n - 1, dtype=np.float64)
     out[0] = 1.0
     if n > 2:
@@ -278,7 +276,7 @@ def holding_times(schedule: ChangePointSchedule, n: int, rng) -> EmbeddingClock:
     """
     validate_schedule(schedule)
     if n < 2:
-        raise SizeTooSmall(f"n must be >= 2, got {n}")
+        raise ValueError(f"n must be >= 2, got {n}")
     rates = (2.0 + step_offsets(schedule, n)) * np.arange(1, n, dtype=np.float64) - 1.0
     tau = np.zeros(n + 1, dtype=np.float64)
     tau[2:] = np.cumsum(as_generator(rng).standard_exponential(n - 1) / rates)
@@ -289,7 +287,7 @@ def upsilon(clock: EmbeddingClock, gamma: float | None = None) -> float:
     """Duration between reaching size floor(gamma*n) and size n."""
     if gamma is None:
         if clock.schedule.num_change_points != 1:
-            raise NoChangePoint("upsilon needs exactly one change point (or an explicit gamma)")
+            raise ValueError("upsilon needs exactly one change point (or an explicit gamma)")
         gamma = clock.schedule.gamma
     m = int(np.floor(gamma * clock.n))
     return float(clock.tau[clock.n] - clock.tau[m])

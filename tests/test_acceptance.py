@@ -122,31 +122,40 @@ def test_c05_exact_expectation_oracle():
     )
 
 
-def test_c06_fclt_marginal_variance():
+def _c06(tag: str, schedule: ChangePointSchedule, seed: int, t: float, target: float) -> None:
+    """500 trees of 1e5: var G_n(t) within 15 % of target, and |mean G_n| <= 3 se on the grid."""
     t0 = time.time()
     n, reps = 100_000, 500
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, SeededRng(1007, r), RecordFlags(leaves=True))
-        rows[r] = gn_path(tree.leaf_trajectory, SINGLE, grid)
-    var_half = rows[:, 1].var(ddof=1)
-    target = GN_TARGET_VAR
-    assert abs(variance_gn(0.5, SINGLE) - target) < 1e-5  # closed form backs the constant
+        tree = grow_tree(schedule, n, SeededRng(seed, r), RecordFlags(leaves=True))
+        rows[r] = gn_path(tree.leaf_trajectory, schedule, grid)
+    var_t = rows[:, np.flatnonzero(grid == t)[0]].var(ddof=1)
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(reps)
     elapsed = time.time() - t0
     ok = (
-        abs(var_half - target) <= 0.15 * target
+        abs(var_t - target) <= 0.15 * target
         and bool(np.all(np.abs(means) <= 3 * ses))
         and elapsed < 600
     )
     _criterion(
-        "6 FCLT variance",
+        tag,
         ok,
-        f"var G_n(0.5) = {var_half:.6f} vs {target} (+-15%), "
+        f"var G_n({t}) = {var_t:.6f} vs {target:.6f} (+-15%), "
         f"max |mean|/se = {np.max(np.abs(means) / ses):.2f} (<3), {elapsed:.1f}s (<600)",
     )
+
+
+def test_c06_fclt_marginal_variance():
+    assert abs(variance_gn(0.5, SINGLE) - GN_TARGET_VAR) < 1e-5  # closed form backs the constant
+    _c06("6 FCLT variance", SINGLE, 1007, 0.5, GN_TARGET_VAR)
+
+
+def test_c06_fclt_marginal_variance_two_change_points():
+    # t = 1 lies above both change points, so the target uses every segment of the kernel
+    _c06("6 FCLT variance, k = 2", MULTI, 1020, 1.0, variance_gn(1.0, MULTI))
 
 
 def test_c07_upsilon_clt():

@@ -130,18 +130,20 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["fclt", "--reps", "0"],
     ["fclt", "--reps", "1"],
     ["fclt", "--t", "1.5"],
-    ["fclt", *TWO, "--n", "100", "--reps", "2"],  # p_inf needs at most one change point
     ["simulate", "--checkpoint", "200", "--n", "100"],
     ["simulate", "--n", "0"],
     ["simulate", "--threads", "0"],
     ["maxdeg", "--reps", "0"],
     ["maxdeg", "--n", "1"],
     ["estimate", "--trajectory", __file__, "--epsilon", "1.5"],
-    ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO],  # d_limit needs one change point
     ["limits", *TWO, "--horizon-t", "0.7"],
+    ["limits", *TWO, "--epsilon", "0.35"],  # d_limit: eps < gamma_1 = 0.3
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--threads", "0"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.6"],  # d_limit: eps < gamma
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.5"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO, "--epsilon", "0.35"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--gamma", "0.5", "--beta", "1"],  # no alpha
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--alpha", "6"],  # no change point
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -151,6 +153,21 @@ def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     assert _run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "good.csv" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": 6.0}, {"schedule": {"alpha": 6.0, "segments": []}}],
+                         ids=["alpha", "schedule"])
+def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, capsys, cfg):
+    good = tmp_path / "good.csv"
+    good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "never"
+    assert _run("estimate", "--config", str(path), "--trajectory", str(good),
+                "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the d_limit overlay needs alpha and at least one beta/gamma pair\n"
     assert not out.exists()
 
 
@@ -173,6 +190,19 @@ def test_limits_outputs(tmp_path):
     with open(out / "p_alpha_pmf.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["p"]) == pytest.approx(8.0 / 15.0, abs=1e-12)
+    # the limit curves do not depend on --draws or --kmax; these digests pin their bytes
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("leaf_curve.csv", "d_limit.csv")}
+    assert digests == {"leaf_curve.csv": "0864d67a3a1ddd72", "d_limit.csv": "0f2b17a07a716e75"}
+
+
+def test_limits_without_change_point_writes_the_leaf_curve(tmp_path):
+    out = tmp_path / "lim"
+    assert _run("limits", "--out", str(out), "--alpha", "6", "--draws", "1000") == 0
+    assert {p.name for p in out.iterdir()} == {"p_alpha_pmf.csv", "leaf_curve.csv",
+                                               "manifest.json"}
+    digest = hashlib.sha256((out / "leaf_curve.csv").read_bytes()).hexdigest()[:16]
+    assert digest == "2cef17ea58ef7c8e"
 
 
 def test_limits_flat_d_when_offsets_equal(tmp_path):
@@ -190,7 +220,7 @@ def test_limits_multi_change_point_pmf(tmp_path):
                 "--beta", "1", "--gamma", "0.3", "--beta", "2", "--gamma", "0.7",
                 "--draws", "20000") == 0
     assert (out / "d_theta_pmf.csv").exists()
-    assert not (out / "d_limit.csv").exists()  # limit curve is single-CP only
+    assert (out / "d_limit.csv").exists()  # the limit curves cover every k
 
 
 def test_estimate_on_simulated_trajectory(tmp_path):
@@ -254,6 +284,9 @@ def test_estimate_pool_matches_serial_in_input_order(tmp_path):
     assert json.loads((serial / "manifest.json").read_text())["config"]["threads"] == 1
     curves = [(pooled / f"dn_curve_{i:03d}.csv").read_bytes() for i in range(3)]
     assert curves[0] == curves[2] != curves[1]
+    # the d_limit overlay's bytes, pinned
+    assert [hashlib.sha256(c).hexdigest()[:16] for c in curves[:2]] == [
+        "b1a0e62a5f947c9f", "08ced255afa4b114"]
     with open(pooled / "gamma_hats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["file"] for r in rows] == [a.name, b.name, a.name]
@@ -358,6 +391,8 @@ def test_fclt_outputs(tmp_path):
     assert all(float(r["target_var"]) > 0 for r in rows)
     z_lines = (out / "upsilon_z.csv").read_text().splitlines()
     assert len(z_lines) == 17
+    assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
+        "6160a37ab21f4794")
 
 
 def test_fclt_pool_matches_serial(tmp_path):
@@ -373,8 +408,30 @@ def test_fclt_pool_matches_serial(tmp_path):
 def test_fclt_defaults_to_no_change_point(tmp_path):
     out = tmp_path / "fclt"
     assert _run("fclt", "--out", str(out), "--alpha", "1", "--n", "2000", "--reps", "4") == 0
-    assert (out / "gn_moments.csv").exists()
+    assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
+        "617063a5896880bd")
     assert not (out / "upsilon_z.csv").exists()
+
+
+def test_fclt_limits_and_estimate_run_at_two_change_points(tmp_path):
+    schedule = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+    out = tmp_path / "fclt"
+    assert _run("fclt", "--out", str(out), *TWO, "--n", "2000", "--reps", "8") == 0
+    assert set(_hashes(out)) == {"gn_moments.csv"}  # upsilon_z.csv is one change point only
+    with open(out / "gn_moments.csv") as fh:
+        target = [float(r["target_var"]) for r in csv.DictReader(fh)]
+    assert len(target) == 4 and all(np.isfinite(v) and v > 0 for v in target)
+
+    out = tmp_path / "limits"
+    assert _run("limits", "--out", str(out), *TWO, "--draws", "2000") == 0
+    assert {"leaf_curve.csv", "d_limit.csv", "d_theta_pmf.csv"} <= set(_hashes(out))
+
+    sim, out = tmp_path / "sim", tmp_path / "est"
+    assert _run("simulate", "--out", str(sim), "--n", "3000", "--no-trees", *TWO) == 0
+    assert _run("estimate", "--out", str(out), "--trajectory", str(sim / "trajectory_r000.csv"),
+                *TWO) == 0
+    rows = _dn_rows(out / "dn_curve_000.csv")
+    assert rows[:, 2].tobytes() == limit_D(rows[:, 0], schedule, 0.1).tobytes()
 
 
 def test_maxdeg_outputs(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from oracles import dn_curve_direct, split_means
 from pact.estimator import (
     DN_CSV_ROWS,
-    BadInterval,
     EstimatorConfig,
     dn_curve,
     estimate,
@@ -169,9 +168,9 @@ def test_report_json_contract():
 def test_limit_H_is_plateau_average():
     # H over the flat stretch equals the plateau value
     assert limit_H(0.1, 0.5, SINGLE) == pytest.approx(8.0 / 15.0, abs=1e-12)
-    with pytest.raises(BadInterval):
+    with pytest.raises(ValueError, match="need 0 < s < t <= 1"):
         limit_H(0.5, 0.5, SINGLE)
-    with pytest.raises(BadInterval):
+    with pytest.raises(ValueError, match="need 0 < s < t <= 1"):
         limit_H(0.0, 0.5, SINGLE)
 
 
@@ -199,10 +198,22 @@ def test_limit_D_right_derivative_negative():
 
 
 def test_limit_D_interval_validation():
-    with pytest.raises(BadInterval):
+    with pytest.raises(ValueError, match="t must lie in"):
         limit_D(0.05, SINGLE, 0.1)
-    with pytest.raises(BadInterval):
+    with pytest.raises(ValueError, match="need 0 < epsilon < gamma_1"):
         limit_D(0.5, SINGLE, 0.6)  # epsilon above gamma
+
+
+def test_limit_D_at_two_change_points_is_the_window_contrast():
+    two = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+    eps = 0.1
+    ts = np.linspace(eps, 1.0, 201)[1:-1]
+    direct = [(1 - t) * abs(limit_H(eps, t, two) - limit_H(t, 1.0, two)) for t in ts]
+    np.testing.assert_allclose(limit_D(ts, two, eps), direct, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValueError, match="need 0 < epsilon < gamma_1=0.3"):
+        limit_D(0.5, two, 0.35)
+    with pytest.raises(ValueError, match="needs a change point"):
+        limit_D(0.5, ChangePointSchedule(alpha=4.0), eps)
 
 
 def test_dn_csv(tmp_path):

@@ -17,7 +17,7 @@ from pact.generator import (
 )
 from pact.leaf_process import read_trajectory_csv, write_trajectory_csv
 from pact.limit_laws import p_alpha_table, tv_distance_upto
-from pact.model_core import ChangePointSchedule, SeededRng, SizeTooSmall
+from pact.model_core import ChangePointSchedule, SeededRng
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 PLAIN = ChangePointSchedule(alpha=1.0)
@@ -69,7 +69,7 @@ def test_mixture_matches_exact_weights_on_small_trees(offset):
 def test_grow_tree_minimum_size_forced_edge():
     tree = grow_tree(SINGLE, 2, SeededRng(4))
     assert tree.parent[2] == 1
-    with pytest.raises(SizeTooSmall):
+    with pytest.raises(ValueError, match="n must be >= 2"):
         grow_tree(SINGLE, 1, SeededRng(4))
 
 

@@ -19,9 +19,13 @@ from pact.leaf_process import (
     variance_gn,
     write_curve_csv,
 )
-from pact.model_core import ChangePointSchedule, HorizonOutOfRange, SeededRng
+from pact.model_core import ChangePointSchedule, SeededRng
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
+TWO = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+THREE = ChangePointSchedule(alpha=0.5, segments=((0.25, 6.0), (0.5, 0.2), (0.75, 3.0)))
+# a large rise in the offset, then a near-uniform stretch and a long last segment
+STEEP = ChangePointSchedule(alpha=0.0, segments=((0.1, 50.0), (0.2, 0.01), (0.9, 1.0)))
 
 
 def _p_inf_printed(t, alpha, beta, gamma):
@@ -52,9 +56,9 @@ def test_p_inf_continuous_at_change_point():
 
 
 def test_p_inf_domain():
-    with pytest.raises(HorizonOutOfRange):
+    with pytest.raises(ValueError, match=r"t must lie in \(0, 1\]"):
         p_inf(0.0, SINGLE)
-    with pytest.raises(HorizonOutOfRange):
+    with pytest.raises(ValueError, match=r"t must lie in \(0, 1\]"):
         p_inf(1.1, SINGLE)
 
 
@@ -112,12 +116,13 @@ def test_expected_leaves_boundary_and_recursion():
 
 
 def test_expected_leaves_track_limit_curve_uniformly():
-    sup = {}
-    for n in (1000, 10_000, 100_000):
-        theta = expected_leaves(n, SINGLE)
-        ms = np.arange(2, n + 1)
-        sup[n] = np.max(np.abs(theta - ms * np.asarray(p_inf(ms / n, SINGLE))))
-    assert sup[100_000] <= 1.2 * sup[1000]
+    for schedule in (SINGLE, TWO):
+        sup = {}
+        for n in (1000, 10_000, 100_000):
+            theta = expected_leaves(n, schedule)
+            ms = np.arange(2, n + 1)
+            sup[n] = np.max(np.abs(theta - ms * np.asarray(p_inf(ms / n, schedule))))
+        assert sup[100_000] <= 1.2 * sup[1000]
 
 
 def test_variance_suite_closed_values():
@@ -155,30 +160,39 @@ def test_phi_zero_and_increasing():
 
 PHI_SCHEDULES = [ChangePointSchedule.single(0.0, beta, gamma)
                  for beta in (0.01, 1.0, 50.0) for gamma in (0.1, 0.5, 0.99)]
-PHI_SCHEDULES += [ChangePointSchedule(alpha=0.0), SINGLE]
+PHI_SCHEDULES += [ChangePointSchedule(alpha=0.0), SINGLE, TWO, THREE, STEEP]
 
 
 def _schedule_id(schedule):
-    if schedule.num_change_points == 0:
-        return f"a{schedule.alpha}-no-change"
-    return f"a{schedule.alpha}-b{schedule.beta}-g{schedule.gamma}"
+    segments = "".join(f"-b{b}-g{g}" for g, b in schedule.segments)
+    return f"a{schedule.alpha}{segments or '-no-change'}"
+
+
+def _change_points(schedule):
+    """Each gamma_j and the point just above it; 1 stands in when there is no change point."""
+    gammas = [s.gamma for s in schedule.segments] or [1.0]
+    return gammas + [min(g + 1e-9, 1.0) for g in gammas]
 
 
 @pytest.mark.parametrize("schedule", PHI_SCHEDULES, ids=_schedule_id)
 def test_phi_closed_form_matches_quadrature(schedule):
     from scipy.integrate import quad
 
-    gamma = schedule.gamma if schedule.num_change_points else 1.0
-    for t in sorted({0.0, gamma, min(gamma + 1e-9, 1.0), 0.5 * (gamma + 1.0), 1.0}):
+    bounds = [0.0] + [s.gamma for s in schedule.segments] + [1.0]
+    middles = [0.5 * (a + b) for a, b in zip(bounds[1:], bounds[2:])]
+    for t in sorted({0.0, 1.0, *_change_points(schedule), *middles}):
+        inside = [g for g in bounds[1:-1] if g < t]
         num, _ = quad(lambda s: sigma_m2(s, schedule), 0.0, t, epsabs=1e-13, epsrel=1e-13,
-                      limit=200, points=[gamma] if 0.0 < gamma < t else None)
+                      limit=200, points=inside or None)
         assert phi(t, schedule) == pytest.approx(num, abs=1e-10)
+        num, _ = quad(lambda u: p_inf(u, schedule), 1e-12, t, epsabs=1e-13, epsrel=1e-13,
+                      limit=200, points=inside or None)
+        assert leaf_proportion_integral(t, schedule) == pytest.approx(num, abs=1e-10)
 
 
 @pytest.mark.parametrize("schedule", PHI_SCHEDULES, ids=_schedule_id)
 def test_phi_vectorized_matches_scalar(schedule):
-    gamma = schedule.gamma if schedule.num_change_points else 1.0
-    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), [gamma, min(gamma + 1e-9, 1.0)]]))
+    ts = np.unique(np.concatenate([np.linspace(0.0, 1.0, 201), _change_points(schedule)]))
     vals = phi(ts, schedule)
     assert isinstance(vals, np.ndarray) and vals.shape == ts.shape
     scalars = [phi(float(t), schedule) for t in ts]
@@ -186,9 +200,20 @@ def test_phi_vectorized_matches_scalar(schedule):
     np.testing.assert_allclose(vals, scalars, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("schedule", PHI_SCHEDULES, ids=_schedule_id)
+def test_variance_density_and_drift_follow_from_g(schedule):
+    h = 1e-6
+    ts = np.linspace(0.01, 0.99, 99)
+    ts = ts[[all(abs(t - s.gamma) > 2 * h for s in schedule.segments) for t in ts]]
+    g = g_scale(ts, schedule)
+    np.testing.assert_allclose(sigma_m2(ts, schedule), sigma2(ts, schedule) / g**2, rtol=1e-12)
+    slope = (g_scale(ts + h, schedule) - g_scale(ts - h, schedule)) / (2 * h)
+    np.testing.assert_allclose(mu_drift(ts, schedule), slope, rtol=1e-6)
+
+
 def test_phi_rejects_times_outside_unit_interval():
     for bad in (-0.1, 1.1, float("nan"), [0.5, 1.5]):
-        with pytest.raises(HorizonOutOfRange):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
             phi(bad, SINGLE)
 
 
@@ -198,6 +223,10 @@ SCHEDULES = st.one_of(
     st.builds(ChangePointSchedule.single, st.floats(0.0, 50.0), st.floats(0.01, 50.0),
               st.floats(0.01, 0.99)),
     st.builds(ChangePointSchedule, st.floats(0.0, 50.0)),
+    st.builds(lambda alpha, gammas, betas: ChangePointSchedule(alpha, zip(sorted(gammas), betas)),
+              st.floats(0.0, 50.0),
+              st.lists(st.floats(0.01, 0.99), min_size=2, max_size=3, unique=True),
+              st.lists(st.floats(0.01, 50.0), min_size=3, max_size=3)),
 )
 OUTSIDE = st.one_of(st.floats(max_value=0.0, exclude_max=True),
                     st.floats(min_value=1.0, exclude_min=True), st.just(float("nan")))
@@ -223,7 +252,7 @@ def test_closed_forms_scalar_and_array_agree(schedule, ts):
 def test_closed_forms_reject_times_outside_their_domain(schedule, bad, good):
     for f in CLOSED_FORMS:
         for t in [bad, [good, bad]] + ([0.0] if f in OPEN_AT_ZERO else []):
-            with pytest.raises(HorizonOutOfRange):
+            with pytest.raises(ValueError, match="t must lie in"):
                 f(t, schedule)
 
 
@@ -237,6 +266,20 @@ def test_continuity_and_jumps_at_change_point():
     assert abs(float(mu_drift(g + 1e-9, SINGLE)) - float(mu_drift(g, SINGLE))) > 1e-3
     assert abs(float(sigma2(g + 1e-9, SINGLE)) - float(sigma2(g, SINGLE))) > 1e-3
     assert abs(float(sigma_m2(g + 1e-9, SINGLE)) - float(sigma_m2(g, SINGLE))) > 1e-3
+    # the same at every gamma_j: g and sigma_m2 = sigma2 / g^2 carry each jump of the offset
+    for schedule in (SINGLE, TWO, THREE, STEEP):
+        offsets = schedule.offsets()
+        for j, gj in enumerate(s.gamma for s in schedule.segments):
+            for f in (g_scale, p_inf, leaf_proportion_integral, phi):
+                scale = max(1.0, abs(f(gj, schedule)))
+                assert abs(f(gj + eps, schedule) - f(gj, schedule)) < 1e-11 * scale
+            d0, d1 = delta_exponent(offsets[j]), delta_exponent(offsets[j + 1])
+            p, gg = p_inf(gj, schedule), g_scale(gj, schedule)
+            s2_jump = d1 * p * (1 - d1 * p) - d0 * p * (1 - d0 * p)
+            jumps = {mu_drift: -(d1 - d0) * gg / gj, sigma2: s2_jump, sigma_m2: s2_jump / gg**2}
+            for f, jump in jumps.items():
+                assert f(gj + 1e-9, schedule) - f(gj, schedule) == pytest.approx(jump, rel=1e-5)
+                assert abs(jump) > 1e-3 * abs(f(gj, schedule))
     # with equal offsets the variance density is continuous
     flat = ChangePointSchedule.single(2.0, 2.0, 0.5)
     assert abs(float(sigma_m2(0.5 + eps, flat)) - float(sigma_m2(0.5, flat))) < 1e-12
@@ -278,7 +321,7 @@ def test_gn_path_brackets_match_interpolating_every_step(n, grid):
 @pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
     tree = grow_tree(SINGLE, 100, SeededRng(53), RecordFlags(leaves=True))
-    with pytest.raises(HorizonOutOfRange, match="grid must lie"):
+    with pytest.raises(ValueError, match="grid must lie"):
         gn_path(tree.leaf_trajectory, SINGLE, grid)
 
 
