@@ -22,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ from .estimator import (
 )
 from .embedding import upsilon_clt_sample, write_zsample_csv
 from .generator import (
-    RecordFlags,
     degree_histogram,
     grow_tree,
     max_degree,
@@ -63,42 +61,12 @@ from .limit_laws import (
     sample_d_theta_multi,
     write_pmf_csv,
 )
-from .model_core import ChangePointSchedule, SeededRng, validate_schedule, write_csv
+from .model_core import ChangePointSchedule, SeededRng, write_csv
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
 # smallest accepted value of each count a subcommand reads from its config
 _MINIMUM = {"n": 2, "reps": 1, "threads": 1, "draws": 1, "kmax": 1, "curve_points": 1,
             "upsilon_reps": 1}
-
-
-@dataclass
-class RunManifest:
-    """Audit record for one run; re-running the same manifest config reproduces outputs."""
-
-    subcommand: str
-    config: dict
-    seeds: list[dict]
-    tool_version: str = __version__
-    wall_clock_s: float = 0.0
-    outputs: dict = field(default_factory=dict)
-
-    def write(self, out_dir: Path) -> None:
-        path = out_dir / "manifest.json"
-        with open(path, "w", newline="\n") as fh:
-            json.dump(
-                {
-                    "subcommand": self.subcommand,
-                    "config": self.config,
-                    "seeds": self.seeds,
-                    "tool_version": self.tool_version,
-                    "wall_clock_s": self.wall_clock_s,
-                    "outputs": self.outputs,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
 
 
 def _sha256(path: Path) -> str:
@@ -151,10 +119,9 @@ def _schedule_from(cfg: dict) -> ChangePointSchedule:
     gammas = cfg.get("gamma") or []
     if len(betas) != len(gammas):
         raise ValueError(f"need matching --beta/--gamma counts, got {len(betas)}/{len(gammas)}")
-    schedule = ChangePointSchedule(
+    return ChangePointSchedule(
         alpha=float(cfg["alpha"]), segments=tuple(zip(gammas, betas))
     )
-    return validate_schedule(schedule)
 
 
 def _pool_map(fn, tasks: list, threads: int) -> list:
@@ -175,11 +142,8 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
 # ---------------------------------------------------------------- simulate
 
 def _simulate_rep(task: tuple) -> list[str]:
-    sched_json, n, seed, stream, save_trees, edges, checkpoints, out = task
-    schedule = ChangePointSchedule.from_json(sched_json)
-    rng = SeededRng(seed, stream)
-    record = RecordFlags(leaves=True, degree_checkpoints=tuple(checkpoints))
-    tree = grow_tree(schedule, n, rng, record)
+    schedule, n, seed, stream, save_trees, edges, checkpoints, out = task
+    tree = grow_tree(schedule, n, SeededRng(seed, stream))
     out_dir = Path(out)
     written = []
     tag = f"r{stream:03d}"
@@ -188,14 +152,14 @@ def _simulate_rep(task: tuple) -> list[str]:
         save_tree(tree, path)
         written.append(path.name)
     traj_path = out_dir / f"trajectory_{tag}.csv"
-    write_trajectory_csv(tree.leaf_trajectory, traj_path)
+    write_trajectory_csv(tree.leaf_trajectory(), traj_path)
     written.append(traj_path.name)
     hist_path = out_dir / f"degree_hist_{tag}.csv"
     write_histogram_csv(degree_histogram(tree), hist_path)
     written.append(hist_path.name)
-    for m, hist in tree.degree_snapshots.items():
+    for m in checkpoints:
         p = out_dir / f"degree_hist_{tag}_m{m}.csv"
-        write_histogram_csv(hist, p)
+        write_histogram_csv(degree_histogram(tree, upto=m), p)
         written.append(p.name)
     if edges:
         p = out_dir / f"edges_{tag}.csv"
@@ -208,8 +172,8 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> list[dict]:
     schedule = _schedule_from(cfg)
     n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
     tasks = [
-        (schedule.to_json(), n, seed, rep, bool(cfg["save_trees"]), bool(cfg["edges"]),
-         list(cfg["checkpoints"]), str(out_dir))
+        (schedule, n, seed, rep, bool(cfg["save_trees"]), bool(cfg["edges"]),
+         [int(m) for m in cfg["checkpoints"]], str(out_dir))
         for rep in range(reps)
     ]
     _pool_map(_simulate_rep, tasks, int(cfg["threads"]))
@@ -283,8 +247,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -
 
 def _fclt_task(task: tuple):
     """One tree's G_n path on the t grid, or, when ups_reps is set, the duration sample."""
-    sched_json, n, seed, stream, t_grid, ups_reps = task
-    schedule = ChangePointSchedule.from_json(sched_json)
+    schedule, n, seed, stream, t_grid, ups_reps = task
     if ups_reps:
         return upsilon_clt_sample(schedule, n, ups_reps, SeededRng(seed, stream))
     tree = grow_tree(schedule, n, SeededRng(seed, stream))
@@ -295,12 +258,12 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
     schedule = _schedule_from(cfg)
     n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
     t_grid = [float(t) for t in cfg["t_grid"]]
-    tasks = [(schedule.to_json(), n, seed, rep, t_grid, 0) for rep in range(reps)]
+    tasks = [(schedule, n, seed, rep, t_grid, 0) for rep in range(reps)]
     seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
     sample_z = schedule.num_change_points == 1
     if sample_z:
         # first in the pool, so one worker draws it while the others grow trees
-        tasks.insert(0, (schedule.to_json(), n, seed, _UPSILON_STREAM_BASE, None,
+        tasks.insert(0, (schedule, n, seed, _UPSILON_STREAM_BASE, None,
                          int(cfg["upsilon_reps"])))
         seeds.append({"seed": seed, "stream_id": _UPSILON_STREAM_BASE})
     results = _pool_map(_fclt_task, tasks, int(cfg["threads"]))
@@ -320,8 +283,7 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
 # ---------------------------------------------------------------- maxdeg
 
 def _maxdeg_rep(task: tuple) -> int:
-    sched_json, n, seed, stream = task
-    schedule = ChangePointSchedule.from_json(sched_json)
+    schedule, n, seed, stream = task
     tree = grow_tree(schedule, n, SeededRng(seed, stream))
     return max_degree(tree)
 
@@ -332,7 +294,7 @@ def cmd_maxdeg(cfg: dict, out_dir: Path) -> list[dict]:
     n_list = [int(n) for n in cfg["n_list"]]
     exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
     # one pool for every size: stream ni * reps + rep is size ni's rep-th tree
-    tasks = [(schedule.to_json(), n, seed, ni * reps + rep)
+    tasks = [(schedule, n, seed, ni * reps + rep)
              for ni, n in enumerate(n_list) for rep in range(reps)]
     m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
     rows = []
@@ -457,13 +419,17 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
     seeds = _COMMANDS[args.command](cfg, out_dir, **inputs)
-    manifest = RunManifest(subcommand=args.command, config=cfg, seeds=seeds)
-    manifest.wall_clock_s = round(time.time() - start, 3)
-    manifest.outputs = {
+    wall_clock_s = round(time.time() - start, 3)
+    outputs = {
         p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
     }
-    manifest.write(out_dir)
-    print(f"{args.command}: wrote {len(manifest.outputs)} artifact(s) to {out_dir}")
+    # the audit record; re-running its config reproduces every output
+    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
+        json.dump({"subcommand": args.command, "config": cfg, "seeds": seeds,
+                   "tool_version": __version__, "wall_clock_s": wall_clock_s,
+                   "outputs": outputs}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{args.command}: wrote {len(outputs)} artifact(s) to {out_dir}")
     return 0
 
 

@@ -16,7 +16,6 @@ from .model_core import (
     ChangePointSchedule,
     RngLike,
     as_generator,
-    validate_schedule,
     write_csv,
 )
 
@@ -40,7 +39,6 @@ def upsilon_clt_sample(
         raise ValueError("standardization defined for exactly one change point")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    validate_schedule(schedule)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     gen = as_generator(rng)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_process import LeafTrajectory, leaf_proportion_integral, p_inf
-from .model_core import ChangePointSchedule, validate_schedule, write_csv
+from .model_core import ChangePointSchedule, write_csv
 
 
 # most rows of the regular grid that dn_curve_*.csv holds for one curve
@@ -155,18 +155,20 @@ def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
     threshold = config.resolve_threshold(curve.n)
     floor = config.resolve_floor(curve.n)
     dn_star = float(curve.values.max())
-    near = curve.values >= dn_star - threshold
-    near_ts = curve.ts[near]
+    near = curve.values >= dn_star - threshold  # holds the maximum, so never empty
+    # ts ascends: the set's edges are its first and last members, found without a gather
+    near_min = float(curve.ts[np.argmax(near)])
+    near_max = float(curve.ts[near.size - 1 - np.argmax(near[::-1])])
     detected = dn_star > floor
     return EstimateReport(
         dn_star=dn_star,
-        gamma_hat=float(near_ts.max()) if detected else None,
+        gamma_hat=near_max if detected else None,
         detected=detected,
         epsilon=curve.epsilon,
         threshold=threshold,
         detection_floor=floor,
-        near_max_min=float(near_ts.min()),
-        near_max_max=float(near_ts.max()),
+        near_max_min=near_min,
+        near_max_max=near_max,
         n=curve.n,
     )
 
@@ -180,7 +182,6 @@ def limit_H(s: float, t: float, schedule: ChangePointSchedule) -> float:
     """Mean limiting leaf proportion over a uniformly sampled time in [s, t]."""
     if not 0.0 < s < t <= 1.0:
         raise ValueError(f"need 0 < s < t <= 1, got s={s}, t={t}")
-    validate_schedule(schedule)
     return float(
         (leaf_proportion_integral(t, schedule) - leaf_proportion_integral(s, schedule)) / (t - s)
     )
@@ -198,7 +199,6 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
     (2(gamma_1-eps)), so the right edge of {t : D(t) >= plateau - threshold}
     is gamma_1 + sqrt(threshold/kappa) to leading order.
     """
-    validate_schedule(schedule)
     if not schedule.segments:
         raise ValueError("limit_D needs a change point")
     gamma = schedule.segments[0].gamma

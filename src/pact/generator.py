@@ -17,10 +17,9 @@ vectorized passes.
 """
 from __future__ import annotations
 
-import functools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .model_core import (
     ChangePointSchedule,
     RngLike,
     as_generator,
-    validate_schedule,
     write_csv,
 )
 
@@ -60,30 +58,17 @@ class DegreeHistogram:
 
 
 @dataclass
-class RecordFlags:
-    """What grow_tree captures along the way."""
-
-    leaves: bool = False
-    degree_checkpoints: tuple[int, ...] = ()
-
-
-@dataclass
 class GrowingTree:
     """Parent-array tree on vertices 1..n (index 0 unused, parent[1] = 0 sentinel)."""
 
     n: int
     parent: np.ndarray
-    leaf_trajectory: LeafTrajectory | None = None
-    degree_snapshots: dict[int, DegreeHistogram] = field(default_factory=dict)
 
-    @functools.cached_property
-    def out_degree(self) -> np.ndarray:
-        """out_degree[v] = number of children of v (index 0 unused), counted on first use."""
-        return np.bincount(self.parent[2 : self.n + 1], minlength=self.n + 1)
-
-    def total_degrees(self) -> np.ndarray:
-        """Total degree of vertices 1..n; the root's degree is its out-degree."""
-        deg = self.out_degree[1 : self.n + 1] + 1
+    def total_degrees(self, upto: int | None = None) -> np.ndarray:
+        """Total degree of vertices 1..m of the tree truncated at its first m = upto
+        vertices (all n by default); the root's degree is its out-degree."""
+        m = self.n if upto is None else upto
+        deg = np.bincount(self.parent[2 : m + 1], minlength=m + 1)[1:] + 1
         deg[0] -= 1
         return deg
 
@@ -108,6 +93,26 @@ class GrowingTree:
             prev = m
         return counts
 
+    def leaf_trajectory(self) -> LeafTrajectory:
+        """Leaf counts N(m), m = 2..n: vertex m adds a leaf and takes one from its parent
+        when it is the parent's first child, or the root's second."""
+        parent, n = self.parent, self.n
+        index = np.int32 if n + 1 < 2**31 else np.int64  # first_child holds up to n + 1
+        first_child = np.full(n + 1, n + 1, dtype=index)
+        # children in descending order: the last write, the smallest child, wins
+        first_child[parent[:1:-1].astype(index)] = np.arange(n, 1, -1, dtype=index)
+        counts = np.empty(n - 1, dtype=np.int64)
+        counts[0] = 2  # at m=2 both the root (out-degree 1) and vertex 2 have degree 1
+        if n > 2:
+            # the root never matches, since first_child[1] = 2 < every step here
+            counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
+            del first_child
+            np.cumsum(counts, out=counts)
+            root_children = np.flatnonzero(parent[3:] == 1)
+            if root_children.size:  # the root's second child ends its time as a leaf
+                counts[root_children[0] + 1 :] -= 1
+        return LeafTrajectory(n=n, counts=counts)
+
     def check_invariants(self) -> None:
         if self.parent[1] != 0:
             raise AssertionError("root sentinel parent must be 0")
@@ -116,46 +121,13 @@ class GrowingTree:
             raise AssertionError("parents must be earlier vertices")
 
 
-def _leaf_trajectory(parent: np.ndarray, n: int) -> LeafTrajectory:
-    """Leaf counts N(m), m = 2..n: vertex m adds a leaf and takes one from its parent
-    when it is the parent's first child, or the root's second."""
-    index = np.int32 if n + 1 < 2**31 else np.int64  # first_child holds up to n + 1
-    first_child = np.full(n + 1, n + 1, dtype=index)
-    # children in descending order: the last write, the smallest child, wins
-    first_child[parent[:1:-1].astype(index)] = np.arange(n, 1, -1, dtype=index)
-    counts = np.empty(n - 1, dtype=np.int64)
-    counts[0] = 2  # at m=2 both the root (out-degree 1) and vertex 2 have degree 1
-    if n > 2:
-        # the root never matches, since first_child[1] = 2 < every step here
-        counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
-        del first_child
-        np.cumsum(counts, out=counts)
-        root_children = np.flatnonzero(parent[3:] == 1)
-        if root_children.size:  # the root's second child ends its time as a leaf
-            counts[root_children[0] + 1 :] -= 1
-    return LeafTrajectory(n=n, counts=counts)
-
-
-def grow_tree(
-    schedule: ChangePointSchedule,
-    n: int,
-    rng: RngLike,
-    record: RecordFlags | None = None,
-) -> GrowingTree:
+def grow_tree(schedule: ChangePointSchedule, n: int, rng: RngLike) -> GrowingTree:
     """Grow an n-vertex tree under the schedule's attachment offsets.
 
     Vertex m+1 attaches under the offset of the segment containing step m+1.
-    With record.leaves the per-step leaf counts are captured; with
-    record.degree_checkpoints, degree histograms of the tree truncated at the
-    requested sizes are captured.
     """
-    validate_schedule(schedule)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    record = record or RecordFlags()
-    for m in record.degree_checkpoints:
-        if not 2 <= m <= n:
-            raise ValueError(f"degree checkpoint {m} outside 2..{n}")
     gen = as_generator(rng)
 
     # entering vertex m = i + 2 joins a tree of size s = i + 1; one draw gives
@@ -190,12 +162,7 @@ def grow_tree(
         pending = pending[unresolved[pending]]
     del unresolved, is_copy
 
-    tree = GrowingTree(n=n, parent=parent)
-    if record.leaves:
-        tree.leaf_trajectory = _leaf_trajectory(parent, n)
-    for m in record.degree_checkpoints:
-        tree.degree_snapshots[int(m)] = degree_histogram(tree, upto=int(m))
-    return tree
+    return GrowingTree(n=n, parent=parent)
 
 
 def degree_histogram(tree: GrowingTree, upto: int | None = None) -> DegreeHistogram:
@@ -203,10 +170,7 @@ def degree_histogram(tree: GrowingTree, upto: int | None = None) -> DegreeHistog
     m = tree.n if upto is None else int(upto)
     if not 2 <= m <= tree.n:
         raise ValueError(f"truncation size {m} outside 2..{tree.n}")
-    out_deg = np.bincount(tree.parent[2 : m + 1], minlength=m + 1)
-    deg = out_deg[1 : m + 1] + 1
-    deg[0] -= 1
-    return DegreeHistogram(counts=np.bincount(deg), n=m)
+    return DegreeHistogram(counts=np.bincount(tree.total_degrees(m)), n=m)
 
 
 def max_degree(tree: GrowingTree) -> int:

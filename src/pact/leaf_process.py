@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .model_core import ChangePointSchedule, validate_schedule, write_csv
+from .model_core import ChangePointSchedule, write_csv
 
 if TYPE_CHECKING:
     from .generator import GrowingTree
@@ -117,7 +117,6 @@ def _segments(schedule: ChangePointSchedule) -> list[_Segment]:
     a regrouped product, such as gamma**(2d) * gamma for gamma**(2d + 1),
     can differ by an ulp.
     """
-    validate_schedule(schedule)
     gammas = [0.0] + [s.gamma for s in schedule.segments]
     rows: list[_Segment] = []
     for gamma, end, offset in zip(gammas, gammas[1:] + [1.0], schedule.offsets()):

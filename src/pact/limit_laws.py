@@ -29,7 +29,6 @@ from .model_core import (
     ChangePointSchedule,
     RngLike,
     as_generator,
-    validate_schedule,
     write_csv,
 )
 
@@ -166,7 +165,6 @@ def sample_d_theta_multi(
     epoch = #{j : u >= gamma_j/t}, so the same seed replays them; the epochs
     are then filled from the last one down to epoch 0.
     """
-    validate_schedule(schedule)
     k = schedule.num_change_points
     if k < 1:
         raise ValueError("sample_d_theta_multi needs at least one change point")

@@ -33,7 +33,10 @@ class ChangePointSchedule:
     """Parameter set (alpha, [(gamma_1, beta_1), ...]) driving the attachment rule.
 
     ``segments`` is ordered by gamma.  An empty list means no change point;
-    a single entry is the basic one-change-point model.
+    a single entry is the basic one-change-point model.  Every schedule is
+    valid: construction raises ValueError unless alpha is finite and >= 0,
+    each beta is finite and > 0, and 0 < gamma_1 < ... < gamma_k < 1.
+    alpha = 0, the uniform-attachment end of the family, is accepted.
     """
 
     alpha: float
@@ -43,6 +46,19 @@ class ChangePointSchedule:
         coerced = tuple(Segment(float(g), float(b)) for g, b in self.segments)
         object.__setattr__(self, "segments", coerced)
         object.__setattr__(self, "alpha", float(self.alpha))
+        if not np.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for seg in self.segments:
+            if not np.isfinite(seg.beta) or seg.beta <= 0:
+                raise ValueError(f"beta must be > 0, got {seg.beta}")
+            if not np.isfinite(seg.gamma):
+                raise ValueError(f"gamma must be finite, got {seg.gamma}")
+        gammas = [s.gamma for s in self.segments]
+        for prev, cur in zip([0.0] + gammas, gammas + [1.0]):
+            if not prev < cur:
+                raise ValueError(
+                    f"change points must satisfy 0 < gamma_1 < ... < gamma_k < 1, got {gammas}"
+                )
 
     @classmethod
     def single(cls, alpha: float, beta: float, gamma: float) -> "ChangePointSchedule":
@@ -75,16 +91,12 @@ class ChangePointSchedule:
         """
         return [0] + [int(np.floor(s.gamma * n)) for s in self.segments] + [n]
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "segments": [{"gamma": s.gamma, "beta": s.beta} for s in self.segments],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "ChangePointSchedule":
-        """Inverse of to_json; ValueError when obj is not an object, segments is not a
-        list of objects, or alpha, gamma or beta is missing (naming the key)."""
+        """The schedule {"alpha": a, "segments": [{"gamma": g, "beta": b}, ...]}.
+
+        ValueError when obj is not an object, segments is not a list of objects,
+        or alpha, gamma or beta is missing (naming the key)."""
         if not isinstance(obj, dict):
             raise ValueError(f"schedule must be an object, got {type(obj).__name__}")
         segments = obj.get("segments", [])
@@ -95,28 +107,6 @@ class ChangePointSchedule:
             return cls(alpha=float(obj["alpha"]), segments=tuple(segs))
         except KeyError as exc:
             raise ValueError(f"schedule is missing key {exc}") from None
-
-
-def validate_schedule(schedule: ChangePointSchedule) -> ChangePointSchedule:
-    """Check parameter domains and change-point ordering; return the schedule.
-
-    alpha = 0 is accepted (the uniform-attachment end of the family shows up
-    in cross-checks); negative alpha and non-positive beta are rejected.
-    """
-    if not np.isfinite(schedule.alpha) or schedule.alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {schedule.alpha}")
-    for seg in schedule.segments:
-        if not np.isfinite(seg.beta) or seg.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {seg.beta}")
-        if not np.isfinite(seg.gamma):
-            raise ValueError(f"gamma must be finite, got {seg.gamma}")
-    gammas = [s.gamma for s in schedule.segments]
-    for prev, cur in zip([0.0] + gammas, gammas + [1.0]):
-        if not prev < cur:
-            raise ValueError(
-                f"change points must satisfy 0 < gamma_1 < ... < gamma_k < 1, got {gammas}"
-            )
-    return schedule
 
 
 @dataclass(frozen=True)

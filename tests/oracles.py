@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pact.model_core import (
-    ChangePointSchedule,
-    as_generator,
-    validate_schedule,
-)
+from pact.model_core import ChangePointSchedule, as_generator
 
 
 class AttachmentSampler:
@@ -197,7 +193,6 @@ def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
     w_m = 1 - (1+c)/((2+c)m - 1) and c is the offset under which vertex m+1
     attaches.  All weights lie in (0, 1), so plain accumulation is stable.
     """
-    validate_schedule(schedule)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     out = np.empty(n - 1, dtype=np.float64)
@@ -220,7 +215,7 @@ def nonroot_leaf_counts(tree) -> np.ndarray:
     """
     root_children = np.flatnonzero(tree.parent[2 : tree.n + 1] == 1) + 2
     second = root_children[1] if root_children.size >= 2 else tree.n + 1
-    return tree.leaf_trajectory.counts - (np.arange(2, tree.n + 1) < second)
+    return tree.leaf_trajectory().counts - (np.arange(2, tree.n + 1) < second)
 
 
 def split_means(trajectory, t: float, epsilon: float) -> tuple[float, float]:
@@ -274,7 +269,6 @@ def holding_times(schedule: ChangePointSchedule, n: int, rng) -> EmbeddingClock:
     E_m are iid unit exponentials and c is the offset under which vertex m+1
     attaches.
     """
-    validate_schedule(schedule)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     rates = (2.0 + step_offsets(schedule, n)) * np.arange(1, n, dtype=np.float64) - 1.0

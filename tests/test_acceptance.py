@@ -13,7 +13,7 @@ from scipy import stats
 from oracles import expected_leaves, nonroot_leaf_counts
 from pact.embedding import upsilon_clt_sample, upsilon_limit
 from pact.estimator import EstimateReport, EstimatorConfig, dn_curve, estimate, limit_D
-from pact.generator import RecordFlags, degree_histogram, grow_tree, max_degree
+from pact.generator import degree_histogram, grow_tree, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
 from pact.limit_laws import (
     ccdf_from_samples,
@@ -82,8 +82,8 @@ def test_c03_tail_exponent_preserved():
 
 
 def test_c04_leaf_limit_curve():
-    tree = grow_tree(SINGLE, 200_000, SeededRng(1004), RecordFlags(leaves=True))
-    traj = tree.leaf_trajectory
+    tree = grow_tree(SINGLE, 200_000, SeededRng(1004))
+    traj = tree.leaf_trajectory()
     ms = traj.steps()
     sel = ms >= 0.1 * traj.n
     gaps = np.abs(traj.proportions()[sel] - np.asarray(p_inf(ms[sel] / traj.n, SINGLE)))
@@ -105,7 +105,7 @@ def test_c05_exact_expectation_oracle():
     ms = np.sort(picker.choice(np.arange(2, n + 1), size=20, replace=False))
     samples = np.empty((reps, ms.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, SeededRng(1006, r), RecordFlags(leaves=True))
+        tree = grow_tree(SINGLE, n, SeededRng(1006, r))
         samples[r] = nonroot_leaf_counts(tree)[ms - 2]
     means = samples.mean(axis=0)
     sds = samples.std(axis=0, ddof=1)
@@ -129,8 +129,8 @@ def _c06(tag: str, schedule: ChangePointSchedule, seed: int, t: float, target: f
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(schedule, n, SeededRng(seed, r), RecordFlags(leaves=True))
-        rows[r] = gn_path(tree.leaf_trajectory, schedule, grid)
+        tree = grow_tree(schedule, n, SeededRng(seed, r))
+        rows[r] = gn_path(tree.leaf_trajectory(), schedule, grid)
     var_t = rows[:, np.flatnonzero(grid == t)[0]].var(ddof=1)
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -180,8 +180,8 @@ def test_c07_upsilon_clt():
 
 def _estimate_run(n: int, rng: SeededRng, config: EstimatorConfig) -> EstimateReport:
     """Estimate from one simulated SINGLE trajectory; the tree is freed on return."""
-    tree = grow_tree(SINGLE, n, rng, RecordFlags(leaves=True))
-    return estimate(tree.leaf_trajectory, config)
+    tree = grow_tree(SINGLE, n, rng)
+    return estimate(tree.leaf_trajectory(), config)
 
 
 def _near_max_right_edge(n: int, config: EstimatorConfig) -> float:
@@ -267,8 +267,8 @@ def test_c08b_dn_curve_rate():
     for i, n in enumerate((10_000, 100_000)):
         sups = []
         for r in range(50):
-            tree = grow_tree(SINGLE, n, SeededRng(1010 + i, r), RecordFlags(leaves=True))
-            curve = dn_curve(tree.leaf_trajectory, config)
+            tree = grow_tree(SINGLE, n, SeededRng(1010 + i, r))
+            curve = dn_curve(tree.leaf_trajectory(), config)
             d_lim = np.asarray(limit_D(curve.ts, SINGLE, config.epsilon))
             sups.append(float(np.max(np.abs(curve.values - d_lim))))
         medians[n] = float(np.median(sups))

@@ -40,6 +40,23 @@ def test_simulate_writes_artifacts_and_manifest(tmp_path):
     assert set(manifest["outputs"]) == names - {"manifest.json"}
 
 
+def test_simulate_pins_every_artifact(tmp_path):
+    out = tmp_path / "sim"
+    assert _run("simulate", "--out", str(out), "--n", "3000", "--seed", "7", "--alpha", "6",
+                "--beta", "1", "--gamma", "0.5", "--edges",
+                "--checkpoint", "500", "--checkpoint", "1500") == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert digests == {
+        "tree_r000.pact": "94e1d0e94b0c5786",
+        "trajectory_r000.csv": "d650f49b568ece50",
+        "degree_hist_r000.csv": "25cf2f27ca1f1ff9",
+        "degree_hist_r000_m500.csv": "c4f9b4ccaa10a6a8",
+        "degree_hist_r000_m1500.csv": "c9cbf34e10ed1bbc",
+        "edges_r000.csv": "14fd6637cfdd0c99",
+    }
+
+
 def test_simulate_trivial_size(tmp_path):
     out = tmp_path / "tiny"
     assert _run("simulate", "--out", str(out), "--n", "2", "--alpha", "1") == 0

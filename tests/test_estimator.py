@@ -13,7 +13,7 @@ from pact.estimator import (
     thin_dn_curve,
     write_dn_csv,
 )
-from pact.generator import RecordFlags, grow_tree
+from pact.generator import grow_tree
 from pact.leaf_process import LeafTrajectory, p_inf
 from pact.model_core import ChangePointSchedule, SeededRng
 
@@ -57,8 +57,8 @@ def test_split_means_window_errors():
 
 
 def test_split_means_direction_on_simulated_change():
-    tree = grow_tree(SINGLE, 20_000, SeededRng(60), RecordFlags(leaves=True))
-    before, after = split_means(tree.leaf_trajectory, 0.5, 0.1)
+    tree = grow_tree(SINGLE, 20_000, SeededRng(60))
+    before, after = split_means(tree.leaf_trajectory(), 0.5, 0.1)
     assert after > before  # leaves become more frequent after the offset drops
 
 
@@ -69,7 +69,7 @@ def test_dn_curve_constant_is_zero():
 
 
 def _simulated_traj(n: int, seed: int) -> LeafTrajectory:
-    return grow_tree(SINGLE, n, SeededRng(seed), RecordFlags(leaves=True)).leaf_trajectory
+    return grow_tree(SINGLE, n, SeededRng(seed)).leaf_trajectory()
 
 
 @pytest.mark.parametrize("make, epsilon", [
@@ -87,8 +87,8 @@ def test_dn_curve_bits_match_direct_expression(make, epsilon):
 
 def test_dn_affine_invariance():
     n = 2000
-    tree = grow_tree(SINGLE, n, SeededRng(61), RecordFlags(leaves=True))
-    traj = tree.leaf_trajectory
+    tree = grow_tree(SINGLE, n, SeededRng(61))
+    traj = tree.leaf_trajectory()
     ms = np.arange(2, n + 1)
     shifted = LeafTrajectory(n=n, counts=traj.counts + 0.17 * ms)
     base = dn_curve(traj, EstimatorConfig())
@@ -118,8 +118,8 @@ def test_gamma_hat_widening_threshold_moves_right():
 
 def test_dn_curve_shape_on_simulated_change():
     # flat plateau up to the change point, then a decay to zero at t=1
-    tree = grow_tree(SINGLE, 200_000, SeededRng(62), RecordFlags(leaves=True))
-    curve = dn_curve(tree.leaf_trajectory, EstimatorConfig(epsilon=0.1))
+    tree = grow_tree(SINGLE, 200_000, SeededRng(62))
+    curve = dn_curve(tree.leaf_trajectory(), EstimatorConfig(epsilon=0.1))
     ts, dn = curve.ts, curve.values
 
     def band_mean(lo, hi):

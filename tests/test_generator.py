@@ -7,7 +7,6 @@ from scipy import stats
 from oracles import AttachmentSampler, grow_tree_sequential
 from pact.generator import (
     GrowingTree,
-    RecordFlags,
     degree_histogram,
     grow_tree,
     load_tree,
@@ -75,9 +74,9 @@ def test_grow_tree_minimum_size_forced_edge():
 
 def test_grow_tree_structural_invariants_multi_segment():
     s = ChangePointSchedule(alpha=0.5, segments=((0.3, 2.0), (0.6, 0.7)))
-    tree = grow_tree(s, 5000, SeededRng(5), RecordFlags(leaves=True))
+    tree = grow_tree(s, 5000, SeededRng(5))
     tree.check_invariants()
-    tree.leaf_trajectory.check_invariants()
+    tree.leaf_trajectory().check_invariants()
 
 
 def test_grow_tree_three_vertex_law():
@@ -146,10 +145,10 @@ def _sized_schedules(draw):
 @example(case=(10, ChangePointSchedule(alpha=0.0, segments=((0.51, 3.0), (0.55, 0.2)))), seed=2)
 def test_grow_tree_matches_sequential_reference(case, seed):
     n, schedule = case
-    tree = grow_tree(schedule, n, SeededRng(seed, 5), RecordFlags(leaves=True))
+    tree = grow_tree(schedule, n, SeededRng(seed, 5))
     parent, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 5))
     assert np.array_equal(tree.parent, parent)
-    assert np.array_equal(tree.leaf_trajectory.counts, counts)
+    assert np.array_equal(tree.leaf_trajectory().counts, counts)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -158,16 +157,16 @@ def test_grow_tree_matches_sequential_reference(case, seed):
 @example(case=(3, PLAIN), seed=3, data=None)
 def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data):
     n, schedule = case
-    tree = grow_tree(schedule, n, SeededRng(seed, 6), RecordFlags(leaves=True))
+    tree = grow_tree(schedule, n, SeededRng(seed, 6))
     _, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 6))
     root_children = np.flatnonzero(tree.parent[3:] == 1) + 3
     second = int(root_children[0]) if root_children.size else n
     drawn = [] if data is None else data.draw(st.lists(st.integers(2, n), max_size=8))
     # the first and last steps, and the steps around the root's second child
     steps = np.unique([2, n, second, max(second - 1, 2), *drawn])
-    assert np.array_equal(tree.leaf_counts(steps), tree.leaf_trajectory.counts[steps - 2])
+    assert np.array_equal(tree.leaf_counts(steps), tree.leaf_trajectory().counts[steps - 2])
     assert np.array_equal(tree.leaf_counts(steps), counts[steps - 2])
-    assert np.array_equal(tree.leaf_trajectory.leaf_counts(steps), counts[steps - 2])
+    assert np.array_equal(tree.leaf_trajectory().leaf_counts(steps), counts[steps - 2])
     assert np.array_equal(tree.leaf_counts(np.arange(2, n + 1)), counts)
 
 
@@ -179,8 +178,8 @@ def test_leaf_counts_reject_steps_outside_the_tree(steps):
 
 
 def test_leaf_trajectory_matches_truncated_histograms():
-    tree = grow_tree(SINGLE, 2000, SeededRng(8), RecordFlags(leaves=True))
-    traj = tree.leaf_trajectory
+    tree = grow_tree(SINGLE, 2000, SeededRng(8))
+    traj = tree.leaf_trajectory()
     rng = np.random.default_rng(0)
     for m in rng.integers(2, 2001, size=100):
         hist = degree_histogram(tree, upto=int(m))
@@ -188,8 +187,8 @@ def test_leaf_trajectory_matches_truncated_histograms():
 
 
 def test_leaf_fraction_alpha_zero_no_change_point():
-    tree = grow_tree(ChangePointSchedule(alpha=0.0), 100_000, SeededRng(9), RecordFlags(leaves=True))
-    frac = tree.leaf_trajectory.counts[-1] / 100_000
+    tree = grow_tree(ChangePointSchedule(alpha=0.0), 100_000, SeededRng(9))
+    frac = tree.leaf_trajectory().counts[-1] / 100_000
     assert abs(frac - 2.0 / 3.0) < 0.01
 
 
@@ -219,6 +218,12 @@ def test_degree_histogram_hand_examples():
     assert degree_histogram(path).counts.tolist() == [0, 2, 1]
 
 
+@pytest.mark.parametrize("upto", [1, 4])
+def test_degree_histogram_rejects_truncation_outside_the_tree(upto):
+    with pytest.raises(ValueError, match="truncation size"):
+        degree_histogram(_path3(), upto=upto)
+
+
 def test_degree_histogram_handshake_identity():
     tree = grow_tree(SINGLE, 1000, SeededRng(11))
     hist = degree_histogram(tree)
@@ -231,18 +236,18 @@ def test_max_degree():
     assert max_degree(_path3()) == 2
 
 
-def test_out_degree_is_counted_from_the_parents():
-    assert _star4().out_degree.tolist() == [0, 3, 0, 0, 0]
-    assert _path3().out_degree.tolist() == [0, 1, 1, 0]
+def test_total_degrees_are_counted_from_the_parents():
+    assert _star4().total_degrees().tolist() == [3, 1, 1, 1]
+    assert _star4().total_degrees(3).tolist() == [2, 1, 1]
+    assert _path3().total_degrees().tolist() == [1, 2, 1]
+    assert _path3().total_degrees(2).tolist() == [1, 1]
     tree = grow_tree(SINGLE, 500, SeededRng(17))
-    assert np.array_equal(tree.out_degree, np.bincount(tree.parent[2:], minlength=501))
-
-
-def test_degree_checkpoints_recorded():
-    tree = grow_tree(SINGLE, 1000, SeededRng(12), RecordFlags(degree_checkpoints=(100, 500)))
-    assert set(tree.degree_snapshots) == {100, 500}
-    assert tree.degree_snapshots[100].n == 100
-    tree.degree_snapshots[500].check_invariants()
+    for m in (2, 137, 500):
+        children = [np.count_nonzero(tree.parent[2 : m + 1] == v) for v in range(1, m + 1)]
+        expected = np.array(children) + 1
+        expected[0] -= 1
+        assert np.array_equal(tree.total_degrees(m), expected)
+    assert np.array_equal(tree.total_degrees(), tree.total_degrees(500))
 
 
 def test_tree_binary_round_trip(tmp_path):
@@ -252,7 +257,7 @@ def test_tree_binary_round_trip(tmp_path):
     back = load_tree(path)
     assert back.n == tree.n
     assert np.array_equal(back.parent, tree.parent)
-    assert np.array_equal(back.out_degree, tree.out_degree)
+    assert np.array_equal(back.total_degrees(), tree.total_degrees())
     raw = path.read_bytes()
     assert raw[:4] == b"PACT"
     assert int.from_bytes(raw[12:20], "little") == 777
@@ -311,12 +316,12 @@ def test_edge_csv_format(tmp_path):
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    tree = grow_tree(SINGLE, 300, SeededRng(14), RecordFlags(leaves=True))
+    tree = grow_tree(SINGLE, 300, SeededRng(14))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(tree.leaf_trajectory, path)
+    write_trajectory_csv(tree.leaf_trajectory(), path)
     back = read_trajectory_csv(path)
     assert back.n == 300
-    assert np.array_equal(back.counts, tree.leaf_trajectory.counts)
+    assert np.array_equal(back.counts, tree.leaf_trajectory().counts)
     assert path.read_text().splitlines()[0] == "m,leaf_count"
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_leaves, nonroot_leaf_counts, w_m
-from pact.generator import RecordFlags, grow_tree
+from pact.generator import grow_tree
 from pact.leaf_process import (
     LeafTrajectory,
     delta_exponent,
@@ -311,18 +311,18 @@ def _gn_path_every_step(trajectory, schedule, grid):
 @example(n=997, grid=[1e-9, 1 / 997, 1.5 / 997, 2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0])
 def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
-    tree = grow_tree(SINGLE, n, SeededRng(52, n), RecordFlags(leaves=True))
-    path = gn_path(tree.leaf_trajectory, SINGLE, grid)
-    assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory, SINGLE, grid))
+    tree = grow_tree(SINGLE, n, SeededRng(52, n))
+    path = gn_path(tree.leaf_trajectory(), SINGLE, grid)
+    assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory(), SINGLE, grid))
     # the tree itself, which counts leaves from its parents, gives the same bits
     assert np.array_equal(gn_path(tree, SINGLE, grid), path)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
-    tree = grow_tree(SINGLE, 100, SeededRng(53), RecordFlags(leaves=True))
+    tree = grow_tree(SINGLE, 100, SeededRng(53))
     with pytest.raises(ValueError, match="grid must lie"):
-        gn_path(tree.leaf_trajectory, SINGLE, grid)
+        gn_path(tree.leaf_trajectory(), SINGLE, grid)
 
 
 def test_gn_ensemble_light():
@@ -330,8 +330,8 @@ def test_gn_ensemble_light():
     grid = np.array([0.5, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, SeededRng(50, r), RecordFlags(leaves=True))
-        rows[r] = gn_path(tree.leaf_trajectory, SINGLE, grid)
+        tree = grow_tree(SINGLE, n, SeededRng(50, r))
+        rows[r] = gn_path(tree.leaf_trajectory(), SINGLE, grid)
     se = rows.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(rows.mean(axis=0)) < 4 * se)
     target = variance_gn(0.5, SINGLE)
@@ -339,10 +339,10 @@ def test_gn_ensemble_light():
 
 
 def test_nonroot_counts_convention():
-    tree = grow_tree(SINGLE, 500, SeededRng(51), RecordFlags(leaves=True))
+    tree = grow_tree(SINGLE, 500, SeededRng(51))
     nonroot = nonroot_leaf_counts(tree)
     assert nonroot[0] == 1  # the 2-vertex tree has one non-root leaf
-    diffs = tree.leaf_trajectory.counts - nonroot
+    diffs = tree.leaf_trajectory().counts - nonroot
     assert set(np.unique(diffs)) <= {0, 1}
 
 
