@@ -11,7 +11,10 @@ One executable, five subcommands:
 Every run writes its artifacts plus a manifest.json (config echo, seed list,
 version, wall clock, output digests) into --out.  Configuration comes from an
 optional JSON file (--config) with per-key overrides from flags; flags win.
-Re-running with the same merged config reproduces byte-identical CSVs.
+A subcommand takes only the flags it reads.  main() checks the merged config,
+builds the schedule (for estimate: the d_limit overlay and the loaded
+trajectories) once, and hands it to the subcommand before anything is
+written.  Re-running with the same merged config reproduces byte-identical CSVs.
 --threads sets the worker pool size; every subcommand defaults to 1, one
 process, and gives the same bytes with any pool size.
 """
@@ -29,7 +32,6 @@ import numpy as np
 from . import __version__
 from .estimator import (
     EstimateReport,
-    EstimatorConfig,
     dn_curve,
     gamma_hat,
     limit_D,
@@ -61,7 +63,7 @@ from .limit_laws import (
     sample_d_theta_multi,
     write_pmf_csv,
 )
-from .model_core import ChangePointSchedule, SeededRng, write_csv
+from .model_core import ChangePointSchedule, seeded_generator, write_csv
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
 # smallest accepted value of each count a subcommand reads from its config
@@ -143,7 +145,7 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
 
 def _simulate_rep(task: tuple) -> list[str]:
     schedule, n, seed, stream, save_trees, edges, checkpoints, out = task
-    tree = grow_tree(schedule, n, SeededRng(seed, stream))
+    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
     out_dir = Path(out)
     written = []
     tag = f"r{stream:03d}"
@@ -168,8 +170,7 @@ def _simulate_rep(task: tuple) -> list[str]:
     return written
 
 
-def cmd_simulate(cfg: dict, out_dir: Path) -> list[dict]:
-    schedule = _schedule_from(cfg)
+def cmd_simulate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
     n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
     tasks = [
         (schedule, n, seed, rep, bool(cfg["save_trees"]), bool(cfg["edges"]),
@@ -182,8 +183,7 @@ def cmd_simulate(cfg: dict, out_dir: Path) -> list[dict]:
 
 # ---------------------------------------------------------------- limits
 
-def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
-    schedule = _schedule_from(cfg)
+def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
     seed = int(cfg["seed"])
     kmax = int(cfg["kmax"])
     table = p_alpha_table(schedule.alpha, kmax)
@@ -193,7 +193,7 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.num_change_points >= 1:
-        batch = sample_d_theta_multi(schedule, SeededRng(seed, 0), int(cfg["draws"]),
+        batch = sample_d_theta_multi(schedule, seeded_generator(seed), int(cfg["draws"]),
                                      float(cfg["horizon_t"]))
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
         ks, cc = ccdf_from_samples(batch.values)
@@ -209,13 +209,13 @@ def cmd_limits(cfg: dict, out_dir: Path) -> list[dict]:
 
 def _estimate_task(task: tuple) -> EstimateReport:
     """Estimate one trajectory; write its report_<tag>.json and thinned dn_curve_<tag>.csv."""
-    traj, config, schedule, out_dir, tag = task
-    curve = dn_curve(traj, config)
-    report = gamma_hat(curve, config)
+    traj, epsilon, overlay, out_dir, tag = task
+    curve = dn_curve(traj, epsilon)
+    report = gamma_hat(curve)
     curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
     d_lim = None
-    if schedule is not None:
-        d_lim = np.asarray(limit_D(curve.ts, schedule, config.epsilon))
+    if overlay is not None:
+        d_lim = np.asarray(limit_D(curve.ts, overlay, epsilon))
     write_report_json(report, out_dir / f"report_{tag}.json")
     write_dn_csv(curve, out_dir / f"dn_curve_{tag}.csv", d_lim)
     return report
@@ -230,11 +230,11 @@ def _overlay(cfg: dict) -> ChangePointSchedule | None:
     return _schedule_from(cfg)
 
 
-def cmd_estimate(cfg: dict, out_dir: Path, trajectories: list[LeafTrajectory]) -> list[dict]:
+def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
+                 trajectories: list[LeafTrajectory]) -> list[dict]:
     """Estimate on the trajectories main() loaded from cfg["trajectories"], one pool task each."""
-    schedule = _overlay(cfg)
-    config = EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
-    tasks = [(traj, config, schedule, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
+    epsilon = float(cfg["epsilon"])
+    tasks = [(traj, epsilon, overlay, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
     reports = _pool_map(_estimate_task, tasks, int(cfg["threads"]))
     rows = [(Path(traj_path).name, "" if r.gamma_hat is None else r.gamma_hat, r.dn_star,
              int(r.detected)) for traj_path, r in zip(cfg["trajectories"], reports)]
@@ -249,13 +249,12 @@ def _fclt_task(task: tuple):
     """One tree's G_n path on the t grid, or, when ups_reps is set, the duration sample."""
     schedule, n, seed, stream, t_grid, ups_reps = task
     if ups_reps:
-        return upsilon_clt_sample(schedule, n, ups_reps, SeededRng(seed, stream))
-    tree = grow_tree(schedule, n, SeededRng(seed, stream))
+        return upsilon_clt_sample(schedule, n, ups_reps, seeded_generator(seed, stream))
+    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
     return list(gn_path(tree, schedule, t_grid))
 
 
-def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
-    schedule = _schedule_from(cfg)
+def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
     n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
     t_grid = [float(t) for t in cfg["t_grid"]]
     tasks = [(schedule, n, seed, rep, t_grid, 0) for rep in range(reps)]
@@ -284,12 +283,11 @@ def cmd_fclt(cfg: dict, out_dir: Path) -> list[dict]:
 
 def _maxdeg_rep(task: tuple) -> int:
     schedule, n, seed, stream = task
-    tree = grow_tree(schedule, n, SeededRng(seed, stream))
+    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
     return max_degree(tree)
 
 
-def cmd_maxdeg(cfg: dict, out_dir: Path) -> list[dict]:
-    schedule = _schedule_from(cfg)
+def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
     reps, seed = int(cfg["reps"]), int(cfg["seed"])
     n_list = [int(n) for n in cfg["n_list"]]
     exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
@@ -314,10 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(command: str, help: str) -> argparse.ArgumentParser:
+        """The subcommand's parser, with --seed and --reps only where _DEFAULTS holds them."""
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
-        p.add_argument("--reps", type=int, default=None, help="ensemble replications")
+        if "seed" in _DEFAULTS[command]:
+            p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
+        if "reps" in _DEFAULTS[command]:
+            p.add_argument("--reps", type=int, default=None, help="ensemble replications")
         p.add_argument("--threads", type=int, default=None, help="worker pool size")
         p.add_argument("--out", type=str, required=True, help="output directory")
         p.add_argument("--alpha", type=float, default=None)
@@ -325,37 +327,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="post-change offset (repeat for multiple change points)")
         p.add_argument("--gamma", type=float, action="append", default=None,
                        help="change-point fraction (repeat for multiple change points)")
+        return p
 
-    p = sub.add_parser("simulate", help="grow trees and record statistics")
-    common(p)
+    p = common("simulate", "grow trees and record statistics")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--no-trees", dest="save_trees", action="store_false", default=None)
     p.add_argument("--edges", action="store_true", default=None)
     p.add_argument("--checkpoint", dest="checkpoints", type=int, action="append", default=None,
                    help="record a degree histogram at this size (repeatable)")
 
-    p = sub.add_parser("limits", help="limit-law tables and curves")
-    common(p)
+    p = common("limits", "limit-law tables and curves")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--horizon-t", dest="horizon_t", type=float, default=None)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--curve-points", dest="curve_points", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("estimate", help="change-point reports from trajectories")
-    common(p)
+    p = common("estimate", "change-point reports from trajectories")
     p.add_argument("--trajectory", dest="trajectories", type=str, action="append",
                    default=None, help="trajectory CSV (repeatable)")
     p.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("fclt", help="scaled leaf-count moments and duration CLT sample")
-    common(p)
+    p = common("fclt", "scaled leaf-count moments and duration CLT sample")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", dest="t_grid", type=float, action="append", default=None)
     p.add_argument("--upsilon-reps", dest="upsilon_reps", type=int, default=None)
 
-    p = sub.add_parser("maxdeg", help="maximal degree ensemble across sizes")
-    common(p)
+    p = common("maxdeg", "maximal degree ensemble across sizes")
     p.add_argument("--n", dest="n_list", type=int, action="append", default=None,
                    help="tree size (repeatable)")
 
@@ -372,9 +370,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    inputs = {}  # loaded input files, handed to the command
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:  # a flag the subcommand does not read fails like a bad value
+            raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
         cfg = _merge_config(args.command, args)
         # validate the full configuration before any side effect
         for key, low in _MINIMUM.items():
@@ -383,17 +382,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
-            EstimatorConfig(epsilon=float(cfg["epsilon"])).validate()
             overlay = _overlay(cfg)
-            if overlay is not None and not float(cfg["epsilon"]) < overlay.segments[0].gamma:
-                raise ValueError(f"the d_limit overlay needs epsilon < gamma_1 = "
-                                 f"{overlay.segments[0].gamma}, got {cfg['epsilon']}")
+            upper = 1 if overlay is None else overlay.segments[0].gamma  # d_limit's domain
+            if not 0.0 < float(cfg["epsilon"]) < upper:
+                raise ValueError(f"epsilon must lie in (0, {upper}), got {cfg['epsilon']}")
             for t in cfg["trajectories"]:
                 if not Path(t).is_file():
                     raise ValueError(f"trajectory file not found: {t}")
-            inputs["trajectories"] = [read_trajectory_csv(t) for t in cfg["trajectories"]]
+            inputs = {"overlay": overlay,
+                      "trajectories": [read_trajectory_csv(t) for t in cfg["trajectories"]]}
         else:
             schedule = _schedule_from(cfg)
+            inputs = {"schedule": schedule}
         if args.command == "simulate":
             bad = [m for m in cfg["checkpoints"] if not 2 <= int(m) <= int(cfg["n"])]
             if bad:

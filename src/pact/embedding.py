@@ -12,23 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model_core import (
-    ChangePointSchedule,
-    RngLike,
-    as_generator,
-    write_csv,
-)
+from .model_core import ChangePointSchedule, write_csv
 
 
 def upsilon_limit(schedule: ChangePointSchedule) -> float:
     """Limit of the after-change duration: log(1/gamma) / (2+beta)."""
     if schedule.num_change_points != 1:
         raise ValueError("limit defined for exactly one change point")
-    return float(np.log(1.0 / schedule.gamma) / (2.0 + schedule.beta))
+    gamma, beta = schedule.segments[0]
+    return float(np.log(1.0 / gamma) / (2.0 + beta))
 
 
 def upsilon_clt_sample(
-    schedule: ChangePointSchedule, n: int, reps: int, rng: RngLike
+    schedule: ChangePointSchedule, n: int, reps: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Standardized after-change durations sqrt(n)(Y - a)(2+beta)sqrt(gamma/(1-gamma)).
 
@@ -41,8 +37,7 @@ def upsilon_clt_sample(
         raise ValueError("reps must be >= 1")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    gen = as_generator(rng)
-    beta, gamma = schedule.beta, schedule.gamma
+    gamma, beta = schedule.segments[0]
     m0 = int(np.floor(gamma * n))
     sizes = np.arange(max(m0, 1), n, dtype=np.float64)
     rates = (2.0 + beta) * sizes - 1.0

@@ -8,10 +8,12 @@ windows (n*eps, n*t] and (n*t, n] of steps:
 Window averages are empirical means over the integer steps they contain, so a
 constant trajectory gives exactly (c, c) at every t and D_n == 0, and adding
 a constant to every proportion leaves D_n unchanged.  The estimate is the
-right edge of the near-max set {t : D_n(t) >= D_n* - threshold} with
-threshold log(n)/sqrt(n); a detection floor converts the degenerate flat
-curve (no change, or signal below the resolvable scale) into "no change
-detected" instead of a meaningless estimate near 1.
+right edge of the near-max set {t : D_n(t) >= D_n* - threshold} with the
+prescribed threshold log(n)/sqrt(n) (``near_max_threshold``); a detection
+floor of twice that converts the degenerate flat curve (no change, or signal
+below the resolvable scale) into "no change detected" instead of a
+meaningless estimate near 1: D_n is detected only when its maximum D_n*
+exceeds the floor.
 
 The population curve D (``limit_D``) is flat on [eps, gamma_1] and joins
 that plateau with zero slope at the first change point gamma_1:
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,37 +39,9 @@ from .model_core import ChangePointSchedule, write_csv
 DN_CSV_ROWS = 2001
 
 
-@dataclass
-class EstimatorConfig:
-    """Tuning of the offline estimator.
-
-    Thresholds default to log(n)/sqrt(n) for the near-max set and twice that
-    for the detection floor.
-    """
-
-    epsilon: float = 0.1
-    near_max_threshold: float | None = None
-    detection_floor: float | None = None
-
-    def resolve_threshold(self, n: int) -> float:
-        if self.near_max_threshold is not None:
-            return float(self.near_max_threshold)
-        return math.log(n) / math.sqrt(n)
-
-    def resolve_floor(self, n: int) -> float:
-        if self.detection_floor is not None:
-            return float(self.detection_floor)
-        return 2.0 * math.log(n) / math.sqrt(n)
-
-    def validate(self) -> "EstimatorConfig":
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        # written as "not ... " so that NaN fails the check too
-        if self.near_max_threshold is not None and not self.near_max_threshold > 0:
-            raise ValueError(f"near_max_threshold must be > 0, got {self.near_max_threshold}")
-        if self.detection_floor is not None and not self.detection_floor >= 0:
-            raise ValueError(f"detection_floor must be >= 0, got {self.detection_floor}")
-        return self
+def near_max_threshold(n: int) -> float:
+    """Threshold log(n)/sqrt(n) of the near-max set; the detection floor is twice it."""
+    return math.log(n) / math.sqrt(n)
 
 
 @dataclass
@@ -80,10 +54,12 @@ class DnCurve:
 
 @dataclass
 class EstimateReport:
-    """Estimator output: curve maximum, near-max set summary, estimate, flag."""
+    """Estimator output: estimate, curve maximum, flag, near-max set summary.
 
-    dn_star: float
+    Fields are in the key order of report_*.json."""
+
     gamma_hat: float | None
+    dn_star: float
     detected: bool
     epsilon: float
     threshold: float
@@ -91,19 +67,6 @@ class EstimateReport:
     near_max_min: float
     near_max_max: float
     n: int
-
-    def to_json(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "dn_star": self.dn_star,
-            "detected": self.detected,
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "detection_floor": self.detection_floor,
-            "near_max_min": self.near_max_min,
-            "near_max_max": self.near_max_max,
-            "n": self.n,
-        }
 
 
 def _prefix_sums(trajectory: LeafTrajectory) -> np.ndarray:
@@ -118,7 +81,7 @@ def _window_bounds(n: int, epsilon: float) -> int:
     return max(int(math.floor(n * epsilon)), 1)
 
 
-def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
+def dn_curve(trajectory: LeafTrajectory, epsilon: float) -> DnCurve:
     """Evaluate D_n at t = m/n for every step m with n*epsilon < m < n, then at t = 1.
 
     The t=1 endpoint is assigned 0 by continuity of the (1-t) factor, so the
@@ -126,9 +89,10 @@ def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
     the curve's length; the window sizes m - m_lo and n - m are exact in
     float64, so each value has the bits of the direct array expression.
     """
-    config.validate()
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     n = trajectory.n
-    m_lo = _window_bounds(n, config.epsilon)
+    m_lo = _window_bounds(n, epsilon)
     prefix = _prefix_sums(trajectory)
     k = n - 1 - m_lo  # steps m_lo+1 .. n-1
     ts = np.empty(k + 1)
@@ -147,13 +111,13 @@ def dn_curve(trajectory: LeafTrajectory, config: EstimatorConfig) -> DnCurve:
     np.abs(dn, out=dn)
     np.subtract(1.0, ts[:k], out=sizes)
     dn *= sizes
-    return DnCurve(ts=ts, values=values, n=n, epsilon=config.epsilon)
+    return DnCurve(ts=ts, values=values, n=n, epsilon=epsilon)
 
 
-def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
+def gamma_hat(curve: DnCurve) -> EstimateReport:
     """Right edge of the near-max set of D_n, with a no-change detection floor."""
-    threshold = config.resolve_threshold(curve.n)
-    floor = config.resolve_floor(curve.n)
+    threshold = near_max_threshold(curve.n)
+    floor = 2.0 * math.log(curve.n) / math.sqrt(curve.n)
     dn_star = float(curve.values.max())
     near = curve.values >= dn_star - threshold  # holds the maximum, so never empty
     # ts ascends: the set's edges are its first and last members, found without a gather
@@ -161,8 +125,8 @@ def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
     near_max = float(curve.ts[near.size - 1 - np.argmax(near[::-1])])
     detected = dn_star > floor
     return EstimateReport(
-        dn_star=dn_star,
         gamma_hat=near_max if detected else None,
+        dn_star=dn_star,
         detected=detected,
         epsilon=curve.epsilon,
         threshold=threshold,
@@ -171,11 +135,6 @@ def gamma_hat(curve: DnCurve, config: EstimatorConfig) -> EstimateReport:
         near_max_max=near_max,
         n=curve.n,
     )
-
-
-def estimate(trajectory: LeafTrajectory, config: EstimatorConfig | None = None) -> EstimateReport:
-    config = config or EstimatorConfig()
-    return gamma_hat(dn_curve(trajectory, config), config)
 
 
 def limit_H(s: float, t: float, schedule: ChangePointSchedule) -> float:
@@ -249,5 +208,5 @@ def write_dn_csv(curve: DnCurve, path, d_limit: np.ndarray | None = None) -> Non
 
 def write_report_json(report: EstimateReport, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(report.to_json(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")

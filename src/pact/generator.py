@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_process import LeafTrajectory
-from .model_core import (
-    ChangePointSchedule,
-    RngLike,
-    as_generator,
-    write_csv,
-)
+from .model_core import ChangePointSchedule, write_csv
 
 _MAGIC = b"PACT"
 _FORMAT_VERSION = 1
@@ -121,14 +116,13 @@ class GrowingTree:
             raise AssertionError("parents must be earlier vertices")
 
 
-def grow_tree(schedule: ChangePointSchedule, n: int, rng: RngLike) -> GrowingTree:
+def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -> GrowingTree:
     """Grow an n-vertex tree under the schedule's attachment offsets.
 
     Vertex m+1 attaches under the offset of the segment containing step m+1.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    gen = as_generator(rng)
 
     # entering vertex m = i + 2 joins a tree of size s = i + 1; one draw gives
     # coin (the mixture choice) and pick (the uniform index) for every step

@@ -25,12 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model_core import (
-    ChangePointSchedule,
-    RngLike,
-    as_generator,
-    write_csv,
-)
+from .model_core import ChangePointSchedule, write_csv
 
 
 _TAIL_TOL = 1e-12
@@ -79,9 +74,8 @@ def _alpha_cdf(alpha: float) -> np.ndarray:
     return np.cumsum(table[1:])
 
 
-def sample_d_alpha(alpha: float, size: int, rng: RngLike) -> np.ndarray:
+def sample_d_alpha(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
     """Inverse-CDF draws from p_alpha over the cached prefix table."""
-    gen = as_generator(rng)
     cdf = _alpha_cdf(alpha)
     u = gen.random(size)
     idx = np.searchsorted(cdf, u)
@@ -89,17 +83,17 @@ def sample_d_alpha(alpha: float, size: int, rng: RngLike) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1).astype(np.int64) + 1
 
 
-def point_counts_nb(start_ranks, beta: float, durations, rng: RngLike) -> np.ndarray:
-    """Closed-form counts: negative binomial with size rank+beta, success prob e^{-t}."""
-    gen = as_generator(rng)
+def point_counts_nb(start_ranks, beta: float, durations, gen: np.random.Generator) -> np.ndarray:
+    """Closed-form counts: negative binomial with size rank+beta, success prob e^{-t}.
+
+    The ranks or the durations are an array; the other may be a scalar.
+    """
     ranks = np.asarray(start_ranks, dtype=np.float64)
     durs = np.asarray(durations, dtype=np.float64)
-    if ranks.ndim == 0 and durs.ndim == 0:
-        return gen.negative_binomial(float(ranks) + beta, float(np.exp(-durs)))
     return gen.negative_binomial(ranks + beta, np.exp(-durs))
 
 
-def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
+def sample_age(a: float, rate: float, gen: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-CDF draws from the truncated exponential on [0, a].
 
     CDF: (1 - exp(-rate*s)) / (1 - exp(-rate*a)).  The rate accompanying the
@@ -109,8 +103,7 @@ def sample_age(a: float, rate: float, rng: RngLike, size: int | None = None):
         raise ValueError(f"truncation level must be > 0, got {a}")
     if rate <= 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    gen = as_generator(rng)
-    u = gen.random() if size is None else gen.random(size)
+    u = gen.random(size)
     return -np.log1p(-u * -np.expm1(-rate * a)) / rate
 
 
@@ -129,7 +122,7 @@ class DegreeSampleBatch:
 
 
 def sample_d_theta(
-    schedule: ChangePointSchedule, rng: RngLike, size: int, horizon: float = 1.0
+    schedule: ChangePointSchedule, gen: np.random.Generator, size: int, horizon: float = 1.0
 ) -> DegreeSampleBatch:
     """Draws from the limiting degree law of a single-change-point model.
 
@@ -139,7 +132,7 @@ def sample_d_theta(
     """
     if schedule.num_change_points != 1:
         raise ValueError("sample_d_theta needs exactly one change point")
-    return sample_d_theta_multi(schedule, rng, size, horizon)
+    return sample_d_theta_multi(schedule, gen, size, horizon)
 
 
 def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:
@@ -151,7 +144,7 @@ def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np
 
 
 def sample_d_theta_multi(
-    schedule: ChangePointSchedule, rng: RngLike, size: int, horizon: float = 1.0
+    schedule: ChangePointSchedule, gen: np.random.Generator, size: int, horizon: float = 1.0
 ) -> DegreeSampleBatch:
     """Draws from the limiting degree law with k >= 1 change points at horizon t.
 
@@ -171,7 +164,6 @@ def sample_d_theta_multi(
     last = schedule.segments[-1].gamma
     if not last < horizon <= 1.0:
         raise ValueError(f"horizon must lie in ({last}, 1], got {horizon}")
-    gen = as_generator(rng)
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
     u = gen.random(size)

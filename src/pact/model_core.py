@@ -1,5 +1,5 @@
-"""Shared domain types: attachment schedules, segment lookup, seeded RNG streams,
-and the CSV writer behind every artifact.
+"""Shared domain types: attachment schedules, segment lookup, seeded random
+generators, and the CSV writer behind every artifact.
 
 The model grows a rooted tree one vertex at a time.  Vertex m+1 attaches to
 an existing vertex v with probability proportional to out_degree(v) + 1 + c,
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,18 +68,6 @@ class ChangePointSchedule:
     def num_change_points(self) -> int:
         return len(self.segments)
 
-    @property
-    def gamma(self) -> float:
-        if len(self.segments) != 1:
-            raise ValueError("gamma is only defined for a single-change-point schedule")
-        return self.segments[0].gamma
-
-    @property
-    def beta(self) -> float:
-        if len(self.segments) != 1:
-            raise ValueError("beta is only defined for a single-change-point schedule")
-        return self.segments[0].beta
-
     def offsets(self) -> tuple[float, ...]:
         """Offsets per segment: (alpha, beta_1, ..., beta_k)."""
         return (self.alpha,) + tuple(s.beta for s in self.segments)
@@ -109,32 +97,15 @@ class ChangePointSchedule:
             raise ValueError(f"schedule is missing key {exc}") from None
 
 
-@dataclass(frozen=True)
-class SeededRng:
+def seeded_generator(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Reproducible counter-based random stream.
 
     Identical (seed, stream_id) pairs replay the identical sequence; distinct
     stream_ids give independent streams, so ensemble replications can run in
     parallel without coordination.
     """
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-RngLike = Union[SeededRng, np.random.Generator]
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, SeededRng):
-        return rng.generator()
-    raise TypeError(f"expected SeededRng or numpy Generator, got {type(rng)!r}")
+    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pact.model_core import ChangePointSchedule, as_generator
+from pact.model_core import ChangePointSchedule
 
 
 class AttachmentSampler:
@@ -40,18 +40,16 @@ class AttachmentSampler:
         self._parent.append(parent_vertex)
         return self.m
 
-    def sample(self, rng) -> int:
+    def sample(self, gen) -> int:
         """One draw from the attachment law (proportional to out-degree + 1 + offset)."""
-        gen = as_generator(rng)
         s = self.m
         copy_p = (s - 1) / ((2.0 + self.offset) * s - 1.0)
         if gen.random() < copy_p:
             return self._parent[int(gen.integers(2, s + 1))]
         return int(gen.integers(1, s + 1))
 
-    def sample_many(self, rng, size: int) -> np.ndarray:
+    def sample_many(self, gen, size: int) -> np.ndarray:
         """Draw `size` independent parents from the frozen current state."""
-        gen = as_generator(rng)
         s = self.m
         if s == 1:
             return np.ones(size, dtype=np.int64)
@@ -70,12 +68,11 @@ class AttachmentSampler:
         return weights / weights.sum()
 
 
-def sample_point_count(start_rank: int, beta: float, t: float, rng) -> int:
+def sample_point_count(start_rank: int, beta: float, t: float, gen) -> int:
     """Count points in [0, t] of the pure birth process by direct exponential waits.
 
     The m-th wait is exponential with rate (start_rank + m - 1 + beta).
     """
-    gen = as_generator(rng)
     elapsed, count, rate = 0.0, 0, start_rank + beta
     while True:
         elapsed += gen.exponential(1.0 / rate)
@@ -85,9 +82,8 @@ def sample_point_count(start_rank: int, beta: float, t: float, rng) -> int:
         rate += 1.0
 
 
-def point_counts_direct(start_rank: int, beta: float, t: float, size: int, rng) -> np.ndarray:
+def point_counts_direct(start_rank: int, beta: float, t: float, size: int, gen) -> np.ndarray:
     """Vectorized direct simulator (independent oracle for the negative-binomial closed form)."""
-    gen = as_generator(rng)
     elapsed = gen.standard_exponential(size) / (start_rank + beta)
     counts = np.zeros(size, dtype=np.int64)
     active = elapsed <= t
@@ -144,7 +140,7 @@ def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
     return offs
 
 
-def grow_tree_sequential(schedule: ChangePointSchedule, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def grow_tree_sequential(schedule: ChangePointSchedule, n: int, gen) -> tuple[np.ndarray, np.ndarray]:
     """The parent array and leaf counts N(2..n) of grow_tree, one step at a time.
 
     Reads the same draws as grow_tree: n - 1 mixture coins, then n - 1 uniform
@@ -152,7 +148,6 @@ def grow_tree_sequential(schedule: ChangePointSchedule, n: int, rng) -> tuple[np
     parent of the uniform vertex u in 2..s, which is already resolved, and a
     direct step takes the uniform vertex in 1..s.
     """
-    gen = as_generator(rng)
     coin = gen.random(n - 1).tolist()
     pick = gen.random(n - 1).tolist()
     parent = [0] * (n + 1)
@@ -263,7 +258,7 @@ class EmbeddingClock:
             raise AssertionError("tau must be strictly increasing")
 
 
-def holding_times(schedule: ChangePointSchedule, n: int, rng) -> EmbeddingClock:
+def holding_times(schedule: ChangePointSchedule, n: int, gen) -> EmbeddingClock:
     """The full embedding clock: tau[m+1] - tau[m] = E_m / ((2+c)m - 1).
 
     E_m are iid unit exponentials and c is the offset under which vertex m+1
@@ -273,7 +268,7 @@ def holding_times(schedule: ChangePointSchedule, n: int, rng) -> EmbeddingClock:
         raise ValueError(f"n must be >= 2, got {n}")
     rates = (2.0 + step_offsets(schedule, n)) * np.arange(1, n, dtype=np.float64) - 1.0
     tau = np.zeros(n + 1, dtype=np.float64)
-    tau[2:] = np.cumsum(as_generator(rng).standard_exponential(n - 1) / rates)
+    tau[2:] = np.cumsum(gen.standard_exponential(n - 1) / rates)
     return EmbeddingClock(n=n, tau=tau, schedule=schedule)
 
 
@@ -282,19 +277,19 @@ def upsilon(clock: EmbeddingClock, gamma: float | None = None) -> float:
     if gamma is None:
         if clock.schedule.num_change_points != 1:
             raise ValueError("upsilon needs exactly one change point (or an explicit gamma)")
-        gamma = clock.schedule.gamma
+        gamma = clock.schedule.segments[0].gamma
     m = int(np.floor(gamma * clock.n))
     return float(clock.tau[clock.n] - clock.tau[m])
 
 
-def malthusian_track(schedule: ChangePointSchedule, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def malthusian_track(schedule: ChangePointSchedule, n: int, gen) -> tuple[np.ndarray, np.ndarray]:
     """Pre-change stabilization track (tau[m], m * exp(-(2+alpha) tau[m])).
 
     The product settles to a positive random level as m grows, which is what
     makes the total elapsed time to any fixed fraction of n logarithmic in n.
     Covers m = 1..floor(gamma_1*n) (all of 1..n without a change point).
     """
-    clock = holding_times(schedule, n, rng)
+    clock = holding_times(schedule, n, gen)
     m_hi = max(int(np.floor(schedule.segments[0].gamma * n)) if schedule.segments else n, 1)
     tau = clock.tau[1 : m_hi + 1]
     return tau.copy(), np.arange(1, m_hi + 1) * np.exp(-(2.0 + schedule.alpha) * tau)

@@ -12,7 +12,7 @@ from scipy import stats
 
 from oracles import expected_leaves, nonroot_leaf_counts
 from pact.embedding import upsilon_clt_sample, upsilon_limit
-from pact.estimator import EstimateReport, EstimatorConfig, dn_curve, estimate, limit_D
+from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
 from pact.generator import degree_histogram, grow_tree, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
 from pact.limit_laws import (
@@ -23,7 +23,7 @@ from pact.limit_laws import (
     tail_exponent,
     tv_distance_upto,
 )
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 MULTI = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
@@ -38,12 +38,12 @@ def _criterion(tag: str, passed: bool, detail: str) -> None:
 
 def test_c01_degree_law_convergence():
     t0 = time.time()
-    tree = grow_tree(SINGLE, 500_000, SeededRng(1001))
+    tree = grow_tree(SINGLE, 500_000, seeded_generator(1001))
     emp = np.concatenate([[0.0], degree_histogram(tree).proportions(20)])
     gen_s = time.time() - t0
 
     t0 = time.time()
-    batch = sample_d_theta(SINGLE, SeededRng(1002), 1_000_000)
+    batch = sample_d_theta(SINGLE, seeded_generator(1002), 1_000_000)
     mc = batch.pmf(20)
     samp_s = time.time() - t0
 
@@ -69,7 +69,7 @@ def test_c02_exact_pmf_spot_values():
 def test_c03_tail_exponent_preserved():
     t0 = time.time()
     sched = ChangePointSchedule.single(0.0, 2.0, 0.5)
-    batch = sample_d_theta(sched, SeededRng(1003), 10_000_000)
+    batch = sample_d_theta(sched, seeded_generator(1003), 10_000_000)
     ks, cc = ccdf_from_samples(batch.values)
     slope = tail_exponent(ks, cc, 20, 200)
     elapsed = time.time() - t0
@@ -82,7 +82,7 @@ def test_c03_tail_exponent_preserved():
 
 
 def test_c04_leaf_limit_curve():
-    tree = grow_tree(SINGLE, 200_000, SeededRng(1004))
+    tree = grow_tree(SINGLE, 200_000, seeded_generator(1004))
     traj = tree.leaf_trajectory()
     ms = traj.steps()
     sel = ms >= 0.1 * traj.n
@@ -105,7 +105,7 @@ def test_c05_exact_expectation_oracle():
     ms = np.sort(picker.choice(np.arange(2, n + 1), size=20, replace=False))
     samples = np.empty((reps, ms.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, SeededRng(1006, r))
+        tree = grow_tree(SINGLE, n, seeded_generator(1006, r))
         samples[r] = nonroot_leaf_counts(tree)[ms - 2]
     means = samples.mean(axis=0)
     sds = samples.std(axis=0, ddof=1)
@@ -129,7 +129,7 @@ def _c06(tag: str, schedule: ChangePointSchedule, seed: int, t: float, target: f
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(schedule, n, SeededRng(seed, r))
+        tree = grow_tree(schedule, n, seeded_generator(seed, r))
         rows[r] = gn_path(tree.leaf_trajectory(), schedule, grid)
     var_t = rows[:, np.flatnonzero(grid == t)[0]].var(ddof=1)
     means = rows.mean(axis=0)
@@ -161,9 +161,9 @@ def test_c06_fclt_marginal_variance_two_change_points():
 def test_c07_upsilon_clt():
     t0 = time.time()
     n, reps = 100_000, 1000
-    z = upsilon_clt_sample(SINGLE, n, reps, SeededRng(1008))
+    z = upsilon_clt_sample(SINGLE, n, reps, seeded_generator(1008))
     ks_dist = stats.kstest(z, "norm").statistic
-    scale = (2.0 + SINGLE.beta) * np.sqrt(SINGLE.gamma / (1 - SINGLE.gamma)) * np.sqrt(n)
+    scale = (2.0 + SINGLE.segments[0].beta) * np.sqrt(SINGLE.segments[0].gamma / (1 - SINGLE.segments[0].gamma)) * np.sqrt(n)
     ups = upsilon_limit(SINGLE) + z / scale
     se = ups.std(ddof=1) / np.sqrt(reps)
     mean_gap = abs(ups.mean() - np.log(2.0) / 3.0)
@@ -178,20 +178,19 @@ def test_c07_upsilon_clt():
     )
 
 
-def _estimate_run(n: int, rng: SeededRng, config: EstimatorConfig) -> EstimateReport:
+def _estimate_run(n: int, gen: np.random.Generator, epsilon: float) -> EstimateReport:
     """Estimate from one simulated SINGLE trajectory; the tree is freed on return."""
-    tree = grow_tree(SINGLE, n, rng)
-    return estimate(tree.leaf_trajectory(), config)
+    tree = grow_tree(SINGLE, n, gen)
+    return gamma_hat(dn_curve(tree.leaf_trajectory(), epsilon))
 
 
-def _near_max_right_edge(n: int, config: EstimatorConfig) -> float:
+def _near_max_right_edge(n: int, eps: float) -> float:
     """t*_n: right edge of {t : D(t) >= D* - threshold_n} on SINGLE's population curve.
 
     D is flat on [eps, gamma] and decreasing on [gamma, 1], so bisect on [gamma, 1].
     """
-    eps = config.epsilon
-    target = limit_D(SINGLE.gamma, SINGLE, eps) - config.resolve_threshold(n)
-    lo, hi = SINGLE.gamma, 1.0
+    target = limit_D(SINGLE.segments[0].gamma, SINGLE, eps) - near_max_threshold(n)
+    lo, hi = SINGLE.segments[0].gamma, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if limit_D(mid, SINGLE, eps) >= target:
@@ -208,7 +207,7 @@ def _edge_curvature(epsilon: float) -> float:
     p'(gamma+) = chi (p_post - p_pre) / gamma, and the mean H[eps, t] leaves
     p_pre with zero slope and curvature p'(gamma+) / (gamma - eps).
     """
-    beta, gamma = SINGLE.beta, SINGLE.gamma
+    beta, gamma = SINGLE.segments[0].beta, SINGLE.segments[0].gamma
     p_pre = p_inf(gamma, SINGLE)
     p_post = (2.0 + beta) / (3.0 + 2.0 * beta)
     chi = (3.0 + 2.0 * beta) / (2.0 + beta)
@@ -218,23 +217,22 @@ def _edge_curvature(epsilon: float) -> float:
 
 def test_c08a_estimator_consistency():
     t0 = time.time()
-    n, seeds, tol = 10_000_000, 20, 0.02
-    config = EstimatorConfig(epsilon=0.1)
-    gamma = SINGLE.gamma
+    n, seeds, tol, epsilon = 10_000_000, 20, 0.02, 0.1
+    gamma = SINGLE.segments[0].gamma
 
     # population half: the near-max right edge t*_n decreases to gamma like
     # gamma + sqrt(threshold_n / kappa)
     sizes = [n * 10**k for k in range(10)]
-    edges = [_near_max_right_edge(m, config) for m in sizes]
-    kappa = _edge_curvature(config.epsilon)
-    rate = (edges[-1] - gamma) ** 2 * kappa / config.resolve_threshold(sizes[-1])
+    edges = [_near_max_right_edge(m, epsilon) for m in sizes]
+    kappa = _edge_curvature(epsilon)
+    rate = (edges[-1] - gamma) ** 2 * kappa / near_max_threshold(sizes[-1])
     shrinking = all(a > b > gamma for a, b in zip(edges, edges[1:]))
     population_ok = shrinking and abs(rate - 1.0) <= 0.01
 
     # sampling half: at n the estimates sit at the population edge t*_n = edges[0]
     t_star = edges[0]
     threshold = math.log(n) / math.sqrt(n)
-    reports = [_estimate_run(n, SeededRng(1009, r), config) for r in range(seeds)]
+    reports = [_estimate_run(n, seeded_generator(1009, r), epsilon) for r in range(seeds)]
     detected = sum(rep.detected for rep in reports)
     thresholds_ok = all(
         math.isclose(rep.threshold, threshold, rel_tol=1e-12)
@@ -253,7 +251,7 @@ def test_c08a_estimator_consistency():
         f"(need >=18), gamma_hat in {spread}, t*_n={t_star:.4f}; "
         f"threshold={threshold:.5f}, floor={2 * threshold:.5f} "
         f"(runs report these: {thresholds_ok}) "
-        f"vs plateau D*={limit_D(gamma, SINGLE, config.epsilon):.5f}; "
+        f"vs plateau D*={limit_D(gamma, SINGLE, epsilon):.5f}; "
         f"population t*_n for n=1e7..1e16 strictly decreasing to gamma: {shrinking}, "
         f"(t*-gamma)^2 kappa/threshold at 1e16 = {rate:.4f} (within 1% of 1); "
         f"{elapsed:.1f}s (<600)",
@@ -262,14 +260,14 @@ def test_c08a_estimator_consistency():
 
 def test_c08b_dn_curve_rate():
     t0 = time.time()
-    config = EstimatorConfig(epsilon=0.1)
+    epsilon = 0.1
     medians = {}
     for i, n in enumerate((10_000, 100_000)):
         sups = []
         for r in range(50):
-            tree = grow_tree(SINGLE, n, SeededRng(1010 + i, r))
-            curve = dn_curve(tree.leaf_trajectory(), config)
-            d_lim = np.asarray(limit_D(curve.ts, SINGLE, config.epsilon))
+            tree = grow_tree(SINGLE, n, seeded_generator(1010 + i, r))
+            curve = dn_curve(tree.leaf_trajectory(), epsilon)
+            d_lim = np.asarray(limit_D(curve.ts, SINGLE, epsilon))
             sups.append(float(np.max(np.abs(curve.values - d_lim))))
         medians[n] = float(np.median(sups))
     ratio = medians[10_000] / medians[100_000]
@@ -285,9 +283,9 @@ def test_c08b_dn_curve_rate():
 
 def test_c09_multi_change_point_law():
     t0 = time.time()
-    tree = grow_tree(MULTI, 500_000, SeededRng(1011))
+    tree = grow_tree(MULTI, 500_000, seeded_generator(1011))
     emp = np.concatenate([[0.0], degree_histogram(tree).proportions(20)])
-    batch = sample_d_theta_multi(MULTI, SeededRng(1012), 1_000_000)
+    batch = sample_d_theta_multi(MULTI, seeded_generator(1012), 1_000_000)
     tv = tv_distance_upto(emp, batch.pmf(20), 20)
     elapsed = time.time() - t0
     ok = tv < 0.01 and elapsed < 300
@@ -306,7 +304,7 @@ def test_c10_max_degree_scale():
     for i, n in enumerate((10_000, 100_000)):
         scaled = []
         for r in range(50):
-            tree = grow_tree(sched, n, SeededRng(1013 + i, r))
+            tree = grow_tree(sched, n, seeded_generator(1013 + i, r))
             scaled.append(max_degree(tree) / n**exponent)
         medians[n] = float(np.median(scaled))
     lo, hi = sorted([medians[10_000], medians[100_000]])

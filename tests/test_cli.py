@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from pact.cli import _pool_map, main
-from pact.estimator import DN_CSV_ROWS, EstimatorConfig, dn_curve, limit_D, write_dn_csv
+from pact.cli import _DEFAULTS, _pool_map, build_parser, main
+from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
 from pact.model_core import ChangePointSchedule
 
@@ -161,6 +161,9 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO, "--epsilon", "0.35"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--gamma", "0.5", "--beta", "1"],  # no alpha
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--alpha", "6"],  # no change point
+    ["limits", "--reps", "7"],  # flags the subcommand would ignore
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--seed", "99"],
+    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--reps", "4"],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -195,6 +198,14 @@ def test_maxdeg_k_is_an_unknown_config_key(tmp_path, capsys):
     assert _run("maxdeg", "--config", str(cfg), "--out", str(out)) == 2
     assert "unknown config keys" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_flag_is_a_config_key_of_its_subcommand():
+    subcommands = next(a for a in build_parser()._actions if a.choices).choices
+    assert set(subcommands) == set(_DEFAULTS)
+    for command, parser in subcommands.items():
+        keys = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert keys - set(_DEFAULTS[command]) - {"config", "out", "threads"} == set(), command
 
 
 def test_limits_outputs(tmp_path):
@@ -343,10 +354,9 @@ def test_estimate_writes_a_slice_of_a_long_dn_curve(tmp_path):
                for name in ("report_000.json", "report_001.json", "gamma_hats.csv")}
     assert digests == {"report_000.json": "01029a660c219088", "report_001.json": "262ca3d8b99661cf",
                        "gamma_hats.csv": "d4422d2e34636a3a"}
-    config = EstimatorConfig(epsilon=0.1)
     for i, path in enumerate((flat, step)):
         report = json.loads((out / f"report_{i:03d}.json").read_text())
-        curve = dn_curve(read_trajectory_csv(path), config)
+        curve = dn_curve(read_trajectory_csv(path), 0.1)
         rows = _dn_rows(out / f"dn_curve_{i:03d}.csv")
         assert DN_CSV_ROWS <= len(rows) <= DN_CSV_ROWS + 3 < len(curve.ts)
         idx = np.searchsorted(curve.ts, rows[:, 0])
@@ -364,7 +374,7 @@ def test_estimate_writes_a_short_dn_curve_whole(tmp_path):
     _hashed_trajectory(traj, 2200, 0.4, 0.8)
     out = tmp_path / "est"
     assert _run("estimate", "--out", str(out), "--trajectory", str(traj), *SINGLE) == 0
-    curve = dn_curve(read_trajectory_csv(traj), EstimatorConfig(epsilon=0.1))
+    curve = dn_curve(read_trajectory_csv(traj), 0.1)
     assert len(curve.ts) == 1980 <= DN_CSV_ROWS
     whole = tmp_path / "whole.csv"
     write_dn_csv(curve, whole, limit_D(curve.ts, ChangePointSchedule.single(6.0, 1.0, 0.5), 0.1))

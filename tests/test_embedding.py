@@ -4,7 +4,7 @@ from scipy import stats
 
 from oracles import holding_times, malthusian_track, upsilon
 from pact.embedding import upsilon_clt_sample, upsilon_limit
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 PLAIN = ChangePointSchedule(alpha=0.0)
@@ -12,7 +12,7 @@ PLAIN = ChangePointSchedule(alpha=0.0)
 
 def test_first_holding_time_mean():
     # at size 1 with alpha=0 the total rate is (2+0)*1 - 1 = 1
-    gen = SeededRng(20).generator()
+    gen = seeded_generator(20)
     taus = np.array([holding_times(PLAIN, 2, gen).tau[2] for _ in range(4000)])
     se = taus.std(ddof=1) / np.sqrt(taus.size)
     assert abs(taus.mean() - 1.0) < 3 * se
@@ -20,19 +20,19 @@ def test_first_holding_time_mean():
 
 def test_clock_strictly_increasing_every_seed():
     for seed in range(10):
-        clock = holding_times(SINGLE, 500, SeededRng(21, seed))
+        clock = holding_times(SINGLE, 500, seeded_generator(21, seed))
         clock.check_invariants()
 
 
 def test_holding_times_rejects_small_n():
     with pytest.raises(ValueError, match="n must be >= 2"):
-        holding_times(SINGLE, 1, SeededRng(22))
+        holding_times(SINGLE, 1, seeded_generator(22))
 
 
 def test_upsilon_degenerate_and_errors():
-    clock = holding_times(SINGLE, 100, SeededRng(23))
+    clock = holding_times(SINGLE, 100, seeded_generator(23))
     assert upsilon(clock, gamma=1.0) == 0.0
-    plain_clock = holding_times(PLAIN, 100, SeededRng(23))
+    plain_clock = holding_times(PLAIN, 100, seeded_generator(23))
     with pytest.raises(ValueError, match="exactly one change point"):
         upsilon(plain_clock)
 
@@ -46,13 +46,13 @@ def test_upsilon_mean_matches_limit():
     n, reps = 20_000, 200
     vals = np.empty(reps)
     for r in range(reps):
-        vals[r] = upsilon(holding_times(SINGLE, n, SeededRng(24, r)))
+        vals[r] = upsilon(holding_times(SINGLE, n, seeded_generator(24, r)))
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - upsilon_limit(SINGLE)) < 3 * se
 
 
 def test_upsilon_clt_sample_rough_normality():
-    z = upsilon_clt_sample(SINGLE, 20_000, 400, SeededRng(25))
+    z = upsilon_clt_sample(SINGLE, 20_000, 400, seeded_generator(25))
     assert stats.kstest(z, "norm").statistic < 0.1
     assert 0.8 < z.var(ddof=1) < 1.2
 
@@ -60,7 +60,7 @@ def test_upsilon_clt_sample_rough_normality():
 def test_malthusian_track_positive_and_stabilizing():
     cv_first, cv_last = [], []
     for r in range(50):
-        _, track = malthusian_track(SINGLE, 2000, SeededRng(27, r))
+        _, track = malthusian_track(SINGLE, 2000, seeded_generator(27, r))
         assert np.all(np.isfinite(track)) and np.all(track > 0)
         tenth = track.size // 10
         cv_first.append(track[:tenth].std() / track[:tenth].mean())
@@ -76,7 +76,7 @@ def test_change_point_hitting_time_variance_stabilizes():
     for i, n in enumerate((10_000, 100_000)):
         vals = np.empty(reps)
         for r in range(reps):
-            clock = holding_times(SINGLE, n, SeededRng(28 + i, r))
+            clock = holding_times(SINGLE, n, seeded_generator(28 + i, r))
             m = int(0.5 * n)
             vals[r] = clock.tau[m] - np.log(n) / (2.0 + SINGLE.alpha)
         variances.append(vals.var(ddof=1))

@@ -1,21 +1,25 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from oracles import dn_curve_direct, split_means
 from pact.estimator import (
     DN_CSV_ROWS,
-    EstimatorConfig,
+    DnCurve,
     dn_curve,
-    estimate,
     gamma_hat,
     limit_D,
     limit_H,
+    near_max_threshold,
     thin_dn_curve,
     write_dn_csv,
+    write_report_json,
 )
 from pact.generator import grow_tree
 from pact.leaf_process import LeafTrajectory, p_inf
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 
@@ -57,19 +61,19 @@ def test_split_means_window_errors():
 
 
 def test_split_means_direction_on_simulated_change():
-    tree = grow_tree(SINGLE, 20_000, SeededRng(60))
+    tree = grow_tree(SINGLE, 20_000, seeded_generator(60))
     before, after = split_means(tree.leaf_trajectory(), 0.5, 0.1)
     assert after > before  # leaves become more frequent after the offset drops
 
 
 def test_dn_curve_constant_is_zero():
-    curve = dn_curve(_constant_traj(500, 0.37), EstimatorConfig(epsilon=0.1))
+    curve = dn_curve(_constant_traj(500, 0.37), 0.1)
     assert np.max(np.abs(curve.values)) < 1e-12
     assert curve.ts[-1] == 1.0 and curve.values[-1] == 0.0
 
 
 def _simulated_traj(n: int, seed: int) -> LeafTrajectory:
-    return grow_tree(SINGLE, n, SeededRng(seed)).leaf_trajectory()
+    return grow_tree(SINGLE, n, seeded_generator(seed)).leaf_trajectory()
 
 
 @pytest.mark.parametrize("make, epsilon", [
@@ -79,7 +83,7 @@ def _simulated_traj(n: int, seed: int) -> LeafTrajectory:
 ], ids=["simulated", "constant", "two steps"])
 def test_dn_curve_bits_match_direct_expression(make, epsilon):
     traj = make()
-    curve = dn_curve(traj, EstimatorConfig(epsilon=epsilon))
+    curve = dn_curve(traj, epsilon)
     ts, dn = dn_curve_direct(traj, epsilon)
     assert curve.ts.tobytes() == ts.tobytes()
     assert curve.values.tobytes() == dn.tobytes()
@@ -87,39 +91,58 @@ def test_dn_curve_bits_match_direct_expression(make, epsilon):
 
 def test_dn_affine_invariance():
     n = 2000
-    tree = grow_tree(SINGLE, n, SeededRng(61))
+    tree = grow_tree(SINGLE, n, seeded_generator(61))
     traj = tree.leaf_trajectory()
     ms = np.arange(2, n + 1)
     shifted = LeafTrajectory(n=n, counts=traj.counts + 0.17 * ms)
-    base = dn_curve(traj, EstimatorConfig())
-    moved = dn_curve(shifted, EstimatorConfig())
+    base = dn_curve(traj, 0.1)
+    moved = dn_curve(shifted, 0.1)
     assert np.allclose(base.values, moved.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -0.1, np.nan])
+def test_dn_curve_rejects_epsilon_outside_unit_interval(epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        dn_curve(_constant_traj(100, 0.5), epsilon)
+
+
+# n = 10^4: threshold log(n)/sqrt(n) = log(10)/25, detection floor twice that
+N_HAND = 10_000
+THRESHOLD = math.log(10) / 25
+TS = np.linspace(0.1, 1.0, 10)
+
+
+def _hand_curve(values) -> DnCurve:
+    return DnCurve(ts=TS, values=np.asarray(values, dtype=float), n=N_HAND, epsilon=0.1)
+
+
 def test_gamma_hat_on_clean_step():
-    n = 20_000
-    traj = _step_traj(n, 0.3, 0.7, 0.5)
-    cfg = EstimatorConfig(epsilon=0.1, near_max_threshold=1e-4)
-    report = gamma_hat(dn_curve(traj, cfg), cfg)
-    assert report.detected
-    assert report.gamma_hat == pytest.approx(0.5, abs=1e-3)
+    # the near-max set {0.2, 0.4, 0.5} has a gap at 0.3 and edges exactly at max - threshold
+    top = 0.5
+    edge = top - near_max_threshold(N_HAND)
+    below = np.nextafter(edge, -np.inf)
+    report = gamma_hat(_hand_curve([below, edge, below, top, edge, below, 0.1, 0.0, 0.0, 0.0]))
+    assert report.detected and report.dn_star == top
+    assert (report.near_max_min, report.near_max_max) == (TS[1], TS[4])
     assert report.gamma_hat == report.near_max_max
+    assert report.threshold == near_max_threshold(N_HAND) == pytest.approx(THRESHOLD, rel=1e-15)
+    assert report.detection_floor == pytest.approx(2 * THRESHOLD, rel=1e-15)
+    assert (report.n, report.epsilon) == (N_HAND, 0.1)
 
 
-def test_gamma_hat_widening_threshold_moves_right():
-    n = 20_000
-    traj = _step_traj(n, 0.3, 0.7, 0.5)
-    estimates = []
-    for thr in (1e-4, 0.02, 0.05):
-        cfg = EstimatorConfig(epsilon=0.1, near_max_threshold=thr)
-        estimates.append(gamma_hat(dn_curve(traj, cfg), cfg).gamma_hat)
-    assert estimates == sorted(estimates)
+def test_gamma_hat_detection_is_strictly_above_the_floor():
+    floor = 2.0 * math.log(N_HAND) / math.sqrt(N_HAND)
+    for top, detected in [(floor, False), (np.nextafter(floor, np.inf), True)]:
+        report = gamma_hat(_hand_curve([0.0, top, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        assert report.detection_floor == floor
+        assert report.detected is detected
+        assert report.gamma_hat == (TS[1] if detected else None)
 
 
 def test_dn_curve_shape_on_simulated_change():
     # flat plateau up to the change point, then a decay to zero at t=1
-    tree = grow_tree(SINGLE, 200_000, SeededRng(62))
-    curve = dn_curve(tree.leaf_trajectory(), EstimatorConfig(epsilon=0.1))
+    tree = grow_tree(SINGLE, 200_000, seeded_generator(62))
+    curve = dn_curve(tree.leaf_trajectory(), 0.1)
     ts, dn = curve.ts, curve.values
 
     def band_mean(lo, hi):
@@ -133,36 +156,34 @@ def test_dn_curve_shape_on_simulated_change():
     assert ts[int(np.argmax(dn))] < 0.65
 
 
-def test_gamma_hat_no_change_detected_on_constant():
-    report = estimate(_constant_traj(5000, 0.5))
-    assert not report.detected
-    assert report.gamma_hat is None
-    assert report.to_json()["gamma_hat"] is None
+def test_gamma_hat_no_change_detected_on_constant(tmp_path):
+    for curve in (dn_curve(_constant_traj(5000, 0.5), 0.1), _hand_curve(np.zeros(10))):
+        report = gamma_hat(curve)
+        assert not report.detected
+        assert report.gamma_hat is None
+        assert (report.near_max_min, report.near_max_max) == (curve.ts[0], 1.0)
+        write_report_json(report, tmp_path / "report.json")
+        assert json.loads((tmp_path / "report.json").read_text())["gamma_hat"] is None
 
 
-@pytest.mark.parametrize("field,value", [
-    ("near_max_threshold", np.nan), ("near_max_threshold", 0.0), ("near_max_threshold", -1e-3),
-    ("detection_floor", np.nan), ("detection_floor", -1.0),
-])
-def test_config_rejects_bad_threshold_and_floor(field, value):
-    config = EstimatorConfig(**{field: value})
-    with pytest.raises(ValueError, match=field):
-        config.validate()
-    with pytest.raises(ValueError, match=field):
-        estimate(_constant_traj(1000, 0.4), config)
+def test_report_json_contract(tmp_path):
+    report = gamma_hat(dn_curve(_step_traj(20_000, 0.3, 0.7, 0.5), 0.1))
+    write_report_json(report, tmp_path / "report.json")
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert list(written) == ["gamma_hat", "dn_star", "detected", "epsilon", "threshold",
+                             "detection_floor", "near_max_min", "near_max_max", "n"]
+    assert written["n"] == 20_000
 
 
-def test_config_accepts_zero_floor():
-    report = estimate(_step_traj(1000, 0.4, 0.6, 0.5), EstimatorConfig(detection_floor=0.0))
-    assert report.detected and report.detection_floor == 0.0
-
-
-def test_report_json_contract():
-    traj = _step_traj(20_000, 0.3, 0.7, 0.5)
-    report = estimate(traj, EstimatorConfig(epsilon=0.1))
-    assert set(report.to_json()) == {"gamma_hat", "dn_star", "detected", "epsilon", "threshold",
-                                     "detection_floor", "near_max_min", "near_max_max", "n"}
-    assert report.to_json()["n"] == 20_000
+def test_report_json_bytes_are_pinned(tmp_path):
+    path = tmp_path / "report_000.json"
+    write_report_json(gamma_hat(dn_curve(_step_traj(20_000, 0.3, 0.7, 0.5), 0.1)), path)
+    assert path.read_bytes() == (
+        b'{\n  "gamma_hat": 0.5966,\n  "dn_star": 0.20000000000008542,\n  "detected": true,\n'
+        b'  "epsilon": 0.1,\n  "threshold": 0.0700282320579486,\n'
+        b'  "detection_floor": 0.1400564641158972,\n  "near_max_min": 0.10005,\n'
+        b'  "near_max_max": 0.5966,\n  "n": 20000\n}\n'
+    )
 
 
 def test_limit_H_is_plateau_average():
@@ -218,9 +239,8 @@ def test_limit_D_at_two_change_points_is_the_window_contrast():
 
 def test_dn_csv(tmp_path):
     traj = _step_traj(20, 0.4, 0.6, 0.5)
-    cfg = EstimatorConfig(epsilon=0.1)
-    curve = dn_curve(traj, cfg)
-    d_lim = np.asarray(limit_D(curve.ts, SINGLE, cfg.epsilon))
+    curve = dn_curve(traj, 0.1)
+    d_lim = np.asarray(limit_D(curve.ts, SINGLE, 0.1))
     path = tmp_path / "dn.csv"
     write_dn_csv(curve, path, d_lim)
     lines = path.read_text().splitlines()
@@ -240,15 +260,14 @@ def _rows_of(thin, curve) -> np.ndarray:
     return idx
 
 
-@pytest.mark.parametrize("make, threshold", [
-    (lambda: _simulated_traj(200_000, 64), None),
-    (lambda: _step_traj(50_000, 0.3, 0.7, 0.5), 1e-4),
-    (lambda: _constant_traj(50_000, 0.5), None),  # the near-max set is every row
+@pytest.mark.parametrize("make", [
+    lambda: _simulated_traj(200_000, 64),
+    lambda: _step_traj(50_000, 0.3, 0.7, 0.5),
+    lambda: _constant_traj(50_000, 0.5),  # the near-max set is every row
 ], ids=["simulated", "clean step", "flat"])
-def test_thin_dn_curve_keeps_grid_max_and_near_max_edges(make, threshold):
-    config = EstimatorConfig(epsilon=0.1, near_max_threshold=threshold)
-    curve = dn_curve(make(), config)
-    report = gamma_hat(curve, config)
+def test_thin_dn_curve_keeps_grid_max_and_near_max_edges(make):
+    curve = dn_curve(make(), 0.1)
+    report = gamma_hat(curve)
     thin = thin_dn_curve(curve, report)
     idx = _rows_of(thin, curve)
     assert len(curve.ts) > DN_CSV_ROWS and DN_CSV_ROWS <= len(idx) <= DN_CSV_ROWS + 3
@@ -262,10 +281,9 @@ def test_thin_dn_curve_keeps_grid_max_and_near_max_edges(make, threshold):
 
 @pytest.mark.parametrize("n, rows", [(2223, DN_CSV_ROWS), (2224, DN_CSV_ROWS + 1)])
 def test_thin_dn_curve_returns_a_short_curve_whole(n, rows):
-    config = EstimatorConfig(epsilon=0.1)
-    curve = dn_curve(_step_traj(n, 0.4, 0.6, 0.5), config)
+    curve = dn_curve(_step_traj(n, 0.4, 0.6, 0.5), 0.1)
     assert len(curve.ts) == rows
-    thin = thin_dn_curve(curve, gamma_hat(curve, config))
+    thin = thin_dn_curve(curve, gamma_hat(curve))
     if rows <= DN_CSV_ROWS:
         assert thin is curve
     else:

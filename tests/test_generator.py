@@ -16,7 +16,7 @@ from pact.generator import (
 )
 from pact.leaf_process import read_trajectory_csv, write_trajectory_csv
 from pact.limit_laws import p_alpha_table, tv_distance_upto
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 PLAIN = ChangePointSchedule(alpha=1.0)
@@ -32,7 +32,7 @@ def _path3() -> GrowingTree:
 
 def test_sample_parent_single_vertex_is_root():
     sampler = AttachmentSampler(offset=6.0)
-    gen = SeededRng(1).generator()
+    gen = seeded_generator(1)
     assert all(sampler.sample(gen) == 1 for _ in range(32))
 
 
@@ -44,7 +44,7 @@ def test_sample_parent_two_vertices_frequency(offset, expected_root_prob):
     # weights after one edge: root 2+offset, child 1+offset, total 3+2*offset
     sampler = AttachmentSampler(offset=offset)
     sampler.attach(1)
-    draws = sampler.sample_many(SeededRng(2), 1_000_000)
+    draws = sampler.sample_many(seeded_generator(2), 1_000_000)
     freq = float(np.mean(draws == 1))
     se = np.sqrt(expected_root_prob * (1 - expected_root_prob) / draws.size)
     assert abs(freq - expected_root_prob) < 3 * se
@@ -53,7 +53,7 @@ def test_sample_parent_two_vertices_frequency(offset, expected_root_prob):
 @pytest.mark.parametrize("offset", [0.5, 1.0, 6.0])
 def test_mixture_matches_exact_weights_on_small_trees(offset):
     # grow a random 6-vertex state step by step, checking each intermediate size
-    rng = SeededRng(3).generator()
+    rng = seeded_generator(3)
     sampler = AttachmentSampler(offset=offset)
     while sampler.m < 6:
         sampler.attach(sampler.sample(rng))
@@ -66,15 +66,15 @@ def test_mixture_matches_exact_weights_on_small_trees(offset):
 
 
 def test_grow_tree_minimum_size_forced_edge():
-    tree = grow_tree(SINGLE, 2, SeededRng(4))
+    tree = grow_tree(SINGLE, 2, seeded_generator(4))
     assert tree.parent[2] == 1
     with pytest.raises(ValueError, match="n must be >= 2"):
-        grow_tree(SINGLE, 1, SeededRng(4))
+        grow_tree(SINGLE, 1, seeded_generator(4))
 
 
 def test_grow_tree_structural_invariants_multi_segment():
     s = ChangePointSchedule(alpha=0.5, segments=((0.3, 2.0), (0.6, 0.7)))
-    tree = grow_tree(s, 5000, SeededRng(5))
+    tree = grow_tree(s, 5000, seeded_generator(5))
     tree.check_invariants()
     tree.leaf_trajectory().check_invariants()
 
@@ -83,7 +83,7 @@ def test_grow_tree_three_vertex_law():
     # after the forced edge, weights are root 2+c, child 1+c over total 3+2c
     c = 1.0
     p_root = (2 + c) / (3 + 2 * c)
-    rng = SeededRng(6).generator()
+    rng = seeded_generator(6)
     hits = sum(grow_tree(PLAIN, 3, rng).parent[3] == 1 for _ in range(20000))
     se = np.sqrt(p_root * (1 - p_root) / 20000)
     assert abs(hits / 20000 - p_root) < 3 * se
@@ -103,7 +103,7 @@ def test_grow_tree_four_vertex_joint_law():
         for p4 in (1, 2, 3):
             joint[(p3, p4)] = pr3 * w[p4 - 1] / w.sum()
     reps = 100_000
-    gen = SeededRng(15).generator()
+    gen = seeded_generator(15)
     counts = {}
     for _ in range(reps):
         tree = grow_tree(ChangePointSchedule(alpha=c), 4, gen)
@@ -116,8 +116,8 @@ def test_grow_tree_four_vertex_joint_law():
 
 
 def test_grow_tree_replays_bit_identically():
-    a = grow_tree(SINGLE, 4000, SeededRng(7, 3))
-    b = grow_tree(SINGLE, 4000, SeededRng(7, 3))
+    a = grow_tree(SINGLE, 4000, seeded_generator(7, 3))
+    b = grow_tree(SINGLE, 4000, seeded_generator(7, 3))
     assert np.array_equal(a.parent, b.parent)
 
 
@@ -145,8 +145,8 @@ def _sized_schedules(draw):
 @example(case=(10, ChangePointSchedule(alpha=0.0, segments=((0.51, 3.0), (0.55, 0.2)))), seed=2)
 def test_grow_tree_matches_sequential_reference(case, seed):
     n, schedule = case
-    tree = grow_tree(schedule, n, SeededRng(seed, 5))
-    parent, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 5))
+    tree = grow_tree(schedule, n, seeded_generator(seed, 5))
+    parent, counts = grow_tree_sequential(schedule, n, seeded_generator(seed, 5))
     assert np.array_equal(tree.parent, parent)
     assert np.array_equal(tree.leaf_trajectory().counts, counts)
 
@@ -157,8 +157,8 @@ def test_grow_tree_matches_sequential_reference(case, seed):
 @example(case=(3, PLAIN), seed=3, data=None)
 def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data):
     n, schedule = case
-    tree = grow_tree(schedule, n, SeededRng(seed, 6))
-    _, counts = grow_tree_sequential(schedule, n, SeededRng(seed, 6))
+    tree = grow_tree(schedule, n, seeded_generator(seed, 6))
+    _, counts = grow_tree_sequential(schedule, n, seeded_generator(seed, 6))
     root_children = np.flatnonzero(tree.parent[3:] == 1) + 3
     second = int(root_children[0]) if root_children.size else n
     drawn = [] if data is None else data.draw(st.lists(st.integers(2, n), max_size=8))
@@ -172,13 +172,13 @@ def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data)
 
 @pytest.mark.parametrize("steps", [[1], [5, 3], [2, 11]], ids=["below-2", "unsorted", "above-n"])
 def test_leaf_counts_reject_steps_outside_the_tree(steps):
-    tree = grow_tree(SINGLE, 10, SeededRng(16))
+    tree = grow_tree(SINGLE, 10, seeded_generator(16))
     with pytest.raises(ValueError, match="sorted"):
         tree.leaf_counts(steps)
 
 
 def test_leaf_trajectory_matches_truncated_histograms():
-    tree = grow_tree(SINGLE, 2000, SeededRng(8))
+    tree = grow_tree(SINGLE, 2000, seeded_generator(8))
     traj = tree.leaf_trajectory()
     rng = np.random.default_rng(0)
     for m in rng.integers(2, 2001, size=100):
@@ -187,14 +187,14 @@ def test_leaf_trajectory_matches_truncated_histograms():
 
 
 def test_leaf_fraction_alpha_zero_no_change_point():
-    tree = grow_tree(ChangePointSchedule(alpha=0.0), 100_000, SeededRng(9))
+    tree = grow_tree(ChangePointSchedule(alpha=0.0), 100_000, seeded_generator(9))
     frac = tree.leaf_trajectory().counts[-1] / 100_000
     assert abs(frac - 2.0 / 3.0) < 0.01
 
 
 def test_empty_segments_reduce_to_plain_model():
     # degree histogram at n=1e5 against the exact limit law
-    tree = grow_tree(PLAIN, 100_000, SeededRng(10))
+    tree = grow_tree(PLAIN, 100_000, seeded_generator(10))
     hist = degree_histogram(tree)
     emp = hist.proportions(20)
     exact = p_alpha_table(PLAIN.alpha, 20)[1:]
@@ -225,7 +225,7 @@ def test_degree_histogram_rejects_truncation_outside_the_tree(upto):
 
 
 def test_degree_histogram_handshake_identity():
-    tree = grow_tree(SINGLE, 1000, SeededRng(11))
+    tree = grow_tree(SINGLE, 1000, seeded_generator(11))
     hist = degree_histogram(tree)
     hist.check_invariants()
     assert int((np.arange(hist.counts.size) * hist.counts).sum()) == 1998
@@ -241,7 +241,7 @@ def test_total_degrees_are_counted_from_the_parents():
     assert _star4().total_degrees(3).tolist() == [2, 1, 1]
     assert _path3().total_degrees().tolist() == [1, 2, 1]
     assert _path3().total_degrees(2).tolist() == [1, 1]
-    tree = grow_tree(SINGLE, 500, SeededRng(17))
+    tree = grow_tree(SINGLE, 500, seeded_generator(17))
     for m in (2, 137, 500):
         children = [np.count_nonzero(tree.parent[2 : m + 1] == v) for v in range(1, m + 1)]
         expected = np.array(children) + 1
@@ -251,7 +251,7 @@ def test_total_degrees_are_counted_from_the_parents():
 
 
 def test_tree_binary_round_trip(tmp_path):
-    tree = grow_tree(SINGLE, 777, SeededRng(13))
+    tree = grow_tree(SINGLE, 777, seeded_generator(13))
     path = tmp_path / "t.pact"
     save_tree(tree, path)
     back = load_tree(path)
@@ -265,7 +265,7 @@ def test_tree_binary_round_trip(tmp_path):
 
 def _corrupt_tree_file(tmp_path, edit):
     path = tmp_path / "t.pact"
-    save_tree(grow_tree(SINGLE, 50, SeededRng(13)), path)
+    save_tree(grow_tree(SINGLE, 50, seeded_generator(13)), path)
     raw = bytearray(path.read_bytes())
     edit(raw)
     path.write_bytes(bytes(raw))
@@ -316,7 +316,7 @@ def test_edge_csv_format(tmp_path):
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    tree = grow_tree(SINGLE, 300, SeededRng(14))
+    tree = grow_tree(SINGLE, 300, seeded_generator(14))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(tree.leaf_trajectory(), path)
     back = read_trajectory_csv(path)

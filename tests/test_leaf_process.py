@@ -19,7 +19,7 @@ from pact.leaf_process import (
     variance_gn,
     write_curve_csv,
 )
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 TWO = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
@@ -49,7 +49,7 @@ def test_p_inf_terminal_value():
 
 
 def test_p_inf_continuous_at_change_point():
-    g = SINGLE.gamma
+    g = SINGLE.segments[0].gamma
     assert abs(p_inf(g + 1e-13, SINGLE) - p_inf(g, SINGLE)) < 1e-12
     ts = np.linspace(0.51, 1.0, 200)
     assert np.allclose(p_inf(ts, SINGLE), [_p_inf_printed(t, 6, 1, 0.5) for t in ts], atol=1e-12)
@@ -258,7 +258,7 @@ def test_closed_forms_reject_times_outside_their_domain(schedule, bad, good):
 
 def test_continuity_and_jumps_at_change_point():
     eps = 1e-13
-    g = SINGLE.gamma
+    g = SINGLE.segments[0].gamma
     # continuous by construction: p_inf and the de-scaling factor
     assert abs(float(g_scale(g + eps, SINGLE)) - float(g_scale(g, SINGLE))) < 1e-12
     assert abs(float(p_inf(g + eps, SINGLE)) - float(p_inf(g, SINGLE))) < 1e-12
@@ -311,7 +311,7 @@ def _gn_path_every_step(trajectory, schedule, grid):
 @example(n=997, grid=[1e-9, 1 / 997, 1.5 / 997, 2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0])
 def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
-    tree = grow_tree(SINGLE, n, SeededRng(52, n))
+    tree = grow_tree(SINGLE, n, seeded_generator(52, n))
     path = gn_path(tree.leaf_trajectory(), SINGLE, grid)
     assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory(), SINGLE, grid))
     # the tree itself, which counts leaves from its parents, gives the same bits
@@ -320,7 +320,7 @@ def test_gn_path_brackets_match_interpolating_every_step(n, grid):
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
-    tree = grow_tree(SINGLE, 100, SeededRng(53))
+    tree = grow_tree(SINGLE, 100, seeded_generator(53))
     with pytest.raises(ValueError, match="grid must lie"):
         gn_path(tree.leaf_trajectory(), SINGLE, grid)
 
@@ -330,7 +330,7 @@ def test_gn_ensemble_light():
     grid = np.array([0.5, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, SeededRng(50, r))
+        tree = grow_tree(SINGLE, n, seeded_generator(50, r))
         rows[r] = gn_path(tree.leaf_trajectory(), SINGLE, grid)
     se = rows.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(rows.mean(axis=0)) < 4 * se)
@@ -339,7 +339,7 @@ def test_gn_ensemble_light():
 
 
 def test_nonroot_counts_convention():
-    tree = grow_tree(SINGLE, 500, SeededRng(51))
+    tree = grow_tree(SINGLE, 500, seeded_generator(51))
     nonroot = nonroot_leaf_counts(tree)
     assert nonroot[0] == 1  # the 2-vertex tree has one non-root leaf
     diffs = tree.leaf_trajectory().counts - nonroot

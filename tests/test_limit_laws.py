@@ -25,14 +25,14 @@ from pact.limit_laws import (
     tv_distance_upto,
 )
 from pact.leaf_process import p_inf
-from pact.model_core import ChangePointSchedule, SeededRng
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 
 
 def _replayed_epochs(schedule, seed: int, size: int, horizon: float = 1.0) -> np.ndarray:
     """The sampler's birth epochs, replayed from its first uniforms: #{j : u >= gamma_j/t}."""
-    u = SeededRng(seed).generator().random(size)
+    u = seeded_generator(seed).random(size)
     return sum((u >= s.gamma / horizon).astype(np.int64) for s in schedule.segments)
 
 
@@ -109,20 +109,20 @@ def test_table_matches_pointwise_pmf():
 
 
 def test_sample_d_alpha_matches_pmf():
-    draws = sample_d_alpha(6.0, 1_000_000, SeededRng(30))
+    draws = sample_d_alpha(6.0, 1_000_000, seeded_generator(30))
     emp = np.bincount(draws, minlength=22)[: 21] / draws.size
     exact = p_alpha_table(6.0, 20)
     assert tv_distance_upto(emp, exact, 20) < 0.005
 
 
 def test_point_count_zero_horizon():
-    assert sample_point_count(1, 1.0, 0.0, SeededRng(31)) == 0
+    assert sample_point_count(1, 1.0, 0.0, seeded_generator(31)) == 0
 
 
 def test_point_count_mean_example():
     # mean of the rank-1 process over [0, log(2)/3] is 2*(e^t - 1) for beta=1
     t = np.log(2.0) / 3.0
-    counts = point_counts_direct(1, 1.0, t, 200_000, SeededRng(32))
+    counts = point_counts_direct(1, 1.0, t, 200_000, seeded_generator(32))
     target = expected_point_count(1, 1.0, t)
     assert target == pytest.approx(0.5198, abs=2e-4)
     se = counts.std(ddof=1) / np.sqrt(counts.size)
@@ -133,7 +133,7 @@ def test_negative_binomial_closed_form_chi_square():
     # the closed form must match the direct exponential-wait simulator before
     # the bulk samplers may rely on it
     j, beta, t = 1, 1.0, 0.3
-    counts = point_counts_direct(j, beta, t, 200_000, SeededRng(33))
+    counts = point_counts_direct(j, beta, t, 200_000, seeded_generator(33))
     kmax = 10
     pmf = stats.nbinom.pmf(np.arange(kmax + 1), j + beta, np.exp(-t))
     obs = np.bincount(np.minimum(counts, kmax + 1), minlength=kmax + 2)
@@ -145,7 +145,7 @@ def test_negative_binomial_closed_form_chi_square():
 def test_nb_sampler_matches_closed_form_chi_square():
     # same goodness-of-fit bar for the production sampler path (non-integer size)
     j, beta, t = 3, 2.0, 0.4
-    nb = point_counts_nb(np.full(200_000, float(j)), beta, t, SeededRng(35))
+    nb = point_counts_nb(np.full(200_000, float(j)), beta, t, seeded_generator(35))
     kmax = 14
     pmf = stats.nbinom.pmf(np.arange(kmax + 1), j + beta, np.exp(-t))
     obs = np.bincount(np.minimum(nb, kmax + 1), minlength=kmax + 2)
@@ -156,7 +156,7 @@ def test_nb_sampler_matches_closed_form_chi_square():
 def test_sample_age_support_and_cdf():
     a = np.log(2.0) / 3.0
     rate = 3.0  # 2 + beta for beta = 1
-    draws = sample_age(a, rate, SeededRng(36), 200_000)
+    draws = sample_age(a, rate, seeded_generator(36), 200_000)
     assert np.all(draws >= 0.0) and np.all(draws <= a)
     assert float(np.mean(draws <= a)) == 1.0
     target = float(age_cdf(a / 2.0, a, rate))
@@ -169,20 +169,20 @@ def test_sample_age_support_and_cdf():
 
 def test_sample_age_rejects_bad_a():
     with pytest.raises(ValueError, match="truncation level must be > 0"):
-        sample_age(0.0, 3.0, SeededRng(37))
+        sample_age(0.0, 3.0, seeded_generator(37), 10)
 
 
 def test_d_theta_horizon_validation():
     with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta(SINGLE, SeededRng(38), 10, horizon=0.5)
+        sample_d_theta(SINGLE, seeded_generator(38), 10, horizon=0.5)
     with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta(SINGLE, SeededRng(38), 10, horizon=1.2)
+        sample_d_theta(SINGLE, seeded_generator(38), 10, horizon=1.2)
     with pytest.raises(ValueError, match="needs exactly one change point"):
-        sample_d_theta(ChangePointSchedule(alpha=1.0), SeededRng(38), 10)
+        sample_d_theta(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
 
 
 def test_d_theta_degenerates_to_d_alpha_at_gamma():
-    batch = sample_d_theta(SINGLE, SeededRng(39), 200_000, horizon=SINGLE.gamma + 1e-9)
+    batch = sample_d_theta(SINGLE, seeded_generator(39), 200_000, horizon=SINGLE.segments[0].gamma + 1e-9)
     emp = batch.pmf(20)
     exact = p_alpha_table(SINGLE.alpha, 20)
     assert tv_distance_upto(emp, exact, 20) < 0.005
@@ -190,7 +190,7 @@ def test_d_theta_degenerates_to_d_alpha_at_gamma():
 
 def test_d_theta_leaf_mass_matches_limit_curve():
     # cross-oracle: the mass at degree 1 equals the limiting leaf proportion
-    batch = sample_d_theta(SINGLE, SeededRng(40), 1_000_000)
+    batch = sample_d_theta(SINGLE, seeded_generator(40), 1_000_000)
     p1 = float(np.mean(batch.values == 1))
     target = float(p_inf(1.0, SINGLE))
     se = np.sqrt(target * (1 - target) / batch.values.size)
@@ -198,7 +198,7 @@ def test_d_theta_leaf_mass_matches_limit_curve():
 
 
 def test_d_theta_time_indexed_leaf_mass():
-    batch = sample_d_theta(SINGLE, SeededRng(41), 1_000_000, horizon=0.75)
+    batch = sample_d_theta(SINGLE, seeded_generator(41), 1_000_000, horizon=0.75)
     p1 = float(np.mean(batch.values == 1))
     target = float(p_inf(0.75, SINGLE))
     se = np.sqrt(target * (1 - target) / batch.values.size)
@@ -207,12 +207,12 @@ def test_d_theta_time_indexed_leaf_mass():
 
 def test_d_theta_with_equal_offsets_reproduces_p_alpha():
     s = ChangePointSchedule.single(2.0, 2.0, 0.37)
-    batch = sample_d_theta(s, SeededRng(42), 1_000_000)
+    batch = sample_d_theta(s, seeded_generator(42), 1_000_000)
     assert tv_distance_upto(batch.pmf(20), p_alpha_table(2.0, 20), 20) < 0.005
 
 
 def test_d_theta_before_branch_dominates_d_alpha():
-    batch = sample_d_theta(SINGLE, SeededRng(43), 500_000)
+    batch = sample_d_theta(SINGLE, seeded_generator(43), 500_000)
     before = batch.values[_replayed_epochs(SINGLE, 43, 500_000) == 0]
     ccdf_exact = 1.0 - np.cumsum(p_alpha_table(SINGLE.alpha, 60))[:-1]
     for k in (2, 5, 10, 20):
@@ -229,18 +229,18 @@ def test_epoch_probabilities_and_durations():
     assert durs[1] == pytest.approx(np.log(1.0 / 0.75) / 4.0, abs=1e-15)
     assert segment_durations(multi, horizon=0.9)[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
     with pytest.raises(ValueError, match="needs at least one change point"):
-        sample_d_theta_multi(ChangePointSchedule(alpha=1.0), SeededRng(38), 10)
+        sample_d_theta_multi(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
 
 
 def test_multi_sampler_single_segment_consistency():
-    single = sample_d_theta(SINGLE, SeededRng(45), 400_000)
-    multi = sample_d_theta_multi(SINGLE, SeededRng(46), 400_000)
+    single = sample_d_theta(SINGLE, seeded_generator(45), 400_000)
+    multi = sample_d_theta_multi(SINGLE, seeded_generator(46), 400_000)
     assert tv_distance_upto(single.pmf(20), multi.pmf(20), 20) < 0.005
 
 
 def test_multi_sampler_epochs_follow_gap_masses():
     sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
-    batch = sample_d_theta_multi(sched, SeededRng(47), 300_000)
+    batch = sample_d_theta_multi(sched, seeded_generator(47), 300_000)
     epochs = _replayed_epochs(sched, 47, 300_000)
     freqs = np.bincount(epochs, minlength=3) / epochs.size
     assert np.allclose(freqs, [0.3, 0.4, 0.3], atol=0.005)
@@ -250,14 +250,14 @@ def test_multi_sampler_epochs_follow_gap_masses():
 
 def test_multi_sampler_epochs_follow_gap_masses_at_horizon():
     sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.6, 2.0)))
-    batch = sample_d_theta_multi(sched, SeededRng(47), 300_000, horizon=0.8)
+    batch = sample_d_theta_multi(sched, seeded_generator(47), 300_000, horizon=0.8)
     epochs = _replayed_epochs(sched, 47, 300_000, horizon=0.8)
     freqs = np.bincount(epochs, minlength=3) / epochs.size
     assert np.allclose(freqs, np.array([0.3, 0.3, 0.2]) / 0.8, atol=0.005)
     _assert_degree_falls_with_epoch(batch.values, epochs)
     for horizon in (0.6, 1.2):
         with pytest.raises(ValueError, match="horizon must lie in"):
-            sample_d_theta_multi(sched, SeededRng(47), 10, horizon=horizon)
+            sample_d_theta_multi(sched, seeded_generator(47), 10, horizon=horizon)
 
 
 def test_ccdf_exact_tail_slope():
@@ -277,7 +277,7 @@ def test_ccdf_from_samples_matches_definition():
 def test_ccdf_from_histogram_matches_samples():
     from pact.generator import degree_histogram, grow_tree
 
-    tree = grow_tree(SINGLE, 2000, SeededRng(49))
+    tree = grow_tree(SINGLE, 2000, seeded_generator(49))
     hist = degree_histogram(tree)
     ks_h, cc_h = ccdf_from_pmf(hist.counts / hist.n)
     ks_s, cc_s = ccdf_from_samples(tree.total_degrees())
@@ -292,7 +292,7 @@ def test_tail_exponent_insufficient_support():
 
 
 def test_geometric_tail_slope_diverges():
-    gen = SeededRng(48).generator()
+    gen = seeded_generator(48)
     vals = 1 + gen.geometric(0.08, size=1_000_000)
     ks, cc = ccdf_from_samples(vals)
     shallow = tail_exponent(ks, cc, 10, 60)

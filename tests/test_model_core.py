@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from oracles import segment_of, step_offsets
 from pact.model_core import (
     ChangePointSchedule,
-    SeededRng,
+    seeded_generator,
     write_csv,
 )
 
 
 def test_validate_accepts_basic_single_change_point():
     s = ChangePointSchedule.single(alpha=6.0, beta=1.0, gamma=0.5)
-    assert (s.alpha, s.gamma, s.beta) == (6.0, 0.5, 1.0)
+    assert (s.alpha, *s.segments[0]) == (6.0, 0.5, 1.0)
 
 
 def test_validate_accepts_empty_segments():
@@ -85,15 +85,15 @@ def test_schedule_from_json():
 
 
 def test_seeded_rng_replays_identically():
-    a = SeededRng(12345, 7).generator().random(64)
-    b = SeededRng(12345, 7).generator().random(64)
+    a = seeded_generator(12345, 7).random(64)
+    b = seeded_generator(12345, 7).random(64)
     assert np.array_equal(a, b)
 
 
 def test_seeded_rng_streams_differ():
-    a = SeededRng(12345, 7).generator().random(64)
-    b = SeededRng(12345, 8).generator().random(64)
-    c = SeededRng(12346, 7).generator().random(64)
+    a = seeded_generator(12345, 7).random(64)
+    b = seeded_generator(12345, 8).random(64)
+    c = seeded_generator(12346, 7).random(64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
