@@ -208,6 +208,42 @@ def test_every_flag_is_a_config_key_of_its_subcommand():
         assert keys - set(_DEFAULTS[command]) - {"config", "out", "threads"} == set(), command
 
 
+_ACTION_KINDS = {"_StoreAction": "store", "_AppendAction": "append",
+                 "_StoreTrueAction": "store_true", "_StoreFalseAction": "store_false"}
+_COMMON_FLAGS = {"--config": ("config", "str", "store"), "--out": ("out", "str", "store"),
+                 "--threads": ("threads", "int", "store"),
+                 "--alpha": ("alpha", "float", "store"), "--beta": ("beta", "float", "append"),
+                 "--gamma": ("gamma", "float", "append")}
+_SEED_REPS = {"--seed": ("seed", "int", "store"), "--reps": ("reps", "int", "store")}
+
+
+def test_flag_surface_is_pinned():
+    """Each subcommand's option strings, with their dest, type and action kind."""
+    subcommands = next(a for a in build_parser()._actions if a.choices).choices
+    surface = {command: {opt: (a.dest, getattr(a.type, "__name__", None),
+                               _ACTION_KINDS[type(a).__name__])
+                         for a in parser._actions if a.dest != "help" for opt in a.option_strings}
+               for command, parser in subcommands.items()}
+    assert surface == {
+        "simulate": {**_COMMON_FLAGS, **_SEED_REPS, "--n": ("n", "int", "store"),
+                     "--no-trees": ("save_trees", None, "store_false"),
+                     "--edges": ("edges", None, "store_true"),
+                     "--checkpoint": ("checkpoints", "int", "append")},
+        "limits": {**_COMMON_FLAGS, "--seed": ("seed", "int", "store"),
+                   "--draws": ("draws", "int", "store"),
+                   "--horizon-t": ("horizon_t", "float", "store"),
+                   "--kmax": ("kmax", "int", "store"),
+                   "--curve-points": ("curve_points", "int", "store"),
+                   "--epsilon": ("epsilon", "float", "store")},
+        "estimate": {**_COMMON_FLAGS, "--trajectory": ("trajectories", "str", "append"),
+                     "--epsilon": ("epsilon", "float", "store")},
+        "fclt": {**_COMMON_FLAGS, **_SEED_REPS, "--n": ("n", "int", "store"),
+                 "--t": ("t_grid", "float", "append"),
+                 "--upsilon-reps": ("upsilon_reps", "int", "store")},
+        "maxdeg": {**_COMMON_FLAGS, **_SEED_REPS, "--n": ("n_list", "int", "append")},
+    }
+
+
 def test_limits_outputs(tmp_path):
     out = tmp_path / "lim"
     assert _run("limits", "--out", str(out), "--alpha", "6", "--beta", "1",
