@@ -11,12 +11,13 @@ One executable, five subcommands:
 Every run writes its artifacts plus a manifest.json (config echo, seed list,
 version, wall clock, output digests) into --out.  Configuration comes from an
 optional JSON file (--config) with per-key overrides from flags; flags win.
-A subcommand takes only the flags it reads.  main() checks the merged config,
-builds the schedule (for estimate: the d_limit overlay and the loaded
-trajectories) once, and hands it to the subcommand before anything is
-written.  Re-running with the same merged config reproduces byte-identical CSVs.
---threads sets the worker pool size; every subcommand defaults to 1, one
-process, and gives the same bytes with any pool size.
+_KEYS declares each key's flag, type and minimum once; every merged value
+must have its key's JSON type.  main() checks the merged config, builds the
+schedule (for estimate: the d_limit overlay and the loaded trajectories) once
+and hands it to the subcommand before anything is written; a bad flag, value
+or file prints one "error:" line and exits 2.  The same merged config
+reproduces byte-identical CSVs.  --threads sets the worker pool size; each
+subcommand defaults to 1 process and gives the same bytes with any pool size.
 """
 from __future__ import annotations
 
@@ -66,9 +67,6 @@ from .limit_laws import (
 from .model_core import ChangePointSchedule, seeded_generator, write_csv
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
-# smallest accepted value of each count a subcommand reads from its config
-_MINIMUM = {"n": 2, "reps": 1, "threads": 1, "draws": 1, "kmax": 1, "curve_points": 1,
-            "upsilon_reps": 1}
 
 
 def _sha256(path: Path) -> str:
@@ -83,8 +81,9 @@ _DEFAULTS: dict[str, dict] = {
     "simulate": {"n": 10000, "reps": 1, "seed": 42, "threads": 1, "alpha": 1.0,
                  "beta": [], "gamma": [], "save_trees": True, "edges": False,
                  "checkpoints": []},
-    "limits": {"seed": 42, "alpha": 1.0, "beta": [], "gamma": [], "draws": 100000,
-               "horizon_t": 1.0, "kmax": 200, "curve_points": 200, "epsilon": 0.1},
+    "limits": {"seed": 42, "threads": 1, "alpha": 1.0, "beta": [], "gamma": [],
+               "draws": 100000, "horizon_t": 1.0, "kmax": 200, "curve_points": 200,
+               "epsilon": 0.1},
     "estimate": {"epsilon": 0.1, "trajectories": [], "alpha": None, "beta": [],
                  "gamma": [], "threads": 1},
     "fclt": {"n": 10000, "reps": 200, "seed": 42, "threads": 1, "alpha": 6.0,
@@ -93,6 +92,46 @@ _DEFAULTS: dict[str, dict] = {
     "maxdeg": {"reps": 50, "seed": 42, "threads": 1, "alpha": 0.0, "beta": [],
                "gamma": [], "n_list": [10000, 100000]},
 }
+# key -> (flag, type, smallest value, help); [type] repeats, a switch's flag flips its default
+_KEYS: dict[str, tuple] = {
+    "n": ("--n", int, 2, None),
+    "reps": ("--reps", int, 1, "ensemble replications"),
+    "seed": ("--seed", int, None, "base seed (u64)"),
+    "threads": ("--threads", int, 1, "worker pool size"),
+    "alpha": ("--alpha", float, None, None),
+    "beta": ("--beta", [float], None, "post-change offset (repeat for multiple change points)"),
+    "gamma": ("--gamma", [float], None,
+              "change-point fraction (repeat for multiple change points)"),
+    "save_trees": ("--no-trees", bool, None, None),
+    "edges": ("--edges", bool, None, None),
+    "checkpoints": ("--checkpoint", [int], 2,
+                    "record a degree histogram at this size (repeatable)"),
+    "draws": ("--draws", int, 1, None),
+    "horizon_t": ("--horizon-t", float, None, None),
+    "kmax": ("--kmax", int, 1, None),
+    "curve_points": ("--curve-points", int, 1, None),
+    "epsilon": ("--epsilon", float, None, None),
+    "trajectories": ("--trajectory", [str], None, "trajectory CSV (repeatable)"),
+    "t_grid": ("--t", [float], None, None),
+    "upsilon_reps": ("--upsilon-reps", int, 1, None),
+    "n_list": ("--n", [int], 2, "tree size (repeatable)"),
+}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(key: str, value, kind, low):
+    """value as _KEYS types it (a float key's numbers become floats), or ValueError naming key."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {json.dumps(value)}")
+        return [_typed(key, v, kind[0], low) for v in value]
+    # bool is an int to Python, but only a switch takes true or false
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return float(value) if kind is float else value
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
@@ -109,20 +148,21 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             merged["gamma"] = [s.gamma for s in sched.segments]
             merged["beta"] = [s.beta for s in sched.segments]
         merged.update(file_cfg)
-    for key in merged:
+    for key, default in _DEFAULTS[command].items():
         value = getattr(args, key, None)
         if value is not None and value != []:
             merged[key] = value
+        if merged[key] is not None or default is not None:  # null only where it is the default
+            merged[key] = _typed(key, merged[key], *_KEYS[key][1:3])
     return merged
 
 
 def _schedule_from(cfg: dict) -> ChangePointSchedule:
-    betas = cfg.get("beta") or []
-    gammas = cfg.get("gamma") or []
+    betas, gammas = cfg["beta"], cfg["gamma"]
     if len(betas) != len(gammas):
         raise ValueError(f"need matching --beta/--gamma counts, got {len(betas)}/{len(gammas)}")
     return ChangePointSchedule(
-        alpha=float(cfg["alpha"]), segments=tuple(zip(gammas, betas))
+        alpha=cfg["alpha"], segments=tuple(zip(gammas, betas))
     )
 
 
@@ -143,63 +183,52 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
 
 # ---------------------------------------------------------------- simulate
 
-def _simulate_rep(task: tuple) -> list[str]:
+def _simulate_rep(task: tuple) -> None:
     schedule, n, seed, stream, save_trees, edges, checkpoints, out = task
     tree = grow_tree(schedule, n, seeded_generator(seed, stream))
     out_dir = Path(out)
-    written = []
     tag = f"r{stream:03d}"
     if save_trees:
-        path = out_dir / f"tree_{tag}.pact"
-        save_tree(tree, path)
-        written.append(path.name)
-    traj_path = out_dir / f"trajectory_{tag}.csv"
-    write_trajectory_csv(tree.leaf_trajectory(), traj_path)
-    written.append(traj_path.name)
-    hist_path = out_dir / f"degree_hist_{tag}.csv"
-    write_histogram_csv(degree_histogram(tree), hist_path)
-    written.append(hist_path.name)
+        save_tree(tree, out_dir / f"tree_{tag}.pact")
+    write_trajectory_csv(tree.leaf_trajectory(), out_dir / f"trajectory_{tag}.csv")
+    write_histogram_csv(degree_histogram(tree), out_dir / f"degree_hist_{tag}.csv")
     for m in checkpoints:
-        p = out_dir / f"degree_hist_{tag}_m{m}.csv"
-        write_histogram_csv(degree_histogram(tree, upto=m), p)
-        written.append(p.name)
+        write_histogram_csv(degree_histogram(tree, upto=m),
+                            out_dir / f"degree_hist_{tag}_m{m}.csv")
     if edges:
-        p = out_dir / f"edges_{tag}.csv"
-        write_edge_csv(tree, p)
-        written.append(p.name)
-    return written
+        write_edge_csv(tree, out_dir / f"edges_{tag}.csv")
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
+    n, reps, seed = cfg["n"], cfg["reps"], cfg["seed"]
     tasks = [
-        (schedule, n, seed, rep, bool(cfg["save_trees"]), bool(cfg["edges"]),
-         [int(m) for m in cfg["checkpoints"]], str(out_dir))
+        (schedule, n, seed, rep, cfg["save_trees"], cfg["edges"], cfg["checkpoints"],
+         str(out_dir))
         for rep in range(reps)
     ]
-    _pool_map(_simulate_rep, tasks, int(cfg["threads"]))
+    _pool_map(_simulate_rep, tasks, cfg["threads"])
     return [{"seed": seed, "stream_id": rep} for rep in range(reps)]
 
 
 # ---------------------------------------------------------------- limits
 
 def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    seed = int(cfg["seed"])
-    kmax = int(cfg["kmax"])
+    seed = cfg["seed"]
+    kmax = cfg["kmax"]
     table = p_alpha_table(schedule.alpha, kmax)
     write_pmf_csv(range(1, kmax + 1), table[1:], out_dir / "p_alpha_pmf.csv")
 
-    ts = np.linspace(1.0 / int(cfg["curve_points"]), 1.0, int(cfg["curve_points"]))
+    ts = np.linspace(1.0 / cfg["curve_points"], 1.0, cfg["curve_points"])
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.num_change_points >= 1:
-        batch = sample_d_theta_multi(schedule, seeded_generator(seed), int(cfg["draws"]),
-                                     float(cfg["horizon_t"]))
+        batch = sample_d_theta_multi(schedule, seeded_generator(seed), cfg["draws"],
+                                     cfg["horizon_t"])
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
         ks, cc = ccdf_from_samples(batch.values)
         write_pmf_csv(ks, cc, out_dir / "d_theta_ccdf.csv")
-        eps = float(cfg["epsilon"])
-        grid = np.linspace(eps, 1.0, int(cfg["curve_points"]))
+        eps = cfg["epsilon"]
+        grid = np.linspace(eps, 1.0, cfg["curve_points"])
         dvals = np.asarray(limit_D(grid, schedule, eps))
         write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
     return [{"seed": seed, "stream_id": 0}]
@@ -233,9 +262,9 @@ def _overlay(cfg: dict) -> ChangePointSchedule | None:
 def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
                  trajectories: list[LeafTrajectory]) -> list[dict]:
     """Estimate on the trajectories main() loaded from cfg["trajectories"], one pool task each."""
-    epsilon = float(cfg["epsilon"])
+    epsilon = cfg["epsilon"]
     tasks = [(traj, epsilon, overlay, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
-    reports = _pool_map(_estimate_task, tasks, int(cfg["threads"]))
+    reports = _pool_map(_estimate_task, tasks, cfg["threads"])
     rows = [(Path(traj_path).name, "" if r.gamma_hat is None else r.gamma_hat, r.dn_star,
              int(r.detected)) for traj_path, r in zip(cfg["trajectories"], reports)]
     write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
@@ -255,17 +284,17 @@ def _fclt_task(task: tuple):
 
 
 def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    n, reps, seed = int(cfg["n"]), int(cfg["reps"]), int(cfg["seed"])
-    t_grid = [float(t) for t in cfg["t_grid"]]
+    n, reps, seed = cfg["n"], cfg["reps"], cfg["seed"]
+    t_grid = cfg["t_grid"]
     tasks = [(schedule, n, seed, rep, t_grid, 0) for rep in range(reps)]
     seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
     sample_z = schedule.num_change_points == 1
     if sample_z:
         # first in the pool, so one worker draws it while the others grow trees
         tasks.insert(0, (schedule, n, seed, _UPSILON_STREAM_BASE, None,
-                         int(cfg["upsilon_reps"])))
+                         cfg["upsilon_reps"]))
         seeds.append({"seed": seed, "stream_id": _UPSILON_STREAM_BASE})
-    results = _pool_map(_fclt_task, tasks, int(cfg["threads"]))
+    results = _pool_map(_fclt_task, tasks, cfg["threads"])
     if sample_z:
         write_zsample_csv(results.pop(0), out_dir / "upsilon_z.csv")
     rows = np.asarray(results)
@@ -288,13 +317,13 @@ def _maxdeg_rep(task: tuple) -> int:
 
 
 def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    reps, seed = int(cfg["reps"]), int(cfg["seed"])
-    n_list = [int(n) for n in cfg["n_list"]]
+    reps, seed = cfg["reps"], cfg["seed"]
+    n_list = cfg["n_list"]
     exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
     # one pool for every size: stream ni * reps + rep is size ni's rep-th tree
     tasks = [(schedule, n, seed, ni * reps + rep)
              for ni, n in enumerate(n_list) for rep in range(reps)]
-    m1s = _pool_map(_maxdeg_rep, tasks, int(cfg["threads"]))
+    m1s = _pool_map(_maxdeg_rep, tasks, cfg["threads"])
     rows = []
     for ni, n in enumerate(n_list):
         size_m1s = m1s[ni * reps : (ni + 1) * reps]
@@ -307,59 +336,37 @@ def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
 
 # ---------------------------------------------------------------- driver
 
+def _fail(message: str):
+    """Every parser's error: main() prints it as one line and exits 2."""
+    raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pact", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.error = _fail
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(command: str, help: str) -> argparse.ArgumentParser:
-        """The subcommand's parser, with --seed and --reps only where _DEFAULTS holds them."""
-        p = sub.add_parser(command, help=help)
+    for command, summary in _SUMMARIES.items():
+        p = sub.add_parser(command, help=summary)
+        p.error = _fail
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        if "seed" in _DEFAULTS[command]:
-            p.add_argument("--seed", type=int, default=None, help="base seed (u64)")
-        if "reps" in _DEFAULTS[command]:
-            p.add_argument("--reps", type=int, default=None, help="ensemble replications")
-        p.add_argument("--threads", type=int, default=None, help="worker pool size")
         p.add_argument("--out", type=str, required=True, help="output directory")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, action="append", default=None,
-                       help="post-change offset (repeat for multiple change points)")
-        p.add_argument("--gamma", type=float, action="append", default=None,
-                       help="change-point fraction (repeat for multiple change points)")
-        return p
-
-    p = common("simulate", "grow trees and record statistics")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--no-trees", dest="save_trees", action="store_false", default=None)
-    p.add_argument("--edges", action="store_true", default=None)
-    p.add_argument("--checkpoint", dest="checkpoints", type=int, action="append", default=None,
-                   help="record a degree histogram at this size (repeatable)")
-
-    p = common("limits", "limit-law tables and curves")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--horizon-t", dest="horizon_t", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--curve-points", dest="curve_points", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = common("estimate", "change-point reports from trajectories")
-    p.add_argument("--trajectory", dest="trajectories", type=str, action="append",
-                   default=None, help="trajectory CSV (repeatable)")
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = common("fclt", "scaled leaf-count moments and duration CLT sample")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", dest="t_grid", type=float, action="append", default=None)
-    p.add_argument("--upsilon-reps", dest="upsilon_reps", type=int, default=None)
-
-    p = common("maxdeg", "maximal degree ensemble across sizes")
-    p.add_argument("--n", dest="n_list", type=int, action="append", default=None,
-                   help="tree size (repeatable)")
-
+        for key, default in _DEFAULTS[command].items():
+            flag, kind, _, help_text = _KEYS[key]
+            how = ({"action": "store_false" if default else "store_true"} if kind is bool else
+                   {"type": kind[0], "action": "append"} if isinstance(kind, list) else
+                   {"type": kind})
+            p.add_argument(flag, dest=key, default=None, help=help_text, **how)
     return parser
 
 
+_SUMMARIES = {
+    "simulate": "grow trees and record statistics",
+    "limits": "limit-law tables and curves",
+    "estimate": "change-point reports from trajectories",
+    "fclt": "scaled leaf-count moments and duration CLT sample",
+    "maxdeg": "maximal degree ensemble across sizes",
+}
 _COMMANDS = {
     "simulate": cmd_simulate,
     "limits": cmd_limits,
@@ -371,46 +378,39 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, unread = build_parser().parse_known_args(argv)
-        if unread:  # a flag the subcommand does not read fails like a bad value
-            raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
+        args = build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
         # validate the full configuration before any side effect
-        for key, low in _MINIMUM.items():
-            if key in cfg and int(cfg[key]) < low:
-                raise ValueError(f"{key} must be >= {low}, got {cfg[key]}")
         if args.command == "estimate":
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
-            overlay = _overlay(cfg)
-            upper = 1 if overlay is None else overlay.segments[0].gamma  # d_limit's domain
-            if not 0.0 < float(cfg["epsilon"]) < upper:
-                raise ValueError(f"epsilon must lie in (0, {upper}), got {cfg['epsilon']}")
-            for t in cfg["trajectories"]:
-                if not Path(t).is_file():
-                    raise ValueError(f"trajectory file not found: {t}")
-            inputs = {"overlay": overlay,
-                      "trajectories": [read_trajectory_csv(t) for t in cfg["trajectories"]]}
+            schedule = _overlay(cfg)
+            inputs = {"overlay": schedule}
         else:
             schedule = _schedule_from(cfg)
             inputs = {"schedule": schedule}
-        if args.command == "simulate":
-            bad = [m for m in cfg["checkpoints"] if not 2 <= int(m) <= int(cfg["n"])]
+        if "epsilon" in cfg:  # limits and estimate: d_limit needs 0 < epsilon < gamma_1
+            upper = schedule.segments[0].gamma if schedule and schedule.segments else 1
+            if not 0.0 < cfg["epsilon"] < upper:
+                raise ValueError(f"epsilon must lie in (0, {upper}), got {cfg['epsilon']}")
+        if args.command == "estimate":
+            for t in cfg["trajectories"]:
+                if not Path(t).is_file():
+                    raise ValueError(f"trajectory file not found: {t}")
+            inputs["trajectories"] = [read_trajectory_csv(t) for t in cfg["trajectories"]]
+        elif args.command == "simulate":
+            bad = [m for m in cfg["checkpoints"] if m > cfg["n"]]
             if bad:
-                raise ValueError(f"checkpoints must lie in 2..n = {cfg['n']}, got {bad}")
-        elif args.command == "limits" and schedule.num_change_points:
-            first, last = schedule.segments[0].gamma, schedule.segments[-1].gamma
-            if not last < float(cfg["horizon_t"]) <= 1.0:
+                raise ValueError(f"checkpoints must be <= n = {cfg['n']}, got {bad}")
+        elif args.command == "limits" and schedule.segments:
+            last = schedule.segments[-1].gamma
+            if not last < cfg["horizon_t"] <= 1.0:
                 raise ValueError(f"horizon_t must lie in ({last}, 1], got {cfg['horizon_t']}")
-            if not 0.0 < float(cfg["epsilon"]) < first:
-                raise ValueError(f"epsilon must lie in (0, {first}), got {cfg['epsilon']}")
         elif args.command == "fclt":
-            if int(cfg["reps"]) < 2:
+            if cfg["reps"] < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
-            if not all(0.0 < float(t) <= 1.0 for t in cfg["t_grid"]):
+            if not all(0.0 < t <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
-        elif args.command == "maxdeg" and any(int(n) < 2 for n in cfg["n_list"]):
-            raise ValueError(f"every n must be >= 2, got {cfg['n_list']}")
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,20 @@
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pact.cli import _DEFAULTS, _pool_map, build_parser, main
+from pact.cli import _DEFAULTS, _KEYS, _pool_map, build_parser, main
 from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
 from pact.model_core import ChangePointSchedule
@@ -164,6 +169,10 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     ["limits", "--reps", "7"],  # flags the subcommand would ignore
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--seed", "99"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--reps", "4"],
+    ["simulate", "--n", "abc"],  # argparse's own errors take the same one-line path
+    [],  # no subcommand
+    ["limits", "--threads", "0"],
+    ["limits", "--epsilon", "1.5"],  # no change point: eps < 1
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -174,6 +183,70 @@ def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "good.csv" not in err
     assert not out.exists()
+
+
+def test_simulate_without_out_fails_before_side_effects(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run("simulate", "--n", "100") == 2
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_prints_help_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("simulate", "--help")
+    assert exc.value.code == 0
+    assert "--no-trees" in capsys.readouterr().out
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBERS = st.one_of(st.integers(-10**6, 10**6), _FINITE)
+# a JSON value of the wrong kind for each scalar type; floats include integral ones
+_WRONG = {
+    int: st.one_of(_FINITE, st.text(max_size=4), st.booleans(),
+                   st.lists(st.integers(), max_size=2)),
+    float: st.one_of(st.text(max_size=4), st.booleans(), st.lists(_FINITE, max_size=2)),
+    bool: st.one_of(_NUMBERS, st.text(max_size=4), st.lists(st.booleans(), max_size=2)),
+    str: st.one_of(_NUMBERS, st.booleans()),
+}
+
+
+def _wrong_value(command: str, key: str) -> st.SearchStrategy:
+    kind = _KEYS[key][1]
+    if isinstance(kind, list):  # a scalar, or a list holding one value of the wrong kind
+        wrong = st.one_of(_NUMBERS, st.text(max_size=4), st.booleans(),
+                          st.builds(lambda v: [v], st.one_of(_WRONG[kind[0]], st.none())))
+    else:
+        wrong = _WRONG[kind]
+    return wrong if _DEFAULTS[command][key] is None else st.one_of(wrong, st.none())
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in _DEFAULTS for k in _DEFAULTS[c]])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_config_value_of_the_wrong_json_kind_fails_before_side_effects(command, key, data):
+    value = data.draw(_wrong_value(command, key), label=f"{command}.{key}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "never"
+        cfg.write_text(json.dumps({key: value}))
+        with contextlib.redirect_stderr(err):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+    assert err.getvalue().startswith(f"error: {key} ") and err.getvalue().count("\n") == 1
+
+
+def test_json_integers_for_float_keys_match_the_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 6, "beta": [1], "gamma": [0.5]}))
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert _run("simulate", "--config", str(cfg), "--n", "500", "--out", str(from_file)) == 0
+    assert _run("simulate", *SINGLE, "--n", "500", "--out", str(from_flags)) == 0
+    manifests = [json.loads((out / "manifest.json").read_text())
+                 for out in (from_file, from_flags)]
+    # compared as JSON text, so an echoed 6 would not pass for 6.0
+    assert len({json.dumps(m["config"], sort_keys=True) for m in manifests}) == 1
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
 @pytest.mark.parametrize("cfg", [{"alpha": 6.0}, {"schedule": {"alpha": 6.0, "segments": []}}],
@@ -205,7 +278,7 @@ def test_every_flag_is_a_config_key_of_its_subcommand():
     assert set(subcommands) == set(_DEFAULTS)
     for command, parser in subcommands.items():
         keys = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
-        assert keys - set(_DEFAULTS[command]) - {"config", "out", "threads"} == set(), command
+        assert keys - set(_DEFAULTS[command]) - {"config", "out"} == set(), command
 
 
 _ACTION_KINDS = {"_StoreAction": "store", "_AppendAction": "append",
