@@ -10,14 +10,16 @@ One executable, five subcommands:
 
 Every run writes its artifacts plus a manifest.json (config echo, seed list,
 version, wall clock, output digests) into --out.  Configuration comes from an
-optional JSON file (--config) with per-key overrides from flags; flags win.
-_KEYS declares each key's flag, type and minimum once; every merged value
-must have its key's JSON type.  main() checks the merged config, builds the
-schedule (for estimate: the d_limit overlay and the loaded trajectories) once
-and hands it to the subcommand before anything is written; a bad flag, value
-or file prints one "error:" line and exits 2.  The same merged config
-reproduces byte-identical CSVs.  --threads sets the worker pool size; each
-subcommand defaults to 1 process and gives the same bytes with any pool size.
+optional JSON file (--config), one object keyed like the manifest's config
+echo, with per-key overrides from flags; flags win.  _KEYS declares each
+key's flag, type and minimum once; every merged value must have its key's
+JSON type, and a float key's value must be finite.  main() checks the merged
+config, builds the schedule (for estimate: the d_limit overlay and the loaded
+trajectories) once and hands it to the subcommand before anything is
+written; a bad flag, value or file prints one "error:" line and exits 2.
+The same merged config reproduces byte-identical CSVs.  --threads sets the
+worker pool size; each subcommand defaults to 1 process and gives the same
+bytes with any pool size.
 """
 from __future__ import annotations
 
@@ -129,6 +131,8 @@ def _typed(key: str, value, kind, low):
     if isinstance(value, bool) != (kind is bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, infinite or too large
+        raise ValueError(f"{key} must be finite, got {json.dumps(value)}")
     if low is not None and value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
     return float(value) if kind is float else value
@@ -137,16 +141,16 @@ def _typed(key: str, value, kind, low):
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS[command])
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(merged) - {"schedule"}
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValueError(f"config file {args.config}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold one JSON object")
+        unknown = set(file_cfg) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-        if "schedule" in file_cfg:
-            sched = ChangePointSchedule.from_json(file_cfg.pop("schedule"))
-            merged["alpha"] = sched.alpha
-            merged["gamma"] = [s.gamma for s in sched.segments]
-            merged["beta"] = [s.beta for s in sched.segments]
         merged.update(file_cfg)
     for key, default in _DEFAULTS[command].items():
         value = getattr(args, key, None)
@@ -385,10 +389,10 @@ def main(argv: list[str] | None = None) -> int:
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")
             schedule = _overlay(cfg)
-            inputs = {"overlay": schedule}
+            inputs = dict(overlay=schedule)
         else:
             schedule = _schedule_from(cfg)
-            inputs = {"schedule": schedule}
+            inputs = dict(schedule=schedule)
         if "epsilon" in cfg:  # limits and estimate: d_limit needs 0 < epsilon < gamma_1
             upper = schedule.segments[0].gamma if schedule and schedule.segments else 1
             if not 0.0 < cfg["epsilon"] < upper:
@@ -411,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
             if not all(0.0 < t <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

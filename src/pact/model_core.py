@@ -79,23 +79,6 @@ class ChangePointSchedule:
         """
         return [0] + [int(np.floor(s.gamma * n)) for s in self.segments] + [n]
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChangePointSchedule":
-        """The schedule {"alpha": a, "segments": [{"gamma": g, "beta": b}, ...]}.
-
-        ValueError when obj is not an object, segments is not a list of objects,
-        or alpha, gamma or beta is missing (naming the key)."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"schedule must be an object, got {type(obj).__name__}")
-        segments = obj.get("segments", [])
-        if not isinstance(segments, list) or not all(isinstance(s, dict) for s in segments):
-            raise ValueError(f"schedule segments must be a list of objects, got {segments!r}")
-        try:
-            segs = [(float(s["gamma"]), float(s["beta"])) for s in segments]
-            return cls(alpha=float(obj["alpha"]), segments=tuple(segs))
-        except KeyError as exc:
-            raise ValueError(f"schedule is missing key {exc}") from None
-
 
 def seeded_generator(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Reproducible counter-based random stream.

@@ -101,10 +101,7 @@ def test_simulate_ensemble_distinct_streams(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "n": 500,
-        "schedule": {"alpha": 6.0, "segments": [{"gamma": 0.5, "beta": 1.0}]},
-    }))
+    cfg.write_text(json.dumps({"n": 500, "alpha": 6.0, "beta": [1.0], "gamma": [0.5]}))
     out = tmp_path / "run"
     assert _run("simulate", "--config", str(cfg), "--out", str(out), "--n", "300") == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -120,21 +117,16 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("schedule, key", [
-    ({"segments": [{"gamma": 0.5}]}, "'beta'"),
-    ({"segments": [{"gamma": 0.5, "beta": 1.0}]}, "'alpha'"),
-    ([1], "schedule must be an object"),
-    ("alpha=1", "schedule must be an object"),
-    ({"alpha": 1.0, "segments": {"gamma": 0.5, "beta": 1.0}}, "list of objects"),
-    ({"alpha": 1.0, "segments": [[0.5, 1.0]]}, "list of objects"),
-], ids=["no-beta", "no-alpha", "list", "string", "segments-object", "segment-list"])
-def test_config_schedule_missing_key_fails_before_side_effects(tmp_path, capsys, schedule, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schedule": schedule}))
+@pytest.mark.parametrize("body", [b"[]", b"7", b'"n"', b"null", b'{"n": 1', b"\xff\xfe"],
+                         ids=["list", "number", "string", "null", "truncated", "not-utf8"])
+def test_config_file_that_is_not_one_json_object_fails_before_side_effects(tmp_path, capsys,
+                                                                          body):
+    cfg = tmp_path / "bad_cfg.json"
+    cfg.write_bytes(body)
     out = tmp_path / "never"
     assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert err.startswith(f"error: config file {cfg}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -173,6 +165,7 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     [],  # no subcommand
     ["limits", "--threads", "0"],
     ["limits", "--epsilon", "1.5"],  # no change point: eps < 1
+    ["limits", "--horizon-t", "nan"],  # no change point: only the finite check sees it
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -205,7 +198,8 @@ _NUMBERS = st.one_of(st.integers(-10**6, 10**6), _FINITE)
 _WRONG = {
     int: st.one_of(_FINITE, st.text(max_size=4), st.booleans(),
                    st.lists(st.integers(), max_size=2)),
-    float: st.one_of(st.text(max_size=4), st.booleans(), st.lists(_FINITE, max_size=2)),
+    float: st.one_of(st.text(max_size=4), st.booleans(), st.lists(_FINITE, max_size=2),
+                     st.sampled_from([float("nan"), float("inf"), float("-inf")])),
     bool: st.one_of(_NUMBERS, st.text(max_size=4), st.lists(st.booleans(), max_size=2)),
     str: st.one_of(_NUMBERS, st.booleans()),
 }
@@ -249,8 +243,7 @@ def test_json_integers_for_float_keys_match_the_flags(tmp_path):
     assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
-@pytest.mark.parametrize("cfg", [{"alpha": 6.0}, {"schedule": {"alpha": 6.0, "segments": []}}],
-                         ids=["alpha", "schedule"])
+@pytest.mark.parametrize("cfg", [{"alpha": 6.0}], ids=["alpha"])
 def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, capsys, cfg):
     good = tmp_path / "good.csv"
     good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
@@ -264,12 +257,21 @@ def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, 
     assert not out.exists()
 
 
-def test_maxdeg_k_is_an_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": 1}))
+# a schedule is spelled with the flat alpha/beta/gamma keys only
+@pytest.mark.parametrize("command, cfg, key", [
+    ("maxdeg", {"k": 1}, "k"),
+    ("simulate", {"schedule": {"alpha": "6", "segments": [{"gamma": "0.5", "beta": True}]}},
+     "schedule"),
+    ("estimate", {"schedule": {"alpha": 6.0, "segments": [{"gamma": 0.5, "beta": 1.0}]}},
+     "schedule"),
+    ("simulate", {"schedule": {"alpha": 6.0, "segments": []}, "alpha": 1.0}, "schedule"),
+], ids=["maxdeg-k", "simulate-schedule", "estimate-schedule", "simulate-schedule-and-alpha"])
+def test_unknown_config_key_fails_before_side_effects(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "never"
-    assert _run("maxdeg", "--config", str(cfg), "--out", str(out)) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    assert _run(command, "--config", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys for {command}: ['{key}']\n"
     assert not out.exists()
 
 

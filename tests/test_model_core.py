@@ -75,15 +75,6 @@ def test_step_offsets_agrees_with_segment_of():
         assert offs[m - 2] == segment_of(s, m, n)[1]
 
 
-def test_schedule_from_json():
-    obj = {
-        "alpha": 4.0,
-        "segments": [{"gamma": 0.3, "beta": 1.0}, {"gamma": 0.7, "beta": 2.0}],
-    }
-    s = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
-    assert ChangePointSchedule.from_json(obj) == s
-
-
 def test_seeded_rng_replays_identically():
     a = seeded_generator(12345, 7).random(64)
     b = seeded_generator(12345, 7).random(64)
