@@ -135,6 +135,27 @@ TWO = ["--alpha", "4", "--beta", "1", "--gamma", "0.3", "--beta", "2", "--gamma"
 GOOD_TRAJECTORY = "<a valid trajectory file>"
 
 
+@pytest.mark.parametrize("argv, streams", [
+    (["simulate", "--n", "300", "--reps", "3", "--threads", "2", "--seed", "5"], [0, 1, 2]),
+    # at k = 1 the duration stream is drawn first in the pool but listed last
+    (["fclt", "--n", "300", "--reps", "3", "--upsilon-reps", "4", "--seed", "5", *SINGLE],
+     [0, 1, 2, 1 << 32]),
+    (["fclt", "--n", "300", "--reps", "3", "--seed", "5"], [0, 1, 2]),
+    (["maxdeg", "--n", "300", "--n", "200", "--reps", "2", "--seed", "5"], [0, 1, 2, 3]),
+    (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5",
+      *SINGLE], [0]),
+    (["estimate", "--trajectory", GOOD_TRAJECTORY], []),
+], ids=["simulate", "fclt-k1", "fclt-k0", "maxdeg", "limits", "estimate"])
+def test_manifest_seeds_are_pinned(tmp_path, argv, streams):
+    sim = tmp_path / "sim"
+    assert _run("simulate", "--out", str(sim), "--n", "300", "--no-trees") == 0
+    argv = [str(sim / "trajectory_r000.csv") if a == GOOD_TRAJECTORY else a for a in argv]
+    out = tmp_path / "run"
+    assert _run(*argv, "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [{"seed": 5, "stream_id": s} for s in streams]
+
+
 @pytest.mark.parametrize("argv", [
     ["limits", *SINGLE, "--draws", "0"],
     ["limits", "--kmax", "0"],
