@@ -28,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -186,38 +187,33 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
 
 
 # ---------------------------------------------------------------- simulate
+# A pooled worker takes (cfg, schedule[, out_dir], item): cmd_* binds the
+# shared values once and maps it over stream ids; each cmd_* returns the ids
+# it drew, and main() writes them into the manifest's seed list.
 
-def _simulate_rep(task: tuple) -> None:
-    schedule, n, seed, stream, save_trees, edges, checkpoints, out = task
-    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
-    out_dir = Path(out)
+def _simulate_rep(cfg: dict, schedule: ChangePointSchedule, out_dir: Path, stream: int) -> None:
+    tree = grow_tree(schedule, cfg["n"], seeded_generator(cfg["seed"], stream))
     tag = f"r{stream:03d}"
-    if save_trees:
+    if cfg["save_trees"]:
         save_tree(tree, out_dir / f"tree_{tag}.pact")
     write_trajectory_csv(tree.leaf_trajectory(), out_dir / f"trajectory_{tag}.csv")
     write_histogram_csv(degree_histogram(tree), out_dir / f"degree_hist_{tag}.csv")
-    for m in checkpoints:
+    for m in cfg["checkpoints"]:
         write_histogram_csv(degree_histogram(tree, upto=m),
                             out_dir / f"degree_hist_{tag}_m{m}.csv")
-    if edges:
+    if cfg["edges"]:
         write_edge_csv(tree, out_dir / f"edges_{tag}.csv")
 
 
-def cmd_simulate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    n, reps, seed = cfg["n"], cfg["reps"], cfg["seed"]
-    tasks = [
-        (schedule, n, seed, rep, cfg["save_trees"], cfg["edges"], cfg["checkpoints"],
-         str(out_dir))
-        for rep in range(reps)
-    ]
-    _pool_map(_simulate_rep, tasks, cfg["threads"])
-    return [{"seed": seed, "stream_id": rep} for rep in range(reps)]
+def cmd_simulate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
+    streams = list(range(cfg["reps"]))
+    _pool_map(partial(_simulate_rep, cfg, schedule, out_dir), streams, cfg["threads"])
+    return streams
 
 
 # ---------------------------------------------------------------- limits
 
-def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    seed = cfg["seed"]
+def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
     kmax = cfg["kmax"]
     table = p_alpha_table(schedule.alpha, kmax)
     write_pmf_csv(range(1, kmax + 1), table[1:], out_dir / "p_alpha_pmf.csv")
@@ -226,7 +222,7 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.num_change_points >= 1:
-        batch = sample_d_theta_multi(schedule, seeded_generator(seed), cfg["draws"],
+        batch = sample_d_theta_multi(schedule, seeded_generator(cfg["seed"]), cfg["draws"],
                                      cfg["horizon_t"])
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
         ks, cc = ccdf_from_samples(batch.values)
@@ -235,22 +231,22 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
         grid = np.linspace(eps, 1.0, cfg["curve_points"])
         dvals = np.asarray(limit_D(grid, schedule, eps))
         write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
-    return [{"seed": seed, "stream_id": 0}]
+    return [0]
 
 
 # ---------------------------------------------------------------- estimate
 
-def _estimate_task(task: tuple) -> EstimateReport:
-    """Estimate one trajectory; write its report_<tag>.json and thinned dn_curve_<tag>.csv."""
-    traj, epsilon, overlay, out_dir, tag = task
-    curve = dn_curve(traj, epsilon)
+def _estimate_task(cfg: dict, overlay: ChangePointSchedule | None, out_dir: Path,
+                   item: tuple[int, LeafTrajectory]) -> EstimateReport:
+    """Estimate the item-th trajectory; write its report_<i>.json and thinned dn_curve_<i>.csv."""
+    curve = dn_curve(item[1], cfg["epsilon"])
     report = gamma_hat(curve)
     curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
     d_lim = None
     if overlay is not None:
-        d_lim = np.asarray(limit_D(curve.ts, overlay, epsilon))
-    write_report_json(report, out_dir / f"report_{tag}.json")
-    write_dn_csv(curve, out_dir / f"dn_curve_{tag}.csv", d_lim)
+        d_lim = np.asarray(limit_D(curve.ts, overlay, cfg["epsilon"]))
+    write_report_json(report, out_dir / f"report_{item[0]:03d}.json")
+    write_dn_csv(curve, out_dir / f"dn_curve_{item[0]:03d}.csv", d_lim)
     return report
 
 
@@ -264,11 +260,11 @@ def _overlay(cfg: dict) -> ChangePointSchedule | None:
 
 
 def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
-                 trajectories: list[LeafTrajectory]) -> list[dict]:
-    """Estimate on the trajectories main() loaded from cfg["trajectories"], one pool task each."""
-    epsilon = cfg["epsilon"]
-    tasks = [(traj, epsilon, overlay, out_dir, f"{i:03d}") for i, traj in enumerate(trajectories)]
-    reports = _pool_map(_estimate_task, tasks, cfg["threads"])
+                 trajectories: list[LeafTrajectory]) -> list[int]:
+    """Estimate on the trajectories main() loaded from cfg["trajectories"]; draws no stream."""
+    # one (index, trajectory) item each, so every trajectory is pickled once
+    reports = _pool_map(partial(_estimate_task, cfg, overlay, out_dir),
+                        list(enumerate(trajectories)), cfg["threads"])
     rows = [(Path(traj_path).name, "" if r.gamma_hat is None else r.gamma_hat, r.dn_star,
              int(r.detected)) for traj_path, r in zip(cfg["trajectories"], reports)]
     write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
@@ -278,28 +274,21 @@ def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
 
 # ---------------------------------------------------------------- fclt
 
-def _fclt_task(task: tuple):
-    """One tree's G_n path on the t grid, or, when ups_reps is set, the duration sample."""
-    schedule, n, seed, stream, t_grid, ups_reps = task
-    if ups_reps:
-        return upsilon_clt_sample(schedule, n, ups_reps, seeded_generator(seed, stream))
-    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
-    return list(gn_path(tree, schedule, t_grid))
+def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int):
+    """One tree's G_n path on the t grid, or, on the duration stream, the duration sample."""
+    gen = seeded_generator(cfg["seed"], stream)
+    if stream == _UPSILON_STREAM_BASE:
+        return upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"], gen)
+    return list(gn_path(grow_tree(schedule, cfg["n"], gen), schedule, cfg["t_grid"]))
 
 
-def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    n, reps, seed = cfg["n"], cfg["reps"], cfg["seed"]
-    t_grid = cfg["t_grid"]
-    tasks = [(schedule, n, seed, rep, t_grid, 0) for rep in range(reps)]
-    seeds = [{"seed": seed, "stream_id": rep} for rep in range(reps)]
-    sample_z = schedule.num_change_points == 1
-    if sample_z:
-        # first in the pool, so one worker draws it while the others grow trees
-        tasks.insert(0, (schedule, n, seed, _UPSILON_STREAM_BASE, None,
-                         cfg["upsilon_reps"]))
-        seeds.append({"seed": seed, "stream_id": _UPSILON_STREAM_BASE})
-    results = _pool_map(_fclt_task, tasks, cfg["threads"])
-    if sample_z:
+def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
+    reps, t_grid = cfg["reps"], cfg["t_grid"]
+    streams = list(range(reps))
+    z_stream = [_UPSILON_STREAM_BASE] if schedule.num_change_points == 1 else []
+    # the duration stream goes first, so one worker draws it while the others grow trees
+    results = _pool_map(partial(_fclt_task, cfg, schedule), z_stream + streams, cfg["threads"])
+    if z_stream:
         write_zsample_csv(results.pop(0), out_dir / "upsilon_z.csv")
     rows = np.asarray(results)
 
@@ -309,25 +298,21 @@ def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[di
     ]
     write_csv(out_dir / "gn_moments.csv", ["t", "mean_gn", "var_gn", "target_var", "reps"],
               list(zip(*moments)))
-    return seeds
+    return streams + z_stream
 
 
 # ---------------------------------------------------------------- maxdeg
 
-def _maxdeg_rep(task: tuple) -> int:
-    schedule, n, seed, stream = task
-    tree = grow_tree(schedule, n, seeded_generator(seed, stream))
-    return max_degree(tree)
+def _maxdeg_rep(cfg: dict, schedule: ChangePointSchedule, stream: int) -> int:
+    n = cfg["n_list"][stream // cfg["reps"]]  # stream ni * reps + rep is size ni's rep-th tree
+    return max_degree(grow_tree(schedule, n, seeded_generator(cfg["seed"], stream)))
 
 
-def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[dict]:
-    reps, seed = cfg["reps"], cfg["seed"]
-    n_list = cfg["n_list"]
+def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
+    reps, n_list = cfg["reps"], cfg["n_list"]
     exponent = 1.0 / (2.0 + schedule.alpha)  # M_n grows like n^(1/(2+alpha))
-    # one pool for every size: stream ni * reps + rep is size ni's rep-th tree
-    tasks = [(schedule, n, seed, ni * reps + rep)
-             for ni, n in enumerate(n_list) for rep in range(reps)]
-    m1s = _pool_map(_maxdeg_rep, tasks, cfg["threads"])
+    streams = list(range(len(n_list) * reps))  # one pool for every size
+    m1s = _pool_map(partial(_maxdeg_rep, cfg, schedule), streams, cfg["threads"])
     rows = []
     for ni, n in enumerate(n_list):
         size_m1s = m1s[ni * reps : (ni + 1) * reps]
@@ -335,7 +320,7 @@ def cmd_maxdeg(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
         rows += zip([n] * reps, range(reps), size_m1s, scaled)
         print(f"n={n}: median scaled max degree = {float(np.median(scaled)):.4f}")
     write_csv(out_dir / "maxdeg.csv", ["n", "rep", "max_degree", "scaled"], list(zip(*rows)))
-    return [{"seed": seed, "stream_id": task[3]} for task in tasks]
+    return streams
 
 
 # ---------------------------------------------------------------- driver
@@ -422,13 +407,14 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    seeds = _COMMANDS[args.command](cfg, out_dir, **inputs)
+    streams = _COMMANDS[args.command](cfg, out_dir, **inputs)
     wall_clock_s = round(time.time() - start, 3)
     outputs = {
         p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
     }
     # the audit record; re-running its config reproduces every output
     with open(out_dir / "manifest.json", "w", newline="\n") as fh:
+        seeds = [{"seed": cfg["seed"], "stream_id": s} for s in streams]
         json.dump({"subcommand": args.command, "config": cfg, "seeds": seeds,
                    "tool_version": __version__, "wall_clock_s": wall_clock_s,
                    "outputs": outputs}, fh, indent=2, sort_keys=True)
