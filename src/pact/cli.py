@@ -9,23 +9,26 @@ One executable, five subcommands:
     maxdeg     ensemble of maximal degrees across sizes
 
 Every run writes its artifacts plus a manifest.json (config echo, seed list,
-version, wall clock, output digests) into --out.  Configuration comes from an
-optional JSON file (--config), one object keyed like the manifest's config
-echo, with per-key overrides from flags; flags win.  _KEYS declares each
-key's flag, type and minimum once; every merged value must have its key's
-JSON type, and a float key's value must be finite.  main() checks the merged
-config, builds the schedule (for estimate: the d_limit overlay and the loaded
-trajectories) once and hands it to the subcommand before anything is
-written; a bad flag, value or file prints one "error:" line and exits 2.
-The same merged config reproduces byte-identical CSVs.  --threads sets the
-worker pool size; each subcommand defaults to 1 process and gives the same
-bytes with any pool size.
+version, wall clock, output digests) into --out, which must be new or empty.
+Configuration comes from an optional JSON file (--config), one object keyed
+like the manifest's config echo with no key twice, with per-key overrides
+from flags; flags win.  _KEYS declares each key's flag, type and minimum
+once; every merged value must have its key's JSON type, and a float key's
+value must be finite.  main() checks the merged config, builds the schedule
+(for estimate: the d_limit overlay and the loaded trajectories) once and
+hands it to the subcommand before anything is written; a bad flag, value or
+file prints one "error:" line and exits 2.  A run that fails later with a
+ValueError, MemoryError or OSError (say, an array too large to allocate)
+removes what it wrote and exits the same way.  The same merged config
+reproduces byte-identical CSVs.  --threads sets the worker pool size; each
+subcommand defaults to 1 process and gives the same bytes with any pool size.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from functools import partial
@@ -139,13 +142,21 @@ def _typed(key: str, value, kind, low):
     return float(value) if kind is float else value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.load's object_pairs_hook: the object, or ValueError when a key repeats."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {json.dumps(max(keys, key=keys.count))}")
+    return dict(pairs)
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS[command])
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
+                file_cfg = json.load(fh, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # not UTF-8, not JSON, or a repeated key
                 raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold one JSON object")
@@ -186,10 +197,10 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
     return [fn(t) for t in tasks]
 
 
-# ---------------------------------------------------------------- simulate
 # A pooled worker takes (cfg, schedule[, out_dir], item): cmd_* binds the
 # shared values once and maps it over stream ids; each cmd_* returns the ids
 # it drew, and main() writes them into the manifest's seed list.
+# ---------------------------------------------------------------- simulate
 
 def _simulate_rep(cfg: dict, schedule: ChangePointSchedule, out_dir: Path, stream: int) -> None:
     tree = grow_tree(schedule, cfg["n"], seeded_generator(cfg["seed"], stream))
@@ -335,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.error = _fail
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _SUMMARIES.items():
-        p = sub.add_parser(command, help=summary)
+    for command, defaults in _DEFAULTS.items():  # the module docstring lists what each does
+        p = sub.add_parser(command)
         p.error = _fail
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, required=True, help="output directory")
-        for key, default in _DEFAULTS[command].items():
+        p.add_argument("--out", type=str, required=True, help="output directory, new or empty")
+        for key, default in defaults.items():
             flag, kind, _, help_text = _KEYS[key]
             how = ({"action": "store_false" if default else "store_true"} if kind is bool else
                    {"type": kind[0], "action": "append"} if isinstance(kind, list) else
@@ -349,13 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SUMMARIES = {
-    "simulate": "grow trees and record statistics",
-    "limits": "limit-law tables and curves",
-    "estimate": "change-point reports from trajectories",
-    "fclt": "scaled leaf-count moments and duration CLT sample",
-    "maxdeg": "maximal degree ensemble across sizes",
-}
 _COMMANDS = {
     "simulate": cmd_simulate,
     "limits": cmd_limits,
@@ -366,6 +370,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    made = None  # once --out is known to be new or empty: the directories this run makes
     try:
         args = build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
@@ -383,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
             if not 0.0 < cfg["epsilon"] < upper:
                 raise ValueError(f"epsilon must lie in (0, {upper}), got {cfg['epsilon']}")
         if args.command == "estimate":
-            for t in cfg["trajectories"]:
-                if not Path(t).is_file():
-                    raise ValueError(f"trajectory file not found: {t}")
             inputs["trajectories"] = [read_trajectory_csv(t) for t in cfg["trajectories"]]
         elif args.command == "simulate":
             bad = [m for m in cfg["checkpoints"] if m > cfg["n"]]
@@ -400,25 +402,35 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
             if not all(0.0 < t <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
-    except (ValueError, TypeError, OSError) as exc:
+        # so the manifest lists only this run's files, and a failed run can remove them all
+        out_dir = Path(args.out)
+        if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+            raise ValueError(f"--out {out_dir} must be a new or empty directory")
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
+        out_dir.mkdir(parents=True, exist_ok=True)
+        start = time.time()
+        streams = _COMMANDS[args.command](cfg, out_dir, **inputs)
+        wall_clock_s = round(time.time() - start, 3)
+        outputs = {
+            p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
+        }
+        # the audit record; re-running its config reproduces every output
+        with open(out_dir / "manifest.json", "w", newline="\n") as fh:
+            seeds = [{"seed": cfg["seed"], "stream_id": s} for s in streams]
+            json.dump({"subcommand": args.command, "config": cfg, "seeds": seeds,
+                       "tool_version": __version__, "wall_clock_s": wall_clock_s,
+                       "outputs": outputs}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException as exc:  # leave --out as it was found: absent, or empty
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        elif made is not None:  # --out was an empty directory
+            for p in out_dir.iterdir():
+                p.unlink()
+        if not isinstance(exc, (ValueError, MemoryError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.time()
-    streams = _COMMANDS[args.command](cfg, out_dir, **inputs)
-    wall_clock_s = round(time.time() - start, 3)
-    outputs = {
-        p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
-    }
-    # the audit record; re-running its config reproduces every output
-    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        seeds = [{"seed": cfg["seed"], "stream_id": s} for s in streams]
-        json.dump({"subcommand": args.command, "config": cfg, "seeds": seeds,
-                   "tool_version": __version__, "wall_clock_s": wall_clock_s,
-                   "outputs": outputs}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"{args.command}: wrote {len(outputs)} artifact(s) to {out_dir}")
     return 0
 

@@ -117,8 +117,10 @@ def test_invalid_config_fails_before_side_effects(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("body", [b"[]", b"7", b'"n"', b"null", b'{"n": 1', b"\xff\xfe"],
-                         ids=["list", "number", "string", "null", "truncated", "not-utf8"])
+@pytest.mark.parametrize("body", [b"[]", b"7", b'"n"', b"null", b'{"n": 1', b"\xff\xfe",
+                                  b'{"n": 5, "n": 700}'],
+                         ids=["list", "number", "string", "null", "truncated", "not-utf8",
+                              "repeated-key"])
 def test_config_file_that_is_not_one_json_object_fails_before_side_effects(tmp_path, capsys,
                                                                           body):
     cfg = tmp_path / "bad_cfg.json"
@@ -187,6 +189,8 @@ def test_manifest_seeds_are_pinned(tmp_path, argv, streams):
     ["limits", "--threads", "0"],
     ["limits", "--epsilon", "1.5"],  # no change point: eps < 1
     ["limits", "--horizon-t", "nan"],  # no change point: only the finite check sees it
+    ["estimate", "--trajectory", str(Path(__file__).with_name("no_such_trajectory.csv"))],
+    ["estimate", "--trajectory", str(Path(__file__).parent)],  # a directory
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -197,6 +201,51 @@ def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "good.csv" not in err
     assert not out.exists()
+
+
+def _all_digests(out_dir) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+def test_out_that_holds_files_is_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _run("simulate", "--out", str(out), "--n", "50", "--reps", "2") == 0
+    before = _all_digests(out)
+    capsys.readouterr()
+    assert _run("simulate", "--out", str(out), "--n", "60", "--no-trees") == 2
+    assert capsys.readouterr().err == f"error: --out {out} must be a new or empty directory\n"
+    assert _all_digests(out) == before
+    a_file = tmp_path / "file"
+    a_file.write_text("kept")
+    assert _run("simulate", "--out", str(a_file), "--n", "60") == 2
+    assert a_file.read_text() == "kept"
+
+
+def test_empty_out_directory_is_used(tmp_path):
+    out = tmp_path / "empty"
+    out.mkdir()
+    assert _run("simulate", "--out", str(out), "--n", "50") == 0
+    assert "trajectory_r000.csv" in _hashes(out)
+
+
+# each fails when numpy first allocates: >= 1e14 elements exceed the address space at once
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "100000000000000"],
+    ["limits", "--kmax", "100000000000000000000"],
+    ["limits", *SINGLE, "--draws", "100000000000000"],  # after two CSVs are written
+], ids=["simulate-n", "limits-kmax", "limits-draws"])
+@pytest.mark.parametrize("empty_out", [False, True], ids=["new-out", "empty-out"])
+def test_run_that_fails_late_removes_what_it_wrote(tmp_path, capsys, argv, empty_out):
+    out = tmp_path / "parent" / "run"
+    if empty_out:
+        out.mkdir(parents=True)
+    assert _run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if empty_out:
+        assert list(out.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_without_out_fails_before_side_effects(tmp_path, monkeypatch, capsys):
