@@ -375,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
         # validate the full configuration before any side effect
+        if not 0 <= cfg.get("seed", 0) < 1 << 64:  # so each seed keys a stream of its own
+            raise ValueError(f"seed must lie in [0, 2^64), got {cfg['seed']}")
         if args.command == "estimate":
             if not cfg["trajectories"]:
                 raise ValueError("estimate needs at least one --trajectory file")

@@ -53,12 +53,12 @@ def test_simulate_pins_every_artifact(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in out.iterdir() if p.name != "manifest.json"}
     assert digests == {
-        "tree_r000.pact": "94e1d0e94b0c5786",
-        "trajectory_r000.csv": "d650f49b568ece50",
-        "degree_hist_r000.csv": "25cf2f27ca1f1ff9",
-        "degree_hist_r000_m500.csv": "c4f9b4ccaa10a6a8",
-        "degree_hist_r000_m1500.csv": "c9cbf34e10ed1bbc",
-        "edges_r000.csv": "14fd6637cfdd0c99",
+        "tree_r000.pact": "dd389b6a4aa94343",
+        "trajectory_r000.csv": "7ddcfbbcc03d0878",
+        "degree_hist_r000.csv": "65b2763bce212095",
+        "degree_hist_r000_m500.csv": "1c3d027513723f6a",
+        "degree_hist_r000_m1500.csv": "601d951495cf9de4",
+        "edges_r000.csv": "bcf849da7876016b",
     }
 
 
@@ -156,6 +156,38 @@ def test_manifest_seeds_are_pinned(tmp_path, argv, streams):
     assert _run(*argv, "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seeds"] == [{"seed": 5, "stream_id": s} for s in streams]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "50", "--no-trees"],
+    ["limits", "--draws", "100", "--kmax", "5", "--curve-points", "3", *SINGLE],
+    ["fclt", "--n", "50", "--reps", "2", "--upsilon-reps", "2", *SINGLE],
+    ["maxdeg", "--n", "50", "--reps", "2"],
+], ids=["simulate", "limits", "fclt", "maxdeg"])
+def test_seed_must_be_u64(tmp_path, capsys, argv):
+    def runs(seed: int):
+        """argv with the seed from a flag, then from a config file."""
+        cfg = tmp_path / f"cfg_{seed}.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        return [[*argv, "--seed", str(seed)], [*argv, "--config", str(cfg)]]
+
+    for seed in (-1, 1 << 64, (1 << 70) - 1):
+        for run in runs(seed):
+            out = tmp_path / "never"
+            assert _run(*run, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: seed ") and err.count("\n") == 1
+            assert not out.exists()
+    for seed in (0, (1 << 64) - 1):
+        manifests = []
+        for i, run in enumerate(runs(seed)):
+            out = tmp_path / f"run_{seed}_{i}"
+            assert _run(*run, "--out", str(out)) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        for manifest in manifests:
+            assert manifest["config"]["seed"] == seed
+            assert {s["seed"] for s in manifest["seeds"]} == {seed}
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -495,7 +527,7 @@ def test_estimate_pool_matches_serial_in_input_order(tmp_path):
     assert curves[0] == curves[2] != curves[1]
     # the d_limit overlay's bytes, pinned
     assert [hashlib.sha256(c).hexdigest()[:16] for c in curves[:2]] == [
-        "b1a0e62a5f947c9f", "08ced255afa4b114"]
+        "a65e38ea1d180021", "e7db925389ab8810"]
     with open(pooled / "gamma_hats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["file"] for r in rows] == [a.name, b.name, a.name]
@@ -600,7 +632,7 @@ def test_fclt_outputs(tmp_path):
     z_lines = (out / "upsilon_z.csv").read_text().splitlines()
     assert len(z_lines) == 17
     assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
-        "6160a37ab21f4794")
+        "05365403e538d645")
 
 
 def test_fclt_pool_matches_serial(tmp_path):
@@ -617,7 +649,7 @@ def test_fclt_defaults_to_no_change_point(tmp_path):
     out = tmp_path / "fclt"
     assert _run("fclt", "--out", str(out), "--alpha", "1", "--n", "2000", "--reps", "4") == 0
     assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
-        "617063a5896880bd")
+        "9b4ece910976d5a1")
     assert not (out / "upsilon_z.csv").exists()
 
 

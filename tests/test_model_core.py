@@ -89,6 +89,23 @@ def test_seeded_rng_streams_differ():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 1 << 32, (1 << 64) - 1])
+def test_stream_i_is_numpys_ith_spawned_child(seed):
+    children = np.random.SeedSequence(seed).spawn(3)
+    for i, child in enumerate(children):
+        expected = np.random.Generator(np.random.PCG64DXSM(child)).random(16)
+        assert np.array_equal(seeded_generator(seed, i).random(16), expected)
+
+
+def test_streams_on_the_32_bit_word_boundary_differ():
+    # a flat word list would key (2^32, 0) and (0, 1) alike; fclt's duration stream is 2^32
+    w, top = 1 << 32, (1 << 64) - 1
+    pairs = [(0, 0), (0, 1), (1, 0), (w, 0), (0, w), (1, w), (w + 1, 0), (top, 0), (0, top),
+             (7, 0), (7, w)]
+    firsts = {seeded_generator(seed, stream).random() for seed, stream in pairs}
+    assert len(firsts) == len(pairs)
+
+
 @pytest.mark.parametrize("rows", [0, 1, 4096, 4097])
 def test_write_csv_matches_row_by_row_csv_writer(tmp_path, rows):
     ints = np.arange(rows, dtype=np.int64) * 7919 - 3
