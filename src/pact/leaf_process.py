@@ -75,7 +75,8 @@ def read_trajectory_csv(path) -> LeafTrajectory:
         raise ValueError(f"trajectory file {path}: header must be 'm,leaf_count', got {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty body warns; the shape check rejects it
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2,
+                          comments=None)
     if rows.shape[1] != 2 or not np.array_equal(rows[:, 0], np.arange(2, len(rows) + 2)):
         raise ValueError(f"trajectory file {path} must cover every step m = 2..n")
     trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))

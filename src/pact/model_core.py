@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 # Rows formatted per batch.  At 65,536 rows a 4.5e5 x 3 float table is no
-# faster (2.0-2.2 s against 2.0 s on a 2-vCPU VM) and the writer's traced
-# peak rises from 1.2 to 18.3 MB; see test_write_csv_peak_memory_stays_one_chunk.
+# faster (1.4-2.2 s against 1.4-1.9 s on a 2-vCPU VM) and the writer's traced
+# peak rises from 1.3 to 20.4 MB; see test_write_csv_peak_memory_stays_one_chunk.
 _CSV_CHUNK = 4096
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')  # NUL, or a character the csv module quotes
 
@@ -95,11 +95,12 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     The one CSV format of every artifact, byte for byte what the csv module's
     default writer gives for the same rows: minimal quoting, ``\\r\\n`` line
     ends, ints as decimals, floats as ``repr``, ``None`` as an empty field,
-    UTF-8 text.  Each chunk of rows becomes one byte matrix, a NUL-padded
-    block of fields per column with a ``,`` column between blocks and
-    ``\\r\\n`` at the end of each row, and the file gets its non-NUL bytes.
-    So a write never holds more than one chunk of formatted rows, and text
-    holding a NUL is a ValueError.
+    UTF-8 text.  Each chunk of rows becomes one column-major byte matrix:
+    a (width, rows) block of NUL-padded fields per column, one contiguous
+    row per character position, with a ``,`` row between blocks and two
+    ``\\r\\n`` rows at the end.  The file gets the transposed matrix's bytes
+    with every NUL removed.  So a write never holds more than one chunk of
+    formatted rows, and text holding a NUL is a ValueError.
     """
     rows = len(columns[0]) if columns else 0
     if any(len(col) != rows for col in columns):
@@ -110,15 +111,15 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
         fh.write(line.encode("utf-8"))
         for lo in range(0, rows, _CSV_CHUNK):
             blocks = [_field_block(col[lo : lo + _CSV_CHUNK], lone) for col in columns]
-            sep = np.full((len(blocks[0]), 1), ord(","), dtype=np.uint8)
-            end = np.broadcast_to(np.frombuffer(b"\r\n", dtype=np.uint8), (len(sep), 2))
+            sep = np.full((1, blocks[0].shape[1]), ord(","), dtype=np.uint8)
+            end = np.broadcast_to(np.frombuffer(b"\r\n", dtype=np.uint8)[:, None], (2, sep.size))
             parts = [p for b in blocks for p in (b, sep)]
-            matrix = np.concatenate(parts[:-1] + [end], axis=1).ravel()
-            fh.write(matrix[matrix != 0])
+            matrix = np.concatenate(parts[:-1] + [end])
+            fh.write(matrix.T.tobytes().replace(b"\0", b""))
 
 
 def _field_block(chunk, lone: bool) -> np.ndarray:
-    """One column chunk as a (rows, width) uint8 matrix of NUL-padded fields."""
+    """One column chunk as a (width, rows) uint8 matrix of NUL-padded fields."""
     if isinstance(chunk, range):
         chunk = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
     kind = chunk.dtype.kind if isinstance(chunk, np.ndarray) and chunk.ndim == 1 else None
@@ -129,31 +130,35 @@ def _field_block(chunk, lone: bool) -> np.ndarray:
         fields = np.array(list(map(str, values)), dtype="S")
     else:
         fields = np.array([_text_field(v, lone).encode("utf-8") for v in values], dtype="S")
-    return fields.view(np.uint8).reshape(len(fields), fields.dtype.itemsize)
+    return fields.view(np.uint8).reshape(len(fields), fields.dtype.itemsize).T
 
 
 def _int_block(values: np.ndarray) -> np.ndarray:
-    """Base-10 digits of an integer array, right-aligned, with '-' before negatives."""
+    """Base-10 digits of an integer array as a (width, rows) matrix, one row per
+    digit plane, right-aligned, with '-' before negatives."""
     negative = values < 0
+    signed = bool(negative.any())
     magnitude = values.astype(np.uint64)
-    magnitude[negative] = np.uint64(0) - magnitude[negative]  # exact for -2**63 too
+    if signed:
+        magnitude[negative] = np.uint64(0) - magnitude[negative]  # exact for -2**63 too
     top = int(magnitude.max())
     if top < 2**32:
         magnitude = magnitude.astype(np.uint32)  # 32-bit division is the fast case
-    width = len(str(top)) + bool(negative.any())
-    out = np.zeros((len(values), width), dtype=np.uint8)
-    magnitude, out[:, -1] = np.divmod(magnitude, 10)
-    out[:, -1] += ord("0")  # the units digit is always written, so zero is "0"
-    digits = np.ones(len(values), dtype=np.intp)
+    ten = magnitude.dtype.type(10)  # floor_divide by a scalar takes the constant-divisor path
+    width = len(str(top)) + signed
+    out = np.zeros((width, len(values)), dtype=np.uint8)
+    quotient = magnitude // ten
+    out[-1] = magnitude - quotient * ten
+    out[-1] += ord("0")  # the units digit is always written, so zero is "0"
     for j in range(width - 2, -1, -1):
-        present = magnitude > 0
-        magnitude, digit = np.divmod(magnitude, 10)
-        digit += ord("0")
-        digit *= present  # no digit left: NUL
-        out[:, j] = digit
-        digits += present
-    rows = np.flatnonzero(negative)
-    out[rows, width - 1 - digits[rows]] = ord("-")
+        magnitude = quotient
+        quotient = magnitude // ten
+        out[j] = magnitude - quotient * ten
+        out[j] += ord("0")
+        out[j] *= magnitude > 0  # no digit left: NUL
+    if signed:  # the '-' goes just above a negative's highest digit
+        cols = np.flatnonzero(negative)
+        out[width - 1 - np.count_nonzero(out[:, cols], axis=0), cols] = ord("-")
     return out
 
 

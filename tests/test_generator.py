@@ -250,17 +250,21 @@ def test_total_degrees_are_counted_from_the_parents():
     assert np.array_equal(tree.total_degrees(), tree.total_degrees(500))
 
 
-def test_tree_binary_round_trip(tmp_path):
-    tree = grow_tree(SINGLE, 777, seeded_generator(13))
-    path = tmp_path / "t.pact"
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_sized_schedules(), seed=st.integers(0, 2**32))
+@example(case=(777, SINGLE), seed=13)
+def test_tree_binary_round_trip(tmp_path_factory, case, seed):
+    n, schedule = case
+    tree = grow_tree(schedule, n, seeded_generator(seed))
+    path = tmp_path_factory.mktemp("tree") / "t.pact"
     save_tree(tree, path)
     back = load_tree(path)
-    assert back.n == tree.n
+    assert back.n == n
     assert np.array_equal(back.parent, tree.parent)
     assert np.array_equal(back.total_degrees(), tree.total_degrees())
     raw = path.read_bytes()
     assert raw[:4] == b"PACT"
-    assert int.from_bytes(raw[12:20], "little") == 777
+    assert int.from_bytes(raw[12:20], "little") == n
 
 
 def _corrupt_tree_file(tmp_path, edit):
@@ -315,12 +319,16 @@ def test_edge_csv_format(tmp_path):
     assert path.read_text() == "child,parent\n2,1\n3,2\n"
 
 
-def test_trajectory_csv_round_trip(tmp_path):
-    tree = grow_tree(SINGLE, 300, seeded_generator(14))
-    path = tmp_path / "traj.csv"
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_sized_schedules(), seed=st.integers(0, 2**32))
+@example(case=(300, SINGLE), seed=14)
+def test_trajectory_csv_round_trip(tmp_path_factory, case, seed):
+    n, schedule = case
+    tree = grow_tree(schedule, n, seeded_generator(seed))
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
     write_trajectory_csv(tree.leaf_trajectory(), path)
     back = read_trajectory_csv(path)
-    assert back.n == 300
+    assert back.n == n
     assert np.array_equal(back.counts, tree.leaf_trajectory().counts)
     assert path.read_text().splitlines()[0] == "m,leaf_count"
 
@@ -340,6 +348,7 @@ MALFORMED_TRAJECTORIES = {
     "drop-of-1": "m,leaf_count\r\n2,2\r\n3,3\r\n4,2\r\n",
     "starts-at-3-leaves": "m,leaf_count\r\n2,3\r\n3,3\r\n4,4\r\n",
     "starts-at-1-leaf": "m,leaf_count\r\n2,1\r\n3,2\r\n4,3\r\n",
+    "comment": "m,leaf_count\r\n2,2\r\n3,2 # x\r\n",
 }
 
 

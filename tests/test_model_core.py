@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import segment_of, step_offsets
@@ -142,8 +142,8 @@ def _resized(values, rows):
 @st.composite
 def _column(draw, rows):
     """One write_csv column of ``rows`` entries, drawn from every kind that writers pass."""
-    kind = draw(st.sampled_from(["int64", "uint64", "float64", "float32", "text", "range",
-                                 "mixed"]))
+    kind = draw(st.sampled_from(["int64", "uint64", "stepped", "float64", "float32", "text",
+                                 "range", "mixed"]))
     if kind in ("int64", "uint64"):
         # the largest magnitude decides between 32- and 64-bit digit division
         lo = 0 if kind == "uint64" else draw(st.sampled_from([-(2**63), -(2**32), -9, 0]))
@@ -151,6 +151,21 @@ def _column(draw, rows):
                                   + ([2**63, 2**64 - 1] if kind == "uint64" else [])))
         ints = st.integers(lo, hi) | st.sampled_from([lo, hi, 0])
         return np.array(_resized(draw(st.lists(ints, min_size=1)), rows), dtype=kind)
+    if kind == "stepped":
+        # magnitudes that step up by 4096-row chunk and, for int64, one chunk negative, so
+        # the digit width, the 32- or 64-bit division and the sign path change at chunk edges
+        dtype = draw(st.sampled_from(["int64", "uint64"]))
+        tops = [0, 9, 10, 2**32 - 1, 2**32, 2**63 - 1]
+        if dtype == "uint64":
+            tops += [2**63, 2**64 - 1]
+        per_chunk = sorted(draw(st.lists(st.sampled_from(tops), min_size=3, max_size=3)))
+        negative = draw(st.integers(0, 2)) if dtype == "int64" else None
+        values = []
+        for i in range(rows):
+            top = per_chunk[i // 4096]
+            value = top - min(top, i % 3)
+            values.append(-value - 1 if i // 4096 == negative else value)  # down to -2**63
+        return np.array(values, dtype=dtype)
     if kind == "float64":
         return np.array(_resized(draw(st.lists(FLOATS, min_size=1)), rows), dtype=np.float64)
     if kind == "float32":
@@ -169,14 +184,20 @@ def _column(draw, rows):
 
 @st.composite
 def _tables(draw):
-    rows = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097]))
+    rows = draw(st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8193]))
     width = draw(st.integers(1, 4))
     header = draw(st.lists(TEXT, min_size=width, max_size=width))
     return header, [draw(_column(rows)) for _ in range(width)]
 
 
+# three chunks that each widen the digits and change the division or the sign
+STEPPED = (["i", "u"], [np.array([9] * 4096 + [-(2**63)] * 4096 + [2**63 - 1], dtype=np.int64),
+                        np.array([0] * 4096 + [2**32] * 4096 + [2**64 - 1], dtype=np.uint64)])
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(table=_tables())
+@example(table=STEPPED)
 def test_write_csv_matches_csv_writer_property(tmp_path_factory, table):
     header, columns = table
     out = tmp_path_factory.mktemp("csv")
@@ -195,8 +216,8 @@ def test_write_csv_rejects_nul_text(tmp_path):
 
 
 def test_write_csv_peak_memory_stays_one_chunk(tmp_path):
-    # Measured peak: 0.29 MB with 4096-row chunks, 1.12 MB with 16384 and
-    # 4.46 MB with 65536; formatting the whole table at once would be far more.
+    # Measured peak: 0.25 MB with 4096-row chunks, 0.97 MB with 16384 and
+    # 3.87 MB with 65536; formatting the whole table at once would be far more.
     n = 1_000_000
     parents = np.random.default_rng(0).integers(1, n, n)
     tracemalloc.start()
