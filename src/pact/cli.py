@@ -377,9 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         # validate the full configuration before any side effect
         if not 0 <= cfg.get("seed", 0) < 1 << 64:  # so each seed keys a stream of its own
             raise ValueError(f"seed must lie in [0, 2^64), got {cfg['seed']}")
+        for key in ("trajectories", "t_grid", "n_list"):  # the lists a subcommand loops over
+            if cfg.get(key) == []:
+                raise ValueError(f"{key} ({_KEYS[key][0]}) needs at least one value")
         if args.command == "estimate":
-            if not cfg["trajectories"]:
-                raise ValueError("estimate needs at least one --trajectory file")
             schedule = _overlay(cfg)
             inputs = dict(overlay=schedule)
         else:

@@ -117,7 +117,7 @@ def dn_curve(trajectory: LeafTrajectory, epsilon: float) -> DnCurve:
 def gamma_hat(curve: DnCurve) -> EstimateReport:
     """Right edge of the near-max set of D_n, with a no-change detection floor."""
     threshold = near_max_threshold(curve.n)
-    floor = 2.0 * math.log(curve.n) / math.sqrt(curve.n)
+    floor = 2.0 * threshold
     dn_star = float(curve.values.max())
     near = curve.values >= dn_star - threshold  # holds the maximum, so never empty
     # ts ascends: the set's edges are its first and last members, found without a gather

@@ -38,10 +38,10 @@ class DegreeHistogram:
     n: int
 
     def proportions(self, kmax: int) -> np.ndarray:
-        """Proportions for degrees 1..kmax (missing degrees count as zero)."""
-        out = np.zeros(kmax, dtype=np.float64)
+        """Proportions indexed by degree 0..kmax (missing degrees count as zero)."""
+        out = np.zeros(kmax + 1, dtype=np.float64)
         upto = min(kmax + 1, self.counts.size)
-        out[: upto - 1] = self.counts[1:upto] / self.n
+        out[:upto] = self.counts[:upto] / self.n
         return out
 
     def check_invariants(self) -> None:

@@ -224,14 +224,14 @@ def tail_exponent(ks: np.ndarray, ccdf: np.ndarray, k_lo: int, k_hi: int) -> flo
 def tv_distance_upto(p: np.ndarray, q: np.ndarray, kmax: int) -> float:
     """Total-variation distance restricted to degrees 1..kmax.
 
-    Inputs are pmf tables indexed by degree (entry 0 ignored; short tables
-    are zero-padded).
+    Inputs are pmf tables indexed by degree, each with at least kmax + 1
+    entries (entry 0 ignored); a shorter table is a ValueError.
     """
-    a = np.zeros(kmax + 1)
-    b = np.zeros(kmax + 1)
-    a[: min(kmax + 1, len(p))] = p[: kmax + 1]
-    b[: min(kmax + 1, len(q))] = q[: kmax + 1]
-    return float(0.5 * np.abs(a[1:] - b[1:]).sum())
+    if min(len(p), len(q)) < kmax + 1:
+        raise ValueError(f"tables need kmax + 1 = {kmax + 1} entries, got {len(p)} and {len(q)}")
+    a = np.asarray(p[1 : kmax + 1], dtype=np.float64)
+    b = np.asarray(q[1 : kmax + 1], dtype=np.float64)
+    return float(0.5 * np.abs(a - b).sum())
 
 
 def write_pmf_csv(ks, ps, path) -> None:

@@ -100,7 +100,8 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     row per character position, with a ``,`` row between blocks and two
     ``\\r\\n`` rows at the end.  The file gets the transposed matrix's bytes
     with every NUL removed.  So a write never holds more than one chunk of
-    formatted rows, and text holding a NUL is a ValueError.
+    formatted rows, and text holding a NUL is a ValueError.  Integer chunks in
+    [0, 2**32) take a uint32 digit kernel; other integers take ``str``, like text.
     """
     rows = len(columns[0]) if columns else 0
     if any(len(col) != rows for col in columns):
@@ -123,8 +124,8 @@ def _field_block(chunk, lone: bool) -> np.ndarray:
     if isinstance(chunk, range):
         chunk = np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.int64)
     kind = chunk.dtype.kind if isinstance(chunk, np.ndarray) and chunk.ndim == 1 else None
-    if kind in ("i", "u"):
-        return _int_block(chunk)
+    if kind in ("i", "u") and 0 <= chunk.min() and chunk.max() < 2**32:
+        return _int_block(chunk.astype(np.uint32))
     values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
     if kind == "f":  # str of a float is its repr, ASCII and never quoted
         fields = np.array(list(map(str, values)), dtype="S")
@@ -134,31 +135,20 @@ def _field_block(chunk, lone: bool) -> np.ndarray:
 
 
 def _int_block(values: np.ndarray) -> np.ndarray:
-    """Base-10 digits of an integer array as a (width, rows) matrix, one row per
-    digit plane, right-aligned, with '-' before negatives."""
-    negative = values < 0
-    signed = bool(negative.any())
-    magnitude = values.astype(np.uint64)
-    if signed:
-        magnitude[negative] = np.uint64(0) - magnitude[negative]  # exact for -2**63 too
-    top = int(magnitude.max())
-    if top < 2**32:
-        magnitude = magnitude.astype(np.uint32)  # 32-bit division is the fast case
-    ten = magnitude.dtype.type(10)  # floor_divide by a scalar takes the constant-divisor path
-    width = len(str(top)) + signed
+    """Base-10 digits of a uint32 array as a (width, rows) matrix, one row per
+    digit plane, right-aligned."""
+    ten = np.uint32(10)  # floor_divide by a scalar takes the constant-divisor path
+    width = len(str(int(values.max())))
     out = np.zeros((width, len(values)), dtype=np.uint8)
-    quotient = magnitude // ten
-    out[-1] = magnitude - quotient * ten
+    quotient = values // ten
+    out[-1] = values - quotient * ten
     out[-1] += ord("0")  # the units digit is always written, so zero is "0"
     for j in range(width - 2, -1, -1):
-        magnitude = quotient
-        quotient = magnitude // ten
-        out[j] = magnitude - quotient * ten
+        values = quotient
+        quotient = values // ten
+        out[j] = values - quotient * ten
         out[j] += ord("0")
-        out[j] *= magnitude > 0  # no digit left: NUL
-    if signed:  # the '-' goes just above a negative's highest digit
-        cols = np.flatnonzero(negative)
-        out[width - 1 - np.count_nonzero(out[:, cols], axis=0), cols] = ord("-")
+        out[j] *= values > 0  # no digit left: NUL
     return out
 
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pact.cli import _DEFAULTS, _KEYS, _pool_map, build_parser, main
+from pact.cli import _DEFAULTS, _KEYS, _merge_config, _pool_map, build_parser, main
 from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
 from pact.model_core import ChangePointSchedule
@@ -377,6 +379,22 @@ def test_unknown_config_key_fails_before_side_effects(tmp_path, capsys, command,
     assert not out.exists()
 
 
+# each subcommand loops over one of these lists, so an empty one is refused up front
+@pytest.mark.parametrize("command, key, flag, argv", [
+    ("fclt", "t_grid", "--t", ["--n", "100", "--reps", "2"]),
+    ("maxdeg", "n_list", "--n", ["--reps", "1"]),
+    ("estimate", "trajectories", "--trajectory", []),
+], ids=["fclt-t_grid", "maxdeg-n_list", "estimate-trajectories"])
+def test_empty_list_key_in_config_fails_before_side_effects(tmp_path, capsys, command, key,
+                                                            flag, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: []}))
+    out = tmp_path / "never"
+    assert _run(command, "--config", str(path), *argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {key} ({flag}) needs at least one value\n"
+    assert not out.exists()
+
+
 def test_every_flag_is_a_config_key_of_its_subcommand():
     subcommands = next(a for a in build_parser()._actions if a.choices).choices
     assert set(subcommands) == set(_DEFAULTS)
@@ -495,6 +513,17 @@ def test_estimate_constant_trajectory_not_detected(tmp_path):
     report = json.loads((out / "report_000.json").read_text())
     assert report["detected"] is False
     assert report["gamma_hat"] is None
+
+
+def test_estimate_quotes_a_file_name_that_needs_it(tmp_path):
+    traj = tmp_path / 'a,"b".csv'
+    traj.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
+    out = tmp_path / "est"
+    assert _run("estimate", "--out", str(out), "--trajectory", str(traj)) == 0
+    assert (out / "gamma_hats.csv").read_bytes().splitlines()[1].startswith(b'"a,""b"".csv",')
+    with open(out / "gamma_hats.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["file", 'a,"b".csv']
 
 
 @pytest.mark.parametrize("body", ["m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n", "m,leaf_count\r\n",
@@ -718,3 +747,14 @@ def test_maxdeg_scales_by_pre_change_exponent(tmp_path):
         assert float(r["scaled"]) == pytest.approx(
             int(r["max_degree"]) / int(r["n"]) ** (1 / 8), rel=1e-12
         )
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("pact ")]
+    assert len(commands) == 6
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert set(_merge_config(args.command, args)) == set(_DEFAULTS[args.command])

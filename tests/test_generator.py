@@ -197,8 +197,8 @@ def test_empty_segments_reduce_to_plain_model():
     tree = grow_tree(PLAIN, 100_000, seeded_generator(10))
     hist = degree_histogram(tree)
     emp = hist.proportions(20)
-    exact = p_alpha_table(PLAIN.alpha, 20)[1:]
-    assert tv_distance_upto(np.concatenate([[0], emp]), np.concatenate([[0], exact]), 20) < 0.01
+    exact = p_alpha_table(PLAIN.alpha, 20)
+    assert tv_distance_upto(emp, exact, 20) < 0.01
     # chi-square over degrees with expected count >= 50, tail pooled
     expected = p_alpha_table(PLAIN.alpha, 2000)[1:] * hist.n
     observed = np.zeros_like(expected)
@@ -216,6 +216,12 @@ def test_degree_histogram_hand_examples():
     assert degree_histogram(star).counts.tolist() == [0, 3, 0, 1]
     path = _path3()
     assert degree_histogram(path).counts.tolist() == [0, 2, 1]
+
+
+def test_degree_proportions_are_indexed_by_degree():
+    hist = degree_histogram(_star4())  # degrees 1, 1, 1 and 3
+    assert hist.proportions(5).tolist() == [0.0, 0.75, 0.0, 0.25, 0.0, 0.0]
+    assert hist.proportions(2).tolist() == [0.0, 0.75, 0.0]
 
 
 @pytest.mark.parametrize("upto", [1, 4])

@@ -115,6 +115,16 @@ def test_sample_d_alpha_matches_pmf():
     assert tv_distance_upto(emp, exact, 20) < 0.005
 
 
+def test_tv_distance_needs_kmax_plus_one_entries():
+    table = p_alpha_table(6.0, 20)
+    assert tv_distance_upto(table, np.zeros(40), 20) == 0.5 * table[1:].sum()
+    for short in (table[:20], np.zeros(3)):
+        with pytest.raises(ValueError, match="kmax \\+ 1 = 21 entries"):
+            tv_distance_upto(table, short, 20)
+        with pytest.raises(ValueError, match="kmax \\+ 1 = 21 entries"):
+            tv_distance_upto(short, table, 20)
+
+
 def test_point_count_zero_horizon():
     assert sample_point_count(1, 1.0, 0.0, seeded_generator(31)) == 0
 

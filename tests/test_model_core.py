@@ -7,6 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import segment_of, step_offsets
+from pact import model_core
+from pact.embedding import write_zsample_csv
+from pact.generator import degree_histogram, grow_tree, write_edge_csv, write_histogram_csv
+from pact.leaf_process import write_trajectory_csv
+from pact.limit_laws import ccdf_from_samples, p_alpha_table, write_pmf_csv
 from pact.model_core import (
     ChangePointSchedule,
     seeded_generator,
@@ -227,3 +232,32 @@ def test_write_csv_peak_memory_stays_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak_mb < 0.8
+
+
+def test_writers_send_every_integer_row_through_the_digit_kernel(tmp_path, monkeypatch):
+    # the bytes are the same either way, so only a spy sees an integer column
+    # fall from the uint32 kernel to the str path, which is about 5x slower
+    kernel_rows = []
+
+    def spy(values):
+        kernel_rows.append(values.size)
+        return kernel(values)
+
+    kernel = model_core._int_block
+    monkeypatch.setattr(model_core, "_int_block", spy)
+    tree = grow_tree(ChangePointSchedule.single(6.0, 1.0, 0.5), 10_000, seeded_generator(5))
+    hist = degree_histogram(tree)
+    ks, ccdf = ccdf_from_samples(tree.total_degrees())
+    z = np.random.default_rng(0).standard_normal(5000)
+    writes = [  # writer, its arguments, the integer rows it writes
+        (write_edge_csv, (tree,), 2 * (tree.n - 1)),
+        (write_trajectory_csv, (tree.leaf_trajectory(),), 2 * (tree.n - 1)),
+        (write_histogram_csv, (hist,), 2 * np.count_nonzero(hist.counts)),
+        (write_zsample_csv, (z,), z.size),
+        (write_pmf_csv, (range(1, 201), p_alpha_table(6.0, 200)[1:]), 200),
+        (write_pmf_csv, (ks, ccdf), ks.size),
+    ]
+    for i, (writer, args, int_rows) in enumerate(writes):
+        kernel_rows.clear()
+        writer(*args, tmp_path / f"{i}.csv")
+        assert sum(kernel_rows) == int_rows, writer.__name__
