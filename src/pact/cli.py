@@ -285,11 +285,9 @@ def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
 
 # ---------------------------------------------------------------- fclt
 
-def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int):
-    """One tree's G_n path on the t grid, or, on the duration stream, the duration sample."""
+def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int) -> list[float]:
+    """One tree's G_n path on the t grid."""
     gen = seeded_generator(cfg["seed"], stream)
-    if stream == _UPSILON_STREAM_BASE:
-        return upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"], gen)
     return list(gn_path(grow_tree(schedule, cfg["n"], gen), schedule, cfg["t_grid"]))
 
 
@@ -297,10 +295,11 @@ def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[in
     reps, t_grid = cfg["reps"], cfg["t_grid"]
     streams = list(range(reps))
     z_stream = [_UPSILON_STREAM_BASE] if schedule.num_change_points == 1 else []
-    # the duration stream goes first, so one worker draws it while the others grow trees
-    results = _pool_map(partial(_fclt_task, cfg, schedule), z_stream + streams, cfg["threads"])
     if z_stream:
-        write_zsample_csv(results.pop(0), out_dir / "upsilon_z.csv")
+        z = upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"],
+                               seeded_generator(cfg["seed"], _UPSILON_STREAM_BASE))
+        write_zsample_csv(z, out_dir / "upsilon_z.csv")
+    results = _pool_map(partial(_fclt_task, cfg, schedule), streams, cfg["threads"])
     rows = np.asarray(results)
 
     moments = [

@@ -4,9 +4,14 @@ At size m the total birth rate is (2+c)m - 1 (sum of out_degree + 1 + c over
 all vertices), so the waiting time to size m+1 is an independent exponential
 with that rate, and the jump chain is exactly the discrete model.  Holding
 times are therefore sufficient: no per-vertex event queue is needed.  The
-duration after the change point is a sum of the holding times above
-floor(gamma n), so only those are simulated here; the test suite builds the
-full clock (tests/oracles.py) to check its timing statistics.
+duration after the change point, Y = sum_{s=m}^{n-1} E_s / ((2+beta)s - 1)
+with m = max(floor(gamma n), 1), is the passage time of a Yule process with
+immigration, and its law has a closed form: with d = 1/(2+beta),
+(2+beta)Y has the law of -log B, B ~ Beta(m - d, n - m), since both have
+Laplace transform prod_{s=m}^{n-1} (s-d)/(s-d+lambda) (Renyi's
+representation of exponential order statistics).  So one Beta draw per
+replicate gives Y exactly; the test suite builds the full clock
+(tests/oracles.py) to check its timing statistics and this identity.
 """
 from __future__ import annotations
 
@@ -28,8 +33,10 @@ def upsilon_clt_sample(
 ) -> np.ndarray:
     """Standardized after-change durations sqrt(n)(Y - a)(2+beta)sqrt(gamma/(1-gamma)).
 
-    The empirical law approaches standard normal as n grows.  Only the
-    after-change holding times are simulated; they determine Y exactly.
+    The empirical law approaches standard normal as n grows.  Each replicate
+    draws Y exactly as -log(B)/(2+beta), B ~ Beta(m - d, n - m), with
+    m = max(floor(gamma n), 1) and d = 1/(2+beta): the law of the sum of the
+    after-change holding times, at one variate per replicate (module docstring).
     """
     if schedule.num_change_points != 1:
         raise ValueError("standardization defined for exactly one change point")
@@ -38,16 +45,10 @@ def upsilon_clt_sample(
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     gamma, beta = schedule.segments[0]
-    m0 = int(np.floor(gamma * n))
-    sizes = np.arange(max(m0, 1), n, dtype=np.float64)
-    rates = (2.0 + beta) * sizes - 1.0
-    a = upsilon_limit(schedule)
+    m = max(int(np.floor(gamma * n)), 1)
+    y = -np.log(gen.beta(m - 1.0 / (2.0 + beta), n - m, size=reps)) / (2.0 + beta)
     scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
-    out = np.empty(reps, dtype=np.float64)
-    for r in range(reps):
-        y = float((gen.standard_exponential(rates.size) / rates).sum())
-        out[r] = (y - a) * scale
-    return out
+    return (y - upsilon_limit(schedule)) * scale
 
 
 def write_zsample_csv(z: np.ndarray, path) -> None:

@@ -662,10 +662,12 @@ def test_fclt_outputs(tmp_path):
     assert len(z_lines) == 17
     assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
         "05365403e538d645")
+    assert hashlib.sha256((out / "upsilon_z.csv").read_bytes()).hexdigest()[:16] == (
+        "a95208ccef613a8d")
 
 
 def test_fclt_pool_matches_serial(tmp_path):
-    # 41 tasks on 2 workers go out in chunks of 2
+    # 40 tasks on 2 workers go out in chunks of 2
     base = ["fclt", "--n", "2000", "--reps", "40", "--upsilon-reps", "20", "--seed", "8", *SINGLE]
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert _run(*base, "--out", str(serial), "--threads", "1") == 0

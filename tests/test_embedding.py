@@ -57,6 +57,33 @@ def test_upsilon_clt_sample_rough_normality():
     assert 0.8 < z.var(ddof=1) < 1.2
 
 
+@pytest.mark.parametrize("case, alpha, beta, gamma, n", [
+    (0, 6.0, 1.0, 0.5, 2),
+    (1, 6.0, 1.0, 0.5, 3),
+    (2, 1.0, 2.0, 0.1, 5),  # floor(gamma n) = 0, so the sum starts at size 1
+    (3, 6.0, 1.0, 0.5, 201),
+    (4, 0.0, 4.0, 0.3, 199),
+])
+def test_upsilon_clt_sample_matches_holding_time_sum(case, alpha, beta, gamma, n):
+    # The Beta draw against the full clock's after-change duration, each case on
+    # streams of its own.  Y is a sum of independent E_s / r_s, so its cumulants
+    # are k_j = (j-1)! sum 1/r_s^j: mean k_1, variance k_2, and the sample
+    # variance has standard error sqrt((k_4 + 2 k_2^2) / reps).
+    schedule = ChangePointSchedule.single(alpha, beta, gamma)
+    reps, oracle_reps = 20_000, 5_000
+    limit = upsilon_limit(schedule)
+    scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
+    y = limit + upsilon_clt_sample(schedule, n, reps, seeded_generator(26, 2 * case)) / scale
+    gen = seeded_generator(26, 2 * case + 1)
+    y_oracle = np.array([upsilon(holding_times(schedule, n, gen)) for _ in range(oracle_reps)])
+    assert stats.ks_2samp(y, y_oracle).pvalue > 1e-3
+
+    r = (2.0 + beta) * np.arange(max(int(np.floor(gamma * n)), 1), n) - 1.0
+    k1, k2, k4 = (1.0 / r).sum(), (1.0 / r**2).sum(), 6.0 * (1.0 / r**4).sum()
+    assert abs(y.mean() - k1) < 4.0 * np.sqrt(k2 / reps)
+    assert abs(y.var(ddof=1) - k2) < 4.0 * np.sqrt((k4 + 2.0 * k2**2) / reps)
+
+
 def test_malthusian_track_positive_and_stabilizing():
     cv_first, cv_last = [], []
     for r in range(50):
