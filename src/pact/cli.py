@@ -50,6 +50,7 @@ from .embedding import upsilon_clt_sample, write_zsample_csv
 from .generator import (
     degree_histogram,
     grow_tree,
+    leaf_counts,
     max_degree,
     save_tree,
     write_edge_csv,
@@ -286,9 +287,10 @@ def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
 # ---------------------------------------------------------------- fclt
 
 def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int) -> list[float]:
-    """One tree's G_n path on the t grid."""
-    gen = seeded_generator(cfg["seed"], stream)
-    return list(gn_path(grow_tree(schedule, cfg["n"], gen), schedule, cfg["t_grid"]))
+    """One tree's G_n path on the t grid, from the leaf counts its draws give; no tree is grown."""
+    n = cfg["n"]
+    counts_at = partial(leaf_counts, schedule, n, seeded_generator(cfg["seed"], stream))
+    return list(gn_path(n, counts_at, schedule, cfg["t_grid"]))
 
 
 def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:

@@ -17,13 +17,14 @@ vectorized passes.
 """
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .leaf_process import LeafTrajectory
+from .leaf_process import LeafTrajectory, checked_steps
 from .model_core import ChangePointSchedule, write_csv
 
 _MAGIC = b"PACT"
@@ -67,27 +68,6 @@ class GrowingTree:
         deg[0] -= 1
         return deg
 
-    def leaf_counts(self, steps) -> np.ndarray:
-        """Leaf counts N(m) at sorted steps m in 2..n, from the parent array alone.
-
-        N(m) = m - #{v >= 2 with a child <= m} - [the root has >= 2 children <= m]:
-        every vertex but the root is a leaf until its first child arrives, and
-        the root is one while it has a single child.
-        """
-        steps = np.asarray(steps, dtype=np.int64)
-        if steps.size and (steps[0] < 2 or steps[-1] > self.n or np.any(np.diff(steps) < 0)):
-            raise ValueError(f"steps must be sorted and lie in 2..{self.n}")
-        has_child = np.zeros(self.n + 1, dtype=bool)
-        counts = np.empty(steps.size, dtype=np.int64)
-        root_children, prev = 0, 1
-        for i, m in enumerate(steps):
-            arrivals = self.parent[prev + 1 : m + 1]  # vertices prev+1..m, each a child
-            has_child[arrivals] = True
-            root_children += np.count_nonzero(arrivals == 1)
-            counts[i] = m - np.count_nonzero(has_child[2:]) - (root_children >= 2)
-            prev = m
-        return counts
-
     def leaf_trajectory(self) -> LeafTrajectory:
         """Leaf counts N(m), m = 2..n: vertex m adds a leaf and takes one from its parent
         when it is the parent's first child, or the root's second."""
@@ -116,6 +96,40 @@ class GrowingTree:
             raise AssertionError("parents must be earlier vertices")
 
 
+def _step_tables(schedule: ChangePointSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per step i, entering vertex m = i + 2: the size s = i + 1 of the tree it joins, and
+    the probability (s - 1)/((2 + c)s - 1) that it copies, c the offset of its segment."""
+    sizes = np.arange(1, n, dtype=np.float64)
+    copy_p = np.empty(n - 1, dtype=np.float64)
+    bounds = schedule.boundaries(n)
+    for c, lo, hi in zip(schedule.offsets(), bounds, bounds[1:]):
+        seg = slice(max(lo - 1, 0), max(hi - 1, 0))  # steps max(lo + 1, 2)..hi
+        copy_p[seg] = (sizes[seg] - 1.0) / ((2.0 + c) * sizes[seg] - 1.0)
+    return sizes, copy_p
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_step_tables(schedule: ChangePointSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_step_tables, read-only and kept for the next call: an ensemble grows every tree at
+    one (schedule, n), and rebuilding 16 B/vertex of fresh pages per tree costs more than
+    the tree's own draws."""
+    tables = _step_tables(schedule, n)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _draw_steps(copy_p: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(pick, is_copy) for every step, from one draw of 2 (n - 1) uniforms.
+
+    The first n - 1 are the mixture coins, a step copies when its coin falls
+    below copy_p; the rest are the uniform picks.
+    """
+    steps = copy_p.size
+    draws = gen.random(2 * steps)
+    return draws[steps:], draws[:steps] < copy_p
+
+
 def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -> GrowingTree:
     """Grow an n-vertex tree under the schedule's attachment offsets.
 
@@ -124,18 +138,8 @@ def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
 
-    # entering vertex m = i + 2 joins a tree of size s = i + 1; one draw gives
-    # coin (the mixture choice) and pick (the uniform index) for every step
-    draws = gen.random(2 * (n - 1))
-    coin, pick = draws[: n - 1], draws[n - 1 :]
-    sizes = np.arange(1, n, dtype=np.float64)
-    unresolved = np.zeros(n + 1, dtype=bool)
-    is_copy = unresolved[2:]
-    bounds = schedule.boundaries(n)
-    for c, lo, hi in zip(schedule.offsets(), bounds, bounds[1:]):
-        seg = slice(max(lo - 1, 0), max(hi - 1, 0))  # steps max(lo + 1, 2)..hi
-        copy_p = (sizes[seg] - 1.0) / ((2.0 + c) * sizes[seg] - 1.0)
-        np.less(coin[seg], copy_p, out=is_copy[seg])
+    sizes, copy_p = _step_tables(schedule, n)
+    pick, is_copy = _draw_steps(copy_p, gen)
     del copy_p  # each del frees an array before the next one is allocated
     # copy: 2 + floor(pick (s - 1)), a uniform edge u in 2..s; else 1 + floor(pick s)
     np.subtract(sizes, is_copy, out=sizes)
@@ -144,19 +148,56 @@ def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -
     parent = np.empty(n + 1, dtype=np.int64)
     parent[:2] = 0
     parent[2:] = pick  # truncates, as astype does
-    del draws, coin, pick
+    del pick
     parent[2:] += is_copy
     parent[2:] += 1
 
+    unresolved = np.concatenate(([False, False], is_copy))
     pending = np.nonzero(unresolved)[0]
     while pending.size:
         t = parent[pending]
         parent[pending] = parent[t]
         unresolved[pending] = unresolved[t]
         pending = pending[unresolved[pending]]
-    del unresolved, is_copy
 
     return GrowingTree(n=n, parent=parent)
+
+
+def leaf_counts(schedule: ChangePointSchedule, n: int, gen: np.random.Generator,
+                steps) -> np.ndarray:
+    """Leaf counts N(m) at sorted steps m in 2..n of the tree grow_tree(schedule, n, gen)
+    grows, read from the same draws without resolving a parent.
+
+    A copy step attaches to parent[u], which already has the child u, so every
+    vertex's first child arrives on a direct step: the vertices v >= 2 with a
+    child by step m are the distinct direct targets 1 + floor(pick s) >= 2 of
+    steps <= m.  The root, a leaf while it has one child, gains its second at
+    the first step m >= 3 whose pick (s - is_copy) is below 1, the same product
+    grow_tree truncates to find the parent.  Then
+    N(m) = m - #{v >= 2 with a child by m} - [m >= that step].
+    """
+    steps = checked_steps(steps, n)
+    sizes, copy_p = _shared_step_tables(schedule, n)
+    pick, is_copy = _draw_steps(copy_p, gen)
+    second, lo = n + 1, 1  # step index 1 is m = 3; search windows that double
+    while lo < n - 1:
+        hi = min(2 * lo + 8, n - 1)
+        hits = np.flatnonzero(pick[lo:hi] * (sizes[lo:hi] - is_copy[lo:hi]) < 1.0)
+        if hits.size:
+            second = lo + int(hits[0]) + 2
+            break
+        lo = hi
+    pick *= ~is_copy  # a copy step's pick becomes 0, the root, which is never counted
+    pick *= sizes
+    targets = pick.astype(np.intp)  # a direct step's target vertex, minus 1
+    has_child = np.zeros(n, dtype=bool)
+    counts = np.empty(steps.size, dtype=np.int64)
+    prev = 1
+    for i, m in enumerate(steps):
+        has_child[targets[prev - 1 : m - 1]] = True  # the targets of steps prev + 1..m
+        counts[i] = m - np.count_nonzero(has_child[1:]) - (m >= second)
+        prev = m
+    return counts
 
 
 def degree_histogram(tree: GrowingTree, upto: int | None = None) -> DegreeHistogram:

@@ -19,14 +19,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model_core import ChangePointSchedule, write_csv
 
-if TYPE_CHECKING:
-    from .generator import GrowingTree
+
+def checked_steps(steps, n: int) -> np.ndarray:
+    """steps as an int64 array, or ValueError unless they are sorted and lie in 2..n."""
+    steps = np.asarray(steps, dtype=np.int64)
+    if steps.size and (steps[0] < 2 or steps[-1] > n or np.any(np.diff(steps) < 0)):
+        raise ValueError(f"steps must be sorted and lie in 2..{n}")
+    return steps
 
 
 @dataclass
@@ -47,8 +52,8 @@ class LeafTrajectory:
         return self.counts / self.steps()
 
     def leaf_counts(self, steps) -> np.ndarray:
-        """Leaf counts N(m) at steps m in 2..n."""
-        return self.counts[np.asarray(steps, dtype=np.int64) - 2]
+        """Leaf counts N(m) at sorted steps m in 2..n."""
+        return self.counts[checked_steps(steps, self.n) - 2]
 
     def check_invariants(self) -> None:
         ms = self.steps()
@@ -267,25 +272,24 @@ def variance_gn(t: float, schedule: ChangePointSchedule) -> float:
     return float(g * g * phi(t, schedule))
 
 
-def gn_path(source: LeafTrajectory | GrowingTree, schedule: ChangePointSchedule,
-            grid) -> np.ndarray:
+def gn_path(n: int, counts_at: Callable[[np.ndarray], np.ndarray],
+            schedule: ChangePointSchedule, grid) -> np.ndarray:
     """Centred, sqrt(n)-scaled leaf-count path (N(nt) - nt p_inf(t)) / sqrt(n).
 
     Leaf counts are linearly interpolated between integer steps.  Only the
-    steps that bracket some n*t are read, through source.leaf_counts, so a
-    tree need not record its whole trajectory: each n*t still falls between
-    the same two steps, and the values are those of interpolating over every
-    step, bit for bit.
+    steps that bracket some n*t are read, through counts_at(sorted steps in
+    2..n), so neither a trajectory nor a tree need be recorded whole: each
+    n*t still falls between the same two steps, and the values are those of
+    interpolating over every step, bit for bit.
     """
     grid_arr = np.asarray(grid, dtype=np.float64)
     if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):
         raise ValueError(f"grid must lie in (0, 1], got {grid}")
-    n = source.n
     x = n * grid_arr
     below = np.clip(np.floor(x).astype(np.int64).ravel(), 2, n)
     steps = np.unique(np.concatenate([below, np.minimum(below + 1, n)]))
-    counts_at = np.interp(x, steps, source.leaf_counts(steps))
-    centred = counts_at - x * np.asarray(p_inf(grid_arr, schedule))
+    counts = np.interp(x, steps, counts_at(steps))
+    centred = counts - x * np.asarray(p_inf(grid_arr, schedule))
     return centred / np.sqrt(n)
 
 

@@ -130,7 +130,7 @@ def _c06(tag: str, schedule: ChangePointSchedule, seed: int, t: float, target: f
     rows = np.empty((reps, grid.size))
     for r in range(reps):
         tree = grow_tree(schedule, n, seeded_generator(seed, r))
-        rows[r] = gn_path(tree.leaf_trajectory(), schedule, grid)
+        rows[r] = gn_path(n, tree.leaf_trajectory().leaf_counts, schedule, grid)
     var_t = rows[:, np.flatnonzero(grid == t)[0]].var(ddof=1)
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(reps)

@@ -684,6 +684,23 @@ def test_fclt_defaults_to_no_change_point(tmp_path):
     assert not (out / "upsilon_z.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_fclt_grows_no_tree(tmp_path, monkeypatch, threads):
+    # fclt reads each tree's leaf counts from its draws; growing trees would still give
+    # the pinned bytes, only slower, so a spy is what keeps that path from coming back
+    def refuse(*args, **kwargs):
+        raise AssertionError("fclt called grow_tree")
+
+    monkeypatch.setattr("pact.cli.grow_tree", refuse)
+    runs = {"05365403e538d645": ["--alpha", "6", "--beta", "1", "--gamma", "0.5",
+                                 "--reps", "8", "--upsilon-reps", "16"],
+            "9b4ece910976d5a1": ["--alpha", "1", "--reps", "4"]}
+    for pin, argv in runs.items():
+        out = tmp_path / pin
+        assert _run("fclt", "--out", str(out), "--n", "2000", "--threads", threads, *argv) == 0
+        assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == pin
+
+
 def test_fclt_limits_and_estimate_run_at_two_change_points(tmp_path):
     schedule = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
     out = tmp_path / "fclt"

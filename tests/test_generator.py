@@ -9,6 +9,7 @@ from pact.generator import (
     GrowingTree,
     degree_histogram,
     grow_tree,
+    leaf_counts,
     load_tree,
     max_degree,
     save_tree,
@@ -155,26 +156,34 @@ def test_grow_tree_matches_sequential_reference(case, seed):
 @given(case=_sized_schedules(), seed=st.integers(0, 2**32), data=st.data())
 @example(case=(2, PLAIN), seed=0, data=None)
 @example(case=(3, PLAIN), seed=3, data=None)
+# the root's second child arrives on a copy step, at m = 6
+@example(case=(10, ChangePointSchedule(alpha=1.0, segments=((0.05, 2.0), (0.15, 0.5)))),
+         seed=34, data=None)
+# the root's second child arrives at m = n = 12, the only step of the search's second window
+@example(case=(12, PLAIN), seed=44, data=None)
 def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data):
     n, schedule = case
-    tree = grow_tree(schedule, n, seeded_generator(seed, 6))
-    _, counts = grow_tree_sequential(schedule, n, seeded_generator(seed, 6))
-    root_children = np.flatnonzero(tree.parent[3:] == 1) + 3
+    parent, counts = grow_tree_sequential(schedule, n, seeded_generator(seed, 6))
+    root_children = np.flatnonzero(parent[3:] == 1) + 3
     second = int(root_children[0]) if root_children.size else n
     drawn = [] if data is None else data.draw(st.lists(st.integers(2, n), max_size=8))
     # the first and last steps, and the steps around the root's second child
-    steps = np.unique([2, n, second, max(second - 1, 2), *drawn])
-    assert np.array_equal(tree.leaf_counts(steps), tree.leaf_trajectory().counts[steps - 2])
-    assert np.array_equal(tree.leaf_counts(steps), counts[steps - 2])
-    assert np.array_equal(tree.leaf_trajectory().leaf_counts(steps), counts[steps - 2])
-    assert np.array_equal(tree.leaf_counts(np.arange(2, n + 1)), counts)
+    steps = np.unique([2, n, max(second - 1, 2), second, min(second + 1, n), *drawn])
+    assert np.array_equal(leaf_counts(schedule, n, seeded_generator(seed, 6), steps),
+                          counts[steps - 2])
+    trajectory = grow_tree(schedule, n, seeded_generator(seed, 6)).leaf_trajectory()
+    assert np.array_equal(trajectory.leaf_counts(steps), counts[steps - 2])
+    every = np.arange(2, n + 1)
+    assert np.array_equal(leaf_counts(schedule, n, seeded_generator(seed, 6), every), counts)
 
 
 @pytest.mark.parametrize("steps", [[1], [5, 3], [2, 11]], ids=["below-2", "unsorted", "above-n"])
 def test_leaf_counts_reject_steps_outside_the_tree(steps):
-    tree = grow_tree(SINGLE, 10, seeded_generator(16))
-    with pytest.raises(ValueError, match="sorted"):
-        tree.leaf_counts(steps)
+    trajectory = grow_tree(SINGLE, 10, seeded_generator(16)).leaf_trajectory()
+    with pytest.raises(ValueError, match="sorted and lie in 2..10"):
+        leaf_counts(SINGLE, 10, seeded_generator(16), steps)
+    with pytest.raises(ValueError, match="sorted and lie in 2..10"):
+        trajectory.leaf_counts(steps)
 
 
 def test_leaf_trajectory_matches_truncated_histograms():

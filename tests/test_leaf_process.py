@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_leaves, nonroot_leaf_counts, w_m
-from pact.generator import grow_tree
+from pact.generator import grow_tree, leaf_counts
 from pact.leaf_process import (
     LeafTrajectory,
     delta_exponent,
@@ -291,7 +293,7 @@ def test_gn_path_centering_identity():
     exact = ms * np.asarray(p_inf(ms / n, SINGLE))
     traj = LeafTrajectory(n=n, counts=exact)
     grid = ms[49::100] / n
-    path = gn_path(traj, SINGLE, grid)
+    path = gn_path(n, traj.leaf_counts, SINGLE, grid)
     assert np.max(np.abs(path)) < 1e-12
 
 
@@ -311,18 +313,19 @@ def _gn_path_every_step(trajectory, schedule, grid):
 @example(n=997, grid=[1e-9, 1 / 997, 1.5 / 997, 2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0])
 def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
-    tree = grow_tree(SINGLE, n, seeded_generator(52, n))
-    path = gn_path(tree.leaf_trajectory(), SINGLE, grid)
-    assert np.array_equal(path, _gn_path_every_step(tree.leaf_trajectory(), SINGLE, grid))
-    # the tree itself, which counts leaves from its parents, gives the same bits
-    assert np.array_equal(gn_path(tree, SINGLE, grid), path)
+    trajectory = grow_tree(SINGLE, n, seeded_generator(52, n)).leaf_trajectory()
+    path = gn_path(n, trajectory.leaf_counts, SINGLE, grid)
+    assert np.array_equal(path, _gn_path_every_step(trajectory, SINGLE, grid))
+    # the counts read straight from the tree's draws give the same bits
+    counts_at = partial(leaf_counts, SINGLE, n, seeded_generator(52, n))
+    assert np.array_equal(gn_path(n, counts_at, SINGLE, grid), path)
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
-    tree = grow_tree(SINGLE, 100, seeded_generator(53))
+    trajectory = grow_tree(SINGLE, 100, seeded_generator(53)).leaf_trajectory()
     with pytest.raises(ValueError, match="grid must lie"):
-        gn_path(tree.leaf_trajectory(), SINGLE, grid)
+        gn_path(100, trajectory.leaf_counts, SINGLE, grid)
 
 
 def test_gn_ensemble_light():
@@ -330,8 +333,8 @@ def test_gn_ensemble_light():
     grid = np.array([0.5, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(SINGLE, n, seeded_generator(50, r))
-        rows[r] = gn_path(tree.leaf_trajectory(), SINGLE, grid)
+        trajectory = grow_tree(SINGLE, n, seeded_generator(50, r)).leaf_trajectory()
+        rows[r] = gn_path(n, trajectory.leaf_counts, SINGLE, grid)
     se = rows.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(rows.mean(axis=0)) < 4 * se)
     target = variance_gn(0.5, SINGLE)
