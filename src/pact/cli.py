@@ -15,19 +15,22 @@ like the manifest's config echo with no key twice, with per-key overrides
 from flags; flags win.  _KEYS declares each key's flag, type and minimum
 once; every merged value must have its key's JSON type, and a float key's
 value must be finite.  main() checks the merged config, builds the schedule
-(for estimate: the d_limit overlay and the loaded trajectories) once and
-hands it to the subcommand before anything is written; a bad flag, value or
-file prints one "error:" line and exits 2.  A run that fails later with a
-ValueError, MemoryError or OSError (say, an array too large to allocate)
-removes what it wrote and exits the same way.  The same merged config
-reproduces byte-identical CSVs.  --threads sets the worker pool size; each
-subcommand defaults to 1 process and gives the same bytes with any pool size.
+(for estimate: the d_limit overlay, or None) once, loads estimate's
+trajectories and hands them to the subcommand before anything is written; a
+bad flag, value or file prints one "error:" line and exits 2.  A run that
+fails later with a ValueError, MemoryError or OSError (say, an array too
+large to allocate) removes what it wrote and exits the same way.  The same
+merged config reproduces byte-identical CSVs.  simulate, fclt and maxdeg run
+their replicates on up to --threads workers, never more than there are tasks
+or CPUs, and give the same bytes with any pool size; limits and estimate run
+in one process and only record --threads, which defaults to 1 everywhere.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import sys
 import time
@@ -38,7 +41,6 @@ import numpy as np
 
 from . import __version__
 from .estimator import (
-    EstimateReport,
     dn_curve,
     gamma_hat,
     limit_D,
@@ -184,13 +186,13 @@ def _schedule_from(cfg: dict) -> ChangePointSchedule:
 
 
 def _pool_map(fn, tasks: list, threads: int) -> list:
-    """[fn(t) for t in tasks], in order, on at most min(threads, len(tasks)) processes."""
-    workers = min(threads, len(tasks))
+    """[fn(t) for t in tasks], in order, on at most min(threads, len(tasks), CPUs) processes."""
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it costs every single-process run about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        # under fork every worker starts up front, so start no more than there are tasks
+        # under fork every worker starts up front, so start no more than tasks or CPUs
         # tasks go out in chunks, about 8 per worker, instead of one round trip each
         chunksize = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -198,7 +200,7 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
     return [fn(t) for t in tasks]
 
 
-# A pooled worker takes (cfg, schedule[, out_dir], item): cmd_* binds the
+# A pooled worker takes (cfg, schedule[, out_dir], stream): cmd_* binds the
 # shared values once and maps it over stream ids; each cmd_* returns the ids
 # it drew, and main() writes them into the manifest's seed list.
 # ---------------------------------------------------------------- simulate
@@ -243,24 +245,11 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
         grid = np.linspace(eps, 1.0, cfg["curve_points"])
         dvals = np.asarray(limit_D(grid, schedule, eps))
         write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
-    return [0]
+        return [0]
+    return []  # no change point: nothing is drawn
 
 
 # ---------------------------------------------------------------- estimate
-
-def _estimate_task(cfg: dict, overlay: ChangePointSchedule | None, out_dir: Path,
-                   item: tuple[int, LeafTrajectory]) -> EstimateReport:
-    """Estimate the item-th trajectory; write its report_<i>.json and thinned dn_curve_<i>.csv."""
-    curve = dn_curve(item[1], cfg["epsilon"])
-    report = gamma_hat(curve)
-    curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
-    d_lim = None
-    if overlay is not None:
-        d_lim = np.asarray(limit_D(curve.ts, overlay, cfg["epsilon"]))
-    write_report_json(report, out_dir / f"report_{item[0]:03d}.json")
-    write_dn_csv(curve, out_dir / f"dn_curve_{item[0]:03d}.csv", d_lim)
-    return report
-
 
 def _overlay(cfg: dict) -> ChangePointSchedule | None:
     """estimate's d_limit schedule: None unless alpha, beta or gamma is given, then all of them."""
@@ -271,14 +260,24 @@ def _overlay(cfg: dict) -> ChangePointSchedule | None:
     return _schedule_from(cfg)
 
 
-def cmd_estimate(cfg: dict, out_dir: Path, overlay: ChangePointSchedule | None,
-                 trajectories: list[LeafTrajectory]) -> list[int]:
-    """Estimate on the trajectories main() loaded from cfg["trajectories"]; draws no stream."""
-    # one (index, trajectory) item each, so every trajectory is pickled once
-    reports = _pool_map(partial(_estimate_task, cfg, overlay, out_dir),
-                        list(enumerate(trajectories)), cfg["threads"])
-    rows = [(Path(traj_path).name, "" if r.gamma_hat is None else r.gamma_hat, r.dn_star,
-             int(r.detected)) for traj_path, r in zip(cfg["trajectories"], reports)]
+def cmd_estimate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule | None,
+                 *trajectories: LeafTrajectory) -> list[int]:
+    """Estimate on the trajectories main() loaded from cfg["trajectories"], in this process.
+
+    schedule is the d_limit overlay, or None.  Each trajectory gets its
+    report_<i>.json and thinned dn_curve_<i>.csv, then its gamma_hats.csv row.
+    No stream is drawn.
+    """
+    eps, rows = cfg["epsilon"], []
+    for i, (traj_path, trajectory) in enumerate(zip(cfg["trajectories"], trajectories)):
+        curve = dn_curve(trajectory, eps)
+        report = gamma_hat(curve)
+        curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
+        d_lim = None if schedule is None else np.asarray(limit_D(curve.ts, schedule, eps))
+        write_report_json(report, out_dir / f"report_{i:03d}.json")
+        write_dn_csv(curve, out_dir / f"dn_curve_{i:03d}.csv", d_lim)
+        rows.append((Path(traj_path).name, "" if report.gamma_hat is None else report.gamma_hat,
+                     report.dn_star, int(report.detected)))
     write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
               list(zip(*rows)))
     return []
@@ -381,18 +380,14 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("trajectories", "t_grid", "n_list"):  # the lists a subcommand loops over
             if cfg.get(key) == []:
                 raise ValueError(f"{key} ({_KEYS[key][0]}) needs at least one value")
-        if args.command == "estimate":
-            schedule = _overlay(cfg)
-            inputs = dict(overlay=schedule)
-        else:
-            schedule = _schedule_from(cfg)
-            inputs = dict(schedule=schedule)
+        schedule = _overlay(cfg) if args.command == "estimate" else _schedule_from(cfg)
         if "epsilon" in cfg:  # limits and estimate: d_limit needs 0 < epsilon < gamma_1
             upper = schedule.segments[0].gamma if schedule and schedule.segments else 1
             if not 0.0 < cfg["epsilon"] < upper:
                 raise ValueError(f"epsilon must lie in (0, {upper}), got {cfg['epsilon']}")
+        trajectories = []  # estimate's inputs, each read and checked before --out exists
         if args.command == "estimate":
-            inputs["trajectories"] = [read_trajectory_csv(t) for t in cfg["trajectories"]]
+            trajectories = [read_trajectory_csv(t) for t in cfg["trajectories"]]
         elif args.command == "simulate":
             bad = [m for m in cfg["checkpoints"] if m > cfg["n"]]
             if bad:
@@ -413,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
         start = time.time()
-        streams = _COMMANDS[args.command](cfg, out_dir, **inputs)
+        streams = _COMMANDS[args.command](cfg, out_dir, schedule, *trajectories)
         wall_clock_s = round(time.time() - start, 3)
         outputs = {
             p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"

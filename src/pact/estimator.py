@@ -181,15 +181,12 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
 def thin_dn_curve(curve: DnCurve, report: EstimateReport) -> DnCurve:
     """The rows of `curve` that dn_curve_*.csv holds.
 
-    A curve of at most DN_CSV_ROWS rows is returned whole.  A longer one keeps
-    the rows at round(linspace(0, L-1, DN_CSV_ROWS)), which include the first
-    step and t = 1, plus the maximum and both edges of the near-max set, in
-    order and each once.  Each kept row is the curve's own (t, dn) pair.
+    An L-row curve keeps the rows at round(linspace(0, L-1, DN_CSV_ROWS)),
+    which include the first step and t = 1 (and every row when L <= DN_CSV_ROWS),
+    plus the maximum and both edges of the near-max set, in order and each
+    once.  Each kept row is the curve's own (t, dn) pair.
     """
-    rows = len(curve.ts)
-    if rows <= DN_CSV_ROWS:
-        return curve
-    grid = np.rint(np.linspace(0, rows - 1, DN_CSV_ROWS)).astype(np.intp)
+    grid = np.rint(np.linspace(0, len(curve.ts) - 1, DN_CSV_ROWS)).astype(np.intp)
     edges = np.searchsorted(curve.ts, [report.near_max_min, report.near_max_max])
     keep = np.unique(np.concatenate([grid, edges, [np.argmax(curve.values)]]))
     return DnCurve(ts=curve.ts[keep], values=curve.values[keep], n=curve.n,

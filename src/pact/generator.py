@@ -233,8 +233,8 @@ def load_tree(path) -> GrowingTree:
         version, n = struct.unpack("<QQ", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        if n < 1:
-            raise ValueError(f"{path}: header n={n} holds no vertex")
+        if n < 2:  # grow_tree's smallest tree; leaf_trajectory() cannot read n = 1
+            raise ValueError(f"{path}: header n={n}, but a tree has n >= 2")
         size = os.fstat(fh.fileno()).st_size
         if size != 20 + 8 * n:
             raise ValueError(f"{path}: header n={n} needs {20 + 8 * n} bytes, file has {size}")

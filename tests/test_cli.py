@@ -148,8 +148,10 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     (["maxdeg", "--n", "300", "--n", "200", "--reps", "2", "--seed", "5"], [0, 1, 2, 3]),
     (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5",
       *SINGLE], [0]),
+    # with no change point limits samples nothing
+    (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5"], []),
     (["estimate", "--trajectory", GOOD_TRAJECTORY], []),
-], ids=["simulate", "fclt-k1", "fclt-k0", "maxdeg", "limits", "estimate"])
+], ids=["simulate", "fclt-k1", "fclt-k0", "maxdeg", "limits", "limits-k0", "estimate"])
 def test_manifest_seeds_are_pinned(tmp_path, argv, streams):
     sim = tmp_path / "sim"
     assert _run("simulate", "--out", str(sim), "--n", "300", "--no-trees") == 0
@@ -541,27 +543,43 @@ def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsy
     assert not out.exists()
 
 
-def test_estimate_pool_matches_serial_in_input_order(tmp_path):
+def test_estimate_threads_do_not_change_its_bytes(tmp_path):
     sim = tmp_path / "sim"
     assert _run("simulate", "--out", str(sim), "--n", "3000", "--seed", "4", "--reps", "2",
                 "--no-trees", *SINGLE) == 0
     a, b = sim / "trajectory_r000.csv", sim / "trajectory_r001.csv"
     inputs = ["--trajectory", str(a), "--trajectory", str(b), "--trajectory", str(a), *SINGLE]
-    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
-    assert _run("estimate", "--out", str(pooled), *inputs, "--threads", "2") == 0
-    assert _run("estimate", "--out", str(serial), *inputs) == 0
-    assert _hashes(pooled) == _hashes(serial)
-    assert json.loads((serial / "manifest.json").read_text())["config"]["threads"] == 1
-    curves = [(pooled / f"dn_curve_{i:03d}.csv").read_bytes() for i in range(3)]
+    two, one = tmp_path / "two", tmp_path / "one"
+    assert _run("estimate", "--out", str(two), *inputs, "--threads", "2") == 0
+    assert _run("estimate", "--out", str(one), *inputs) == 0
+    assert _hashes(two) == _hashes(one)
+    assert json.loads((one / "manifest.json").read_text())["config"]["threads"] == 1
+    assert json.loads((two / "manifest.json").read_text())["config"]["threads"] == 2
+    curves = [(two / f"dn_curve_{i:03d}.csv").read_bytes() for i in range(3)]
     assert curves[0] == curves[2] != curves[1]
     # the d_limit overlay's bytes, pinned
     assert [hashlib.sha256(c).hexdigest()[:16] for c in curves[:2]] == [
         "a65e38ea1d180021", "e7db925389ab8810"]
-    with open(pooled / "gamma_hats.csv") as fh:
+    with open(two / "gamma_hats.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["file"] for r in rows] == [a.name, b.name, a.name]
-    reports = [json.loads((pooled / f"report_{i:03d}.json").read_text()) for i in range(3)]
+    reports = [json.loads((two / f"report_{i:03d}.json").read_text()) for i in range(3)]
     assert [float(r["dn_star"]) for r in rows] == [r["dn_star"] for r in reports]
+
+
+def test_estimate_starts_no_pool(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert _run("simulate", "--out", str(sim), "--n", "3000", "--seed", "4", "--reps", "2",
+                "--no-trees", *SINGLE) == 0
+
+    def no_pool(*args):
+        raise AssertionError("estimate called _pool_map")
+
+    monkeypatch.setattr("pact.cli._pool_map", no_pool)
+    out = tmp_path / "est"
+    assert _run("estimate", "--out", str(out), "--trajectory", str(sim / "trajectory_r000.csv"),
+                "--trajectory", str(sim / "trajectory_r001.csv"), *SINGLE, "--threads", "2") == 0
+    assert len((out / "gamma_hats.csv").read_text().splitlines()) == 3
 
 
 def _hashed_trajectory(path, n: int, p_before: float, p_after: float) -> None:
@@ -623,7 +641,8 @@ def test_estimate_writes_a_short_dn_curve_whole(tmp_path):
     assert (out / "dn_curve_000.csv").read_bytes() == whole.read_bytes()
 
 
-def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
+def _spy_pool(monkeypatch, cpus) -> list[int]:
+    """The worker counts of the pools _pool_map starts, as threads, on `cpus` reported CPUs."""
     started = []
 
     class Spy(concurrent.futures.ThreadPoolExecutor):
@@ -632,10 +651,26 @@ def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_pool_map_starts_no_more_workers_than_tasks(monkeypatch):
+    started = _spy_pool(monkeypatch, 8)
     assert _pool_map(abs, [-1], 4) == [1]
     assert _pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert _pool_map(abs, [-1, -2], 8) == [1, 2]
     assert started == [2, 2]
+
+
+def test_pool_map_starts_no_more_workers_than_cpus(monkeypatch):
+    started = _spy_pool(monkeypatch, 3)
+    assert _pool_map(abs, [-1, -2, -3, -4, -5], 5000) == [1, 2, 3, 4, 5]
+    assert _pool_map(abs, [-1, -2], 5000) == [1, 2]
+    assert started == [3, 2]
+    unknown = _spy_pool(monkeypatch, None)  # os.cpu_count() may not know: one process
+    assert _pool_map(abs, [-1, -2, -3], 4) == [1, 2, 3]
+    assert unknown == []
 
 
 def test_import_loads_no_scipy():

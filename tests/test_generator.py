@@ -309,6 +309,12 @@ def _truncate(size):
     return edit
 
 
+def _one_vertex(raw):
+    """Magic, version 1, n = 1 and the root's parent 0: 28 bytes that agree on their size."""
+    _set_n(1)(raw)
+    del raw[28:]
+
+
 CORRUPT_TREES = {
     "forward-parent": _set_parent(3, 3),
     "parent-above-n": _set_parent(7, 51),
@@ -317,6 +323,7 @@ CORRUPT_TREES = {
     "n-above-file": _set_n(2**40),
     "n-below-file": _set_n(49),
     "n-zero": _set_n(0),
+    "one-vertex": _one_vertex,
     "magic-only": _truncate(4),
     "short-header": _truncate(12),
 }
