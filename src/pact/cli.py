@@ -69,11 +69,13 @@ from .leaf_process import (
 from .limit_laws import (
     ccdf_from_samples,
     p_alpha_table,
-    sample_d_theta,  # unused here; bench/traced.py wraps this name on pact.cli
     sample_d_theta_multi,
     write_pmf_csv,
 )
 from .model_core import ChangePointSchedule, seeded_generator, write_csv
+
+# bench/traced.py wraps this name on pact.cli; the next change to the benchmark deletes it
+sample_d_theta = sample_d_theta_multi
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
 

@@ -17,15 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .limit_laws import segment_durations
 from .model_core import ChangePointSchedule, write_csv
-
-
-def upsilon_limit(schedule: ChangePointSchedule) -> float:
-    """Limit of the after-change duration: log(1/gamma) / (2+beta)."""
-    if schedule.num_change_points != 1:
-        raise ValueError("limit defined for exactly one change point")
-    gamma, beta = schedule.segments[0]
-    return float(np.log(1.0 / gamma) / (2.0 + beta))
 
 
 def upsilon_clt_sample(
@@ -33,6 +26,7 @@ def upsilon_clt_sample(
 ) -> np.ndarray:
     """Standardized after-change durations sqrt(n)(Y - a)(2+beta)sqrt(gamma/(1-gamma)).
 
+    a = log(1/gamma)/(2+beta) = segment_durations(schedule)[0] is the limit of Y.
     The empirical law approaches standard normal as n grows.  Each replicate
     draws Y exactly as -log(B)/(2+beta), B ~ Beta(m - d, n - m), with
     m = max(floor(gamma n), 1) and d = 1/(2+beta): the law of the sum of the
@@ -48,7 +42,7 @@ def upsilon_clt_sample(
     m = max(int(np.floor(gamma * n)), 1)
     y = -np.log(gen.beta(m - 1.0 / (2.0 + beta), n - m, size=reps)) / (2.0 + beta)
     scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
-    return (y - upsilon_limit(schedule)) * scale
+    return (y - segment_durations(schedule)[0]) * scale
 
 
 def write_zsample_csv(z: np.ndarray, path) -> None:

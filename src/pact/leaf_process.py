@@ -61,8 +61,8 @@ class LeafTrajectory:
             raise AssertionError("trajectory length mismatch")
         if np.any(self.counts < 0) or np.any(self.counts > ms):
             raise AssertionError("leaf count outside [0, m]")
-        if np.any(self.counts[:1] != 2):
-            raise AssertionError("the 2-vertex tree must have 2 leaves")
+        if np.any(self.counts[:2] != 2):  # so N(m) <= m - 1 from m = 3 on
+            raise AssertionError("the 2- and 3-vertex trees must have 2 leaves")
         steps = np.diff(self.counts)
         if np.any((steps != 0) & (steps != 1)):
             raise AssertionError("leaf count must stay or rise by 1 in each step")

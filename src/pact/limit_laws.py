@@ -1,17 +1,20 @@
-"""Limiting degree distributions: exact pmf, mixture samplers, tail diagnostics.
+"""Limiting degree distributions: exact pmf, mixture sampler, tail diagnostics.
 
 Without a change point the limiting degree law is
 
     p_a(k) = (2+a) * prod_{j=1}^{k-1}(j+a) / prod_{j=3}^{k+2}(j+2a),
 
-with the empty product equal to 1 at k=1.  Under a change point the limit is
-a two-branch mixture over birth epoch: a vertex born after the change has
-lived a truncated-exponential Age and collects points of a pure birth process
-with rates (1+b), (2+b), ...; a vertex born before carries a p_a-distributed
-degree and keeps collecting points, at rates starting from its degree + b,
-for the residual duration a = log(t/gamma)/(2+b) up to the observation
-horizon t (t = 1 is the full-size tree).  With several change points the
-same mixture runs over the birth epochs between them, segment by segment.
+with the empty product equal to 1 at k=1; p_alpha_table(a, kmax)[k] gives it
+exactly.  Under a change point the limit is a two-branch mixture over birth
+epoch: a vertex born after the change has lived a truncated-exponential Age
+and collects points of a pure birth process with rates (1+b), (2+b), ...; a
+vertex born before carries a p_a-distributed degree and keeps collecting
+points, at rates starting from its degree + b, for the residual duration
+a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
+full-size tree), which segment_durations gives (the embedding centres on
+its t = 1 value).  With several change points the same mixture runs over
+the birth epochs between them, segment by segment; sample_d_theta_multi
+draws from it at any k >= 1.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -31,21 +34,12 @@ from .model_core import ChangePointSchedule, write_csv
 _TAIL_TOL = 1e-12
 
 
-def p_alpha_pmf(alpha: float, k):
-    """Exact limiting pmf without change point: p_alpha_table(alpha, max k) read at k.
-
-    The table's running product keeps about 1e-13 relative accuracy up to
-    k = 1e6, where a difference of log-gamma values would lose half the digits.
-    """
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 1):
-        raise ValueError(f"k must be >= 1, got {k}")
-    out = p_alpha_table(alpha, int(k_arr.max()))[k_arr]
-    return out if out.ndim else float(out)
-
-
 def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
-    """pmf values indexed by degree: table[k] = p_alpha(k) for k = 1..kmax (table[0] = 0)."""
+    """pmf values indexed by degree: table[k] = p_alpha(k) for k = 1..kmax (table[0] = 0).
+
+    The running product keeps about 1e-13 relative accuracy up to k = 1e6,
+    where a difference of log-gamma values would lose half the digits.
+    """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     table = np.zeros(kmax + 1, dtype=np.float64)
@@ -119,20 +113,6 @@ class DegreeSampleBatch:
         binc = np.bincount(np.minimum(self.values, kmax + 1), minlength=kmax + 2)
         out[1:] = binc[1 : kmax + 1] / self.values.size
         return out
-
-
-def sample_d_theta(
-    schedule: ChangePointSchedule, gen: np.random.Generator, size: int, horizon: float = 1.0
-) -> DegreeSampleBatch:
-    """Draws from the limiting degree law of a single-change-point model.
-
-    The k = 1 case of sample_d_theta_multi: at horizon t in (gamma, 1] the
-    residual duration is log(t/gamma)/(2+beta), and a fraction gamma/t of
-    the mass sits in the before-change branch.
-    """
-    if schedule.num_change_points != 1:
-        raise ValueError("sample_d_theta needs exactly one change point")
-    return sample_d_theta_multi(schedule, gen, size, horizon)
 
 
 def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 # peak rises from 1.3 to 20.4 MB; see test_write_csv_peak_memory_stays_one_chunk.
 _CSV_CHUNK = 4096
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')  # NUL, or a character the csv module quotes
+_MAX_OFFSET = 2.0**53  # above it, float64 rounds away the +1 and +2 of out_degree + 1 + c
 
 
 class Segment(NamedTuple):
@@ -33,8 +34,8 @@ class ChangePointSchedule:
 
     ``segments`` is ordered by gamma.  An empty list means no change point;
     a single entry is the basic one-change-point model.  Every schedule is
-    valid: construction raises ValueError unless alpha is finite and >= 0,
-    each beta is finite and > 0, and 0 < gamma_1 < ... < gamma_k < 1.
+    valid: construction raises ValueError unless 0 <= alpha <= 2^53,
+    0 < beta <= 2^53 for each beta, and 0 < gamma_1 < ... < gamma_k < 1.
     alpha = 0, the uniform-attachment end of the family, is accepted.
     """
 
@@ -45,11 +46,11 @@ class ChangePointSchedule:
         coerced = tuple(Segment(float(g), float(b)) for g, b in self.segments)
         object.__setattr__(self, "segments", coerced)
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha <= _MAX_OFFSET:
+            raise ValueError(f"alpha must be >= 0 and <= 2^53, got {self.alpha}")
         for seg in self.segments:
-            if not np.isfinite(seg.beta) or seg.beta <= 0:
-                raise ValueError(f"beta must be > 0, got {seg.beta}")
+            if not 0 < seg.beta <= _MAX_OFFSET:
+                raise ValueError(f"beta must be > 0 and <= 2^53, got {seg.beta}")
             if not np.isfinite(seg.gamma):
                 raise ValueError(f"gamma must be finite, got {seg.gamma}")
         gammas = [s.gamma for s in self.segments]

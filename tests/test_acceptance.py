@@ -11,15 +11,15 @@ import pytest
 from scipy import stats
 
 from oracles import expected_leaves, nonroot_leaf_counts
-from pact.embedding import upsilon_clt_sample, upsilon_limit
+from pact.embedding import upsilon_clt_sample
 from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
 from pact.generator import degree_histogram, grow_tree, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
 from pact.limit_laws import (
     ccdf_from_samples,
-    p_alpha_pmf,
-    sample_d_theta,
+    p_alpha_table,
     sample_d_theta_multi,
+    segment_durations,
     tail_exponent,
     tv_distance_upto,
 )
@@ -43,7 +43,7 @@ def test_c01_degree_law_convergence():
     gen_s = time.time() - t0
 
     t0 = time.time()
-    batch = sample_d_theta(SINGLE, seeded_generator(1002), 1_000_000)
+    batch = sample_d_theta_multi(SINGLE, seeded_generator(1002), 1_000_000)
     mc = batch.pmf(20)
     samp_s = time.time() - t0
 
@@ -58,9 +58,9 @@ def test_c01_degree_law_convergence():
 
 def test_c02_exact_pmf_spot_values():
     errs = [
-        abs(p_alpha_pmf(0.0, 1) - 2.0 / 3.0),
-        abs(p_alpha_pmf(0.0, 2) - 1.0 / 6.0),
-        abs(p_alpha_pmf(6.0, 1) - 8.0 / 15.0),
+        abs(p_alpha_table(0.0, 2)[1] - 2.0 / 3.0),
+        abs(p_alpha_table(0.0, 2)[2] - 1.0 / 6.0),
+        abs(p_alpha_table(6.0, 1)[1] - 8.0 / 15.0),
     ]
     ok = max(errs) < 1e-12
     _criterion("2 exact pmf values", ok, f"max abs error {max(errs):.2e} (<1e-12)")
@@ -69,7 +69,7 @@ def test_c02_exact_pmf_spot_values():
 def test_c03_tail_exponent_preserved():
     t0 = time.time()
     sched = ChangePointSchedule.single(0.0, 2.0, 0.5)
-    batch = sample_d_theta(sched, seeded_generator(1003), 10_000_000)
+    batch = sample_d_theta_multi(sched, seeded_generator(1003), 10_000_000)
     ks, cc = ccdf_from_samples(batch.values)
     slope = tail_exponent(ks, cc, 20, 200)
     elapsed = time.time() - t0
@@ -168,14 +168,14 @@ def test_c07_upsilon_clt():
         z = upsilon_clt_sample(SINGLE, n, reps, seeded_generator(1008, stream))
         ks_dist = stats.kstest(z, "norm").statistic
         scale = (2.0 + beta) * np.sqrt(gamma / (1 - gamma)) * np.sqrt(n)
-        ups = upsilon_limit(SINGLE) + z / scale
+        ups = segment_durations(SINGLE)[0] + z / scale
         se = ups.std(ddof=1) / np.sqrt(reps)
         mean_gap = abs(ups.mean() - np.log(2.0) / 3.0)
         checks += [ks_dist < 0.06, mean_gap < 3 * se]
         parts.append(f"n={n:,}: KS({reps} reps)={ks_dist:.4f} (<0.06), "
                      f"|mean-{UPS_TARGET_MEAN}|={mean_gap:.2e} vs 3se={3 * se:.2e}")
     elapsed = time.time() - t0
-    assert abs(upsilon_limit(SINGLE) - UPS_TARGET_MEAN) < 5e-6
+    assert abs(segment_durations(SINGLE)[0] - UPS_TARGET_MEAN) < 5e-6
     _criterion("7 duration CLT", all(checks) and elapsed < 120,
                "; ".join(parts) + f"; {elapsed:.1f}s (<120)")
 

@@ -227,6 +227,10 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--horizon-t", "nan"],  # no change point: only the finite check sees it
     ["estimate", "--trajectory", str(Path(__file__).with_name("no_such_trajectory.csv"))],
     ["estimate", "--trajectory", str(Path(__file__).parent)],  # a directory
+    # offsets above 2^53, where float64 drops the +1 and +2 of out_degree + 1 + c
+    ["limits", "--alpha", "6", "--beta", "1e308", "--gamma", "0.5"],
+    ["fclt", "--n", "100000", "--alpha", "6", "--beta", "1e307", "--gamma", "0.5"],
+    ["limits", "--alpha", str(2**53 + 2**1)],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"

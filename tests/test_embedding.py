@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from oracles import holding_times, malthusian_track, upsilon
-from pact.embedding import upsilon_clt_sample, upsilon_limit
+from pact.embedding import upsilon_clt_sample
+from pact.limit_laws import segment_durations
 from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
@@ -39,7 +40,7 @@ def test_upsilon_degenerate_and_errors():
 
 def test_upsilon_limit_value():
     # log(1/0.5)/(2+1) = log(2)/3
-    assert upsilon_limit(SINGLE) == pytest.approx(np.log(2.0) / 3.0, abs=1e-15)
+    assert segment_durations(SINGLE)[0] == pytest.approx(np.log(2.0) / 3.0, abs=1e-15)
 
 
 def test_upsilon_mean_matches_limit():
@@ -48,7 +49,7 @@ def test_upsilon_mean_matches_limit():
     for r in range(reps):
         vals[r] = upsilon(holding_times(SINGLE, n, seeded_generator(24, r)))
     se = vals.std(ddof=1) / np.sqrt(reps)
-    assert abs(vals.mean() - upsilon_limit(SINGLE)) < 3 * se
+    assert abs(vals.mean() - segment_durations(SINGLE)[0]) < 3 * se
 
 
 def test_upsilon_clt_sample_rough_normality():
@@ -71,7 +72,7 @@ def test_upsilon_clt_sample_matches_holding_time_sum(case, alpha, beta, gamma, n
     # variance has standard error sqrt((k_4 + 2 k_2^2) / reps).
     schedule = ChangePointSchedule.single(alpha, beta, gamma)
     reps, oracle_reps = 20_000, 5_000
-    limit = upsilon_limit(schedule)
+    limit = segment_durations(schedule)[0]
     scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
     y = limit + upsilon_clt_sample(schedule, n, reps, seeded_generator(26, 2 * case)) / scale
     gen = seeded_generator(26, 2 * case + 1)

@@ -371,6 +371,7 @@ MALFORMED_TRAJECTORIES = {
     "starts-at-3-leaves": "m,leaf_count\r\n2,3\r\n3,3\r\n4,4\r\n",
     "starts-at-1-leaf": "m,leaf_count\r\n2,1\r\n3,2\r\n4,3\r\n",
     "comment": "m,leaf_count\r\n2,2\r\n3,2 # x\r\n",
+    "all-leaves": "m,leaf_count\r\n2,2\r\n3,3\r\n4,4\r\n5,5\r\n",
 }
 
 

@@ -13,12 +13,10 @@ from oracles import (
 )
 from pact.limit_laws import (
     ccdf_from_samples,
-    p_alpha_pmf,
     p_alpha_table,
     point_counts_nb,
     sample_age,
     sample_d_alpha,
-    sample_d_theta,
     sample_d_theta_multi,
     segment_durations,
     tail_exponent,
@@ -43,9 +41,9 @@ def _assert_degree_falls_with_epoch(values: np.ndarray, epochs: np.ndarray) -> N
 
 
 def test_pmf_spot_values_exact():
-    assert p_alpha_pmf(0.0, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert p_alpha_pmf(0.0, 2) == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert p_alpha_pmf(6.0, 1) == pytest.approx(8.0 / 15.0, abs=1e-12)
+    assert p_alpha_table(0.0, 2)[1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert p_alpha_table(0.0, 2)[2] == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert p_alpha_table(6.0, 1)[1] == pytest.approx(8.0 / 15.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0])
@@ -59,11 +57,12 @@ def test_p_alpha_pmf_matches_gammaln_reference(alpha):
         return (2.0 + alpha) * np.exp(log_num - log_den)
 
     small = np.arange(1, 1001)
-    np.testing.assert_allclose(p_alpha_pmf(alpha, small), reference(small), rtol=1e-11, atol=0)
+    np.testing.assert_allclose(p_alpha_table(alpha, 1000)[small], reference(small), rtol=1e-11,
+                               atol=0)
     # both log-gamma differences cancel to a few digits at k near 1e6
     large = np.unique(np.logspace(3, 6, 500).astype(np.int64))
-    np.testing.assert_allclose(p_alpha_pmf(alpha, large), reference(large), rtol=1e-8, atol=0)
-    assert type(p_alpha_pmf(alpha, 7)) is float
+    np.testing.assert_allclose(p_alpha_table(alpha, int(large[-1]))[large], reference(large),
+                               rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0])
@@ -75,18 +74,18 @@ def test_p_alpha_pmf_matches_exact_fractions(alpha):
     for k in range(1, 2000):
         p = p * (k + a) / (k + 3 + 2 * a)
         exact.append(float(p))
-    np.testing.assert_allclose(p_alpha_pmf(alpha, np.arange(1, 2001)), exact, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(p_alpha_table(alpha, 2000)[1:], exact, rtol=1e-13, atol=0)
 
 
 def test_pmf_rejects_bad_k():
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        p_alpha_pmf(1.0, 0)
+    with pytest.raises(ValueError, match="kmax must be >= 1"):
+        p_alpha_table(1.0, 0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 6.0])
 def test_pmf_ratio_recursion(alpha):
     ks = np.arange(1, 51)
-    p = p_alpha_pmf(alpha, ks)
+    p = p_alpha_table(alpha, 50)[ks]
     expected_ratio = (ks[:-1] + alpha) / (ks[:-1] + 3.0 + 2.0 * alpha)
     assert np.allclose(p[1:] / p[:-1], expected_ratio, rtol=1e-12)
 
@@ -105,7 +104,7 @@ def test_pmf_sums_to_one_with_tail_envelope(alpha):
 
 def test_table_matches_pointwise_pmf():
     table = p_alpha_table(6.0, 64)
-    assert np.allclose(table[1:], p_alpha_pmf(6.0, np.arange(1, 65)), rtol=1e-12)
+    assert np.allclose(table[1:], p_alpha_table(6.0, 1000)[1:65], rtol=1e-12)
 
 
 def test_sample_d_alpha_matches_pmf():
@@ -184,15 +183,14 @@ def test_sample_age_rejects_bad_a():
 
 def test_d_theta_horizon_validation():
     with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta(SINGLE, seeded_generator(38), 10, horizon=0.5)
+        sample_d_theta_multi(SINGLE, seeded_generator(38), 10, horizon=0.5)
     with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta(SINGLE, seeded_generator(38), 10, horizon=1.2)
-    with pytest.raises(ValueError, match="needs exactly one change point"):
-        sample_d_theta(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
+        sample_d_theta_multi(SINGLE, seeded_generator(38), 10, horizon=1.2)
 
 
 def test_d_theta_degenerates_to_d_alpha_at_gamma():
-    batch = sample_d_theta(SINGLE, seeded_generator(39), 200_000, horizon=SINGLE.segments[0].gamma + 1e-9)
+    batch = sample_d_theta_multi(SINGLE, seeded_generator(39), 200_000,
+                                 horizon=SINGLE.segments[0].gamma + 1e-9)
     emp = batch.pmf(20)
     exact = p_alpha_table(SINGLE.alpha, 20)
     assert tv_distance_upto(emp, exact, 20) < 0.005
@@ -200,7 +198,7 @@ def test_d_theta_degenerates_to_d_alpha_at_gamma():
 
 def test_d_theta_leaf_mass_matches_limit_curve():
     # cross-oracle: the mass at degree 1 equals the limiting leaf proportion
-    batch = sample_d_theta(SINGLE, seeded_generator(40), 1_000_000)
+    batch = sample_d_theta_multi(SINGLE, seeded_generator(40), 1_000_000)
     p1 = float(np.mean(batch.values == 1))
     target = float(p_inf(1.0, SINGLE))
     se = np.sqrt(target * (1 - target) / batch.values.size)
@@ -208,7 +206,7 @@ def test_d_theta_leaf_mass_matches_limit_curve():
 
 
 def test_d_theta_time_indexed_leaf_mass():
-    batch = sample_d_theta(SINGLE, seeded_generator(41), 1_000_000, horizon=0.75)
+    batch = sample_d_theta_multi(SINGLE, seeded_generator(41), 1_000_000, horizon=0.75)
     p1 = float(np.mean(batch.values == 1))
     target = float(p_inf(0.75, SINGLE))
     se = np.sqrt(target * (1 - target) / batch.values.size)
@@ -217,12 +215,12 @@ def test_d_theta_time_indexed_leaf_mass():
 
 def test_d_theta_with_equal_offsets_reproduces_p_alpha():
     s = ChangePointSchedule.single(2.0, 2.0, 0.37)
-    batch = sample_d_theta(s, seeded_generator(42), 1_000_000)
+    batch = sample_d_theta_multi(s, seeded_generator(42), 1_000_000)
     assert tv_distance_upto(batch.pmf(20), p_alpha_table(2.0, 20), 20) < 0.005
 
 
 def test_d_theta_before_branch_dominates_d_alpha():
-    batch = sample_d_theta(SINGLE, seeded_generator(43), 500_000)
+    batch = sample_d_theta_multi(SINGLE, seeded_generator(43), 500_000)
     before = batch.values[_replayed_epochs(SINGLE, 43, 500_000) == 0]
     ccdf_exact = 1.0 - np.cumsum(p_alpha_table(SINGLE.alpha, 60))[:-1]
     for k in (2, 5, 10, 20):
@@ -240,12 +238,6 @@ def test_epoch_probabilities_and_durations():
     assert segment_durations(multi, horizon=0.9)[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
     with pytest.raises(ValueError, match="needs at least one change point"):
         sample_d_theta_multi(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
-
-
-def test_multi_sampler_single_segment_consistency():
-    single = sample_d_theta(SINGLE, seeded_generator(45), 400_000)
-    multi = sample_d_theta_multi(SINGLE, seeded_generator(46), 400_000)
-    assert tv_distance_upto(single.pmf(20), multi.pmf(20), 20) < 0.005
 
 
 def test_multi_sampler_epochs_follow_gap_masses():

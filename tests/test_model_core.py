@@ -33,12 +33,18 @@ def test_validate_accepts_alpha_zero():
     assert ChangePointSchedule.single(0.0, 2.0, 0.5).alpha == 0.0
 
 
+def test_validate_accepts_offsets_up_to_2_pow_53():
+    s = ChangePointSchedule.single(2.0**53, 2.0**53, 0.5)
+    assert s.offsets() == (2.0**53, 2.0**53)
+
+
 def test_validate_rejects_unordered_change_points():
     with pytest.raises(ValueError, match="change points must satisfy"):
         ChangePointSchedule(alpha=1.0, segments=((0.7, 2.0), (0.3, 1.0)))
 
 
-@pytest.mark.parametrize("alpha,beta", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("alpha,beta", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                        (2.0**53 + 2, 1.0), (1.0, 1e308)])
 def test_validate_rejects_bad_offsets(alpha, beta):
     with pytest.raises(ValueError, match="must be >= 0|must be > 0"):
         ChangePointSchedule.single(alpha, beta, 0.5)
