@@ -48,7 +48,6 @@ from .estimator import (
     write_dn_csv,
     write_report_json,
 )
-from .embedding import upsilon_clt_sample, write_zsample_csv
 from .generator import (
     degree_histogram,
     grow_tree,
@@ -70,9 +69,11 @@ from .limit_laws import (
     ccdf_from_samples,
     p_alpha_table,
     sample_d_theta_multi,
+    upsilon_clt_sample,
     write_pmf_csv,
+    write_zsample_csv,
 )
-from .model_core import ChangePointSchedule, seeded_generator, write_csv
+from .model_core import _MIN_FRACTION, ChangePointSchedule, seeded_generator, write_csv
 
 # bench/traced.py wraps this name on pact.cli; the next change to the benchmark deletes it
 sample_d_theta = sample_d_theta_multi
@@ -245,7 +246,7 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
         write_pmf_csv(ks, cc, out_dir / "d_theta_ccdf.csv")
         eps = cfg["epsilon"]
         grid = np.linspace(eps, 1.0, cfg["curve_points"])
-        dvals = np.asarray(limit_D(grid, schedule, eps))
+        dvals = limit_D(grid, schedule, eps)
         write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
         return [0]
     return []  # no change point: nothing is drawn
@@ -275,7 +276,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule | None,
         curve = dn_curve(trajectory, eps)
         report = gamma_hat(curve)
         curve = thin_dn_curve(curve, report)  # the estimate reads every step; the file a slice
-        d_lim = None if schedule is None else np.asarray(limit_D(curve.ts, schedule, eps))
+        d_lim = None if schedule is None else limit_D(curve.ts, schedule, eps)
         write_report_json(report, out_dir / f"report_{i:03d}.json")
         write_dn_csv(curve, out_dir / f"dn_curve_{i:03d}.csv", d_lim)
         rows.append((Path(traj_path).name, "" if report.gamma_hat is None else report.gamma_hat,
@@ -401,8 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "fclt":
             if cfg["reps"] < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
-            if not all(0.0 < t <= 1.0 for t in cfg["t_grid"]):
-                raise ValueError(f"t must lie in (0, 1], got {cfg['t_grid']}")
+            if not all(_MIN_FRACTION <= t <= 1.0 for t in cfg["t_grid"]):
+                raise ValueError(f"t must lie in [1e-100, 1], got {cfg['t_grid']}")
         # so the manifest lists only this run's files, and a failed run can remove them all
         out_dir = Path(args.out)
         if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):

@@ -137,13 +137,15 @@ def gamma_hat(curve: DnCurve) -> EstimateReport:
     )
 
 
-def limit_H(s: float, t: float, schedule: ChangePointSchedule) -> float:
-    """Mean limiting leaf proportion over a uniformly sampled time in [s, t]."""
-    if not 0.0 < s < t <= 1.0:
+def limit_H(s: float, t, schedule: ChangePointSchedule):
+    """Mean limiting leaf proportion over a uniformly sampled time in [s, t]; vectorized in t."""
+    ts = np.asarray(t, dtype=np.float64)
+    if not np.all((0.0 < s) & (s < ts) & (ts <= 1.0)):
         raise ValueError(f"need 0 < s < t <= 1, got s={s}, t={t}")
-    return float(
-        (leaf_proportion_integral(t, schedule) - leaf_proportion_integral(s, schedule)) / (t - s)
-    )
+    out = (
+        leaf_proportion_integral(ts, schedule) - leaf_proportion_integral(s, schedule)
+    ) / (ts - s)
+    return out if out.ndim else float(out)
 
 
 def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
@@ -168,12 +170,8 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
         raise ValueError(f"t must lie in [{epsilon}, 1], got {t}")
     p_gamma = float(p_inf(gamma, schedule))
     plateau = (1.0 - gamma) * abs(p_gamma - limit_H(gamma, 1.0, schedule))
-    h_eps_1 = limit_H(epsilon, 1.0, schedule)
-    tc = np.maximum(t_arr, gamma)
-    h_eps_t = (
-        leaf_proportion_integral(tc, schedule) - leaf_proportion_integral(epsilon, schedule)
-    ) / (tc - epsilon)
-    decay = (1.0 - epsilon) * np.abs(h_eps_t - h_eps_1)
+    h_eps_t = limit_H(epsilon, np.maximum(t_arr, gamma), schedule)
+    decay = (1.0 - epsilon) * np.abs(h_eps_t - limit_H(epsilon, 1.0, schedule))
     out = np.where(t_arr <= gamma, plateau, decay)
     return out if out.ndim else float(out)
 

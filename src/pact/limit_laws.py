@@ -1,4 +1,4 @@
-"""Limiting degree distributions: exact pmf, mixture sampler, tail diagnostics.
+"""Limit laws: exact degree pmf, mixture sampler, tail diagnostics, duration CLT.
 
 Without a change point the limiting degree law is
 
@@ -11,20 +11,29 @@ and collects points of a pure birth process with rates (1+b), (2+b), ...; a
 vertex born before carries a p_a-distributed degree and keeps collecting
 points, at rates starting from its degree + b, for the residual duration
 a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
-full-size tree), which segment_durations gives (the embedding centres on
-its t = 1 value).  With several change points the same mixture runs over
-the birth epochs between them, segment by segment; sample_d_theta_multi
-draws from it at any k >= 1.
+full-size tree), which segment_durations gives.  With several change points
+the same mixture runs over the birth epochs between them, segment by
+segment; sample_d_theta_multi draws from it at any k >= 1.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
 form is not taken on faith: the test suite chi-square-checks it against the
 direct exponential-wait simulator before the samplers below rely on it.
+
+In continuous time the tree of size s grows at total rate (2+c)s - 1 (the
+sum of out_degree + 1 + c), with independent exponential holding times, and
+the jump chain is the discrete model.  After one change point the duration
+from size m = max(floor(gamma n), 1) to n is Y = sum_{s=m}^{n-1} E_s /
+((2+beta)s - 1), and with d = 1/(2+beta), (2+beta)Y has the law of -log B,
+B ~ Beta(m - d, n - m): both have Laplace transform prod_{s=m}^{n-1}
+(s-d)/(s-d+lambda) (Renyi's representation of exponential order
+statistics).  Y tends to segment_durations(schedule)[0], and
+upsilon_clt_sample draws it with one Beta variate per replicate; the test
+suite builds the full clock (tests/oracles.py) to check this identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +60,6 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=4)  # a table near alpha = 0 takes tens of MB
 def _alpha_cdf(alpha: float) -> np.ndarray:
     """Prefix sums of p_alpha, extended until the analytic tail is below ~1e-12.
 
@@ -69,7 +77,7 @@ def _alpha_cdf(alpha: float) -> np.ndarray:
 
 
 def sample_d_alpha(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from p_alpha over the cached prefix table."""
+    """Inverse-CDF draws from p_alpha over its prefix table."""
     cdf = _alpha_cdf(alpha)
     u = gen.random(size)
     idx = np.searchsorted(cdf, u)
@@ -121,6 +129,34 @@ def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np
     return np.array(
         [np.log(gs[j + 1] / gs[j]) / (2.0 + schedule.segments[j].beta) for j in range(len(gs) - 1)]
     )
+
+
+def upsilon_clt_sample(
+    schedule: ChangePointSchedule, n: int, reps: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Standardized after-change durations sqrt(n)(Y - a)(2+beta)sqrt(gamma/(1-gamma)).
+
+    a = log(1/gamma)/(2+beta) = segment_durations(schedule)[0] is the limit of Y.
+    The empirical law approaches standard normal as n grows.  Each replicate
+    draws Y exactly as -log(B)/(2+beta), B ~ Beta(m - d, n - m), with
+    m = max(floor(gamma n), 1) and d = 1/(2+beta): the law of the sum of the
+    after-change holding times, at one variate per replicate (module docstring).
+    """
+    if schedule.num_change_points != 1:
+        raise ValueError("standardization defined for exactly one change point")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    gamma, beta = schedule.segments[0]
+    m = max(int(np.floor(gamma * n)), 1)
+    y = -np.log(gen.beta(m - 1.0 / (2.0 + beta), n - m, size=reps)) / (2.0 + beta)
+    scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
+    return (y - segment_durations(schedule)[0]) * scale
+
+
+def write_zsample_csv(z: np.ndarray, path) -> None:
+    write_csv(path, ["rep", "z"], [range(len(z)), z])
 
 
 def sample_d_theta_multi(

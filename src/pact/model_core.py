@@ -21,6 +21,7 @@ import numpy as np
 _CSV_CHUNK = 4096
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')  # NUL, or a character the csv module quotes
 _MAX_OFFSET = 2.0**53  # above it, float64 rounds away the +1 and +2 of out_degree + 1 + c
+_MIN_FRACTION = 1e-100  # least gamma_1 and fclt t: below it the limit curves overflow
 
 
 class Segment(NamedTuple):
@@ -35,7 +36,7 @@ class ChangePointSchedule:
     ``segments`` is ordered by gamma.  An empty list means no change point;
     a single entry is the basic one-change-point model.  Every schedule is
     valid: construction raises ValueError unless 0 <= alpha <= 2^53,
-    0 < beta <= 2^53 for each beta, and 0 < gamma_1 < ... < gamma_k < 1.
+    0 < beta <= 2^53 for each beta, and 1e-100 <= gamma_1 < ... < gamma_k < 1.
     alpha = 0, the uniform-attachment end of the family, is accepted.
     """
 
@@ -59,6 +60,8 @@ class ChangePointSchedule:
                 raise ValueError(
                     f"change points must satisfy 0 < gamma_1 < ... < gamma_k < 1, got {gammas}"
                 )
+        if gammas and gammas[0] < _MIN_FRACTION:
+            raise ValueError(f"gamma_1 must be >= 1e-100, got {gammas[0]}")
 
     @classmethod
     def single(cls, alpha: float, beta: float, gamma: float) -> "ChangePointSchedule":

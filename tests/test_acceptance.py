@@ -11,7 +11,6 @@ import pytest
 from scipy import stats
 
 from oracles import expected_leaves, nonroot_leaf_counts
-from pact.embedding import upsilon_clt_sample
 from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
 from pact.generator import degree_histogram, grow_tree, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
@@ -22,6 +21,7 @@ from pact.limit_laws import (
     segment_durations,
     tail_exponent,
     tv_distance_upto,
+    upsilon_clt_sample,
 )
 from pact.model_core import ChangePointSchedule, seeded_generator
 

@@ -231,6 +231,12 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--alpha", "6", "--beta", "1e308", "--gamma", "0.5"],
     ["fclt", "--n", "100000", "--alpha", "6", "--beta", "1e307", "--gamma", "0.5"],
     ["limits", "--alpha", str(2**53 + 2**1)],
+    # gamma_1 or t below 1e-100, where phi, g and the segment constants overflow
+    ["fclt", "--n", "1000", "--reps", "2", "--alpha", "6", "--beta", "1", "--gamma", "1e-150"],
+    ["fclt", "--n", "1000", "--reps", "2", "--alpha", "6", "--beta", "1", "--gamma", "0.5",
+     "--t", "1e-300"],
+    ["limits", "--alpha", "0", "--beta", "657", "--gamma", "1e-148", "--beta", "1e-10",
+     "--gamma", "0.5", "--epsilon", "1e-149", "--draws", "10"],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"

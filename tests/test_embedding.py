@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from oracles import holding_times, malthusian_track, upsilon
-from pact.embedding import upsilon_clt_sample
-from pact.limit_laws import segment_durations
+from pact.limit_laws import segment_durations, upsilon_clt_sample
 from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)

@@ -195,6 +195,16 @@ def test_limit_H_is_plateau_average():
         limit_H(0.0, 0.5, SINGLE)
 
 
+def test_limit_H_takes_an_array():
+    two = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+    ts = np.array([0.15, 0.3, 0.31, 0.7, 0.9, 1.0])
+    values = limit_H(0.1, ts, two)
+    assert isinstance(values, np.ndarray) and values.shape == ts.shape
+    assert values.tobytes() == np.array([limit_H(0.1, float(t), two) for t in ts]).tobytes()
+    with pytest.raises(ValueError, match="need 0 < s < t <= 1"):
+        limit_H(0.3, np.array([0.5, 0.3, 0.9]), two)
+
+
 def test_limit_D_flat_when_offsets_equal():
     s = ChangePointSchedule.single(2.0, 2.0, 0.5)
     ts = np.linspace(0.1, 1.0, 200)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_leaves, nonroot_leaf_counts, w_m
+from pact.estimator import limit_D
 from pact.generator import grow_tree, leaf_counts
 from pact.leaf_process import (
     LeafTrajectory,
@@ -21,6 +22,7 @@ from pact.leaf_process import (
     variance_gn,
     write_curve_csv,
 )
+from pact.limit_laws import segment_durations, upsilon_clt_sample
 from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
@@ -256,6 +258,45 @@ def test_closed_forms_reject_times_outside_their_domain(schedule, bad, good):
         for t in [bad, [good, bad]] + ([0.0] if f in OPEN_AT_ZERO else []):
             with pytest.raises(ValueError, match="t must lie in"):
                 f(t, schedule)
+
+
+def _log_uniform(low_exp: float, high_exp: float, *edges: float):
+    """10^e for e uniform in [low_exp, high_exp], or one of the edge values."""
+    return st.one_of(st.sampled_from(edges), st.floats(low_exp, high_exp).map(lambda e: 10.0**e))
+
+
+# the whole domain a schedule and the CLI accept: gamma_1 and t down to 1e-100, offsets to 2^53
+DOMAIN_GAMMAS = _log_uniform(-100.0, 0.0, 1e-100, 1e-50, 1e-20, 0.5, 1 - 1e-16).filter(
+    lambda g: g < 1.0)
+DOMAIN_OFFSETS = _log_uniform(-300.0, 53 * np.log10(2.0), 1e-300, 1e-10, 1.0, 657.0, 2.0**53)
+DOMAIN_SCHEDULES = st.builds(
+    lambda alpha, segments: ChangePointSchedule(alpha, sorted(segments)),
+    st.one_of(st.just(0.0), DOMAIN_OFFSETS),
+    st.lists(st.tuples(DOMAIN_GAMMAS, DOMAIN_OFFSETS), max_size=3, unique_by=lambda s: s[0]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(schedule=DOMAIN_SCHEDULES,
+       ts=st.lists(_log_uniform(-100.0, 0.0, 1e-100, 1.0), min_size=1, max_size=8),
+       eps_share=st.floats(1e-6, 1.0, exclude_max=True), n=st.integers(2, 2**53))
+@example(schedule=ChangePointSchedule(0.0, ((1e-100, 657.0), (0.5, 1e-10))),
+         ts=[1e-100, 1e-50, 1.0], eps_share=0.5, n=1000)
+@example(schedule=ChangePointSchedule.single(6.0, 1.0, 1e-100), ts=[1e-100], eps_share=1e-6,
+         n=1000)
+def test_closed_forms_are_finite_on_the_accepted_domain(schedule, ts, eps_share, n):
+    # no errstate: an overflow or invalid operation is an error, as is a NaN or inf value
+    ts = np.array(ts)
+    for f in CLOSED_FORMS:
+        assert np.all(np.isfinite(f(ts, schedule))), f.__name__
+    assert all(np.isfinite(variance_gn(float(t), schedule)) for t in ts)
+    if schedule.segments:
+        assert np.all(np.isfinite(segment_durations(schedule)))
+        eps = schedule.segments[0].gamma * eps_share
+        grid = np.concatenate([[eps, 1.0], ts[ts >= eps]])
+        assert np.all(np.isfinite(limit_D(grid, schedule, eps)))
+    if schedule.num_change_points == 1:
+        z = upsilon_clt_sample(schedule, n, 4, seeded_generator(54))
+        assert np.all(np.isfinite(z))
 
 
 def test_continuity_and_jumps_at_change_point():

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import segment_of, step_offsets
 from pact import model_core
-from pact.embedding import write_zsample_csv
 from pact.generator import degree_histogram, grow_tree, write_edge_csv, write_histogram_csv
 from pact.leaf_process import write_trajectory_csv
-from pact.limit_laws import ccdf_from_samples, p_alpha_table, write_pmf_csv
+from pact.limit_laws import ccdf_from_samples, p_alpha_table, write_pmf_csv, write_zsample_csv
 from pact.model_core import (
     ChangePointSchedule,
     seeded_generator,
@@ -54,6 +53,13 @@ def test_validate_rejects_bad_offsets(alpha, beta):
 def test_validate_rejects_boundary_gammas(gamma):
     with pytest.raises(ValueError, match="change points must satisfy"):
         ChangePointSchedule.single(1.0, 1.0, gamma)
+
+
+def test_validate_rejects_a_first_gamma_below_1e_100():
+    for gamma in (9.99e-101, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="gamma_1 must be >= 1e-100"):
+            ChangePointSchedule(alpha=1.0, segments=((gamma, 2.0), (0.5, 1.0)))
+    assert ChangePointSchedule.single(1.0, 1.0, 1e-100).segments[0].gamma == 1e-100
 
 
 def test_segment_of_examples():
