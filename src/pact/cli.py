@@ -13,17 +13,18 @@ version, wall clock, output digests) into --out, which must be new or empty.
 Configuration comes from an optional JSON file (--config), one object keyed
 like the manifest's config echo with no key twice, with per-key overrides
 from flags; flags win.  _KEYS declares each key's flag, type and minimum
-once; every merged value must have its key's JSON type, and a float key's
-value must be finite.  main() checks the merged config, builds the schedule
-(for estimate: the d_limit overlay, or None) once, loads estimate's
-trajectories and hands them to the subcommand before anything is written; a
-bad flag, value or file prints one "error:" line and exits 2.  A run that
-fails later with a ValueError, MemoryError or OSError (say, an array too
-large to allocate) removes what it wrote and exits the same way.  The same
-merged config reproduces byte-identical CSVs.  simulate, fclt and maxdeg run
-their replicates on up to --threads workers, never more than there are tasks
-or CPUs, and give the same bytes with any pool size; limits and estimate run
-in one process and only record --threads, which defaults to 1 everywhere.
+once; every merged value must have its key's JSON type, a float key's value
+must be finite and an integer key's, seed aside, at most 2^53.  main()
+checks the merged config, builds the schedule (for estimate: the d_limit
+overlay, or None) once, loads estimate's trajectories and hands them to the
+subcommand before anything is written; a bad flag, value or file prints one
+"error:" line and exits 2.  A run that fails later with a ValueError,
+MemoryError or OSError (say, an array too large to allocate) removes what it
+wrote and exits the same way.  The same merged config reproduces
+byte-identical CSVs.  simulate, fclt and maxdeg run their replicates on up to
+--threads workers, never more than there are tasks or CPUs, and give the
+same bytes with any pool size; limits and estimate run in one process and
+only record --threads, which defaults to 1 everywhere.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ from .limit_laws import (
     write_pmf_csv,
     write_zsample_csv,
 )
-from .model_core import _MIN_FRACTION, ChangePointSchedule, seeded_generator, write_csv
+from .model_core import _MAX_OFFSET, ChangePointSchedule, seeded_generator, write_csv
 
 # bench/traced.py wraps this name on pact.cli; the next change to the benchmark deletes it
 sample_d_theta = sample_d_theta_multi
@@ -145,6 +146,9 @@ def _typed(key: str, value, kind, low):
         raise ValueError(f"{key} must be finite, got {json.dumps(value)}")
     if low is not None and value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
+    # a larger count overflows a float or a C size downstream; seed is a u64 (main())
+    if kind is int and key != "seed" and value > _MAX_OFFSET:
+        raise ValueError(f"{key} must be <= 2^53, got {value}")
     return float(value) if kind is float else value
 
 
@@ -402,8 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "fclt":
             if cfg["reps"] < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")
-            if not all(_MIN_FRACTION <= t <= 1.0 for t in cfg["t_grid"]):
-                raise ValueError(f"t must lie in [1e-100, 1], got {cfg['t_grid']}")
+            # G_n(t) reads N(nt), which exists from step 2 on
+            if not all(cfg["n"] * t >= 2 and t <= 1.0 for t in cfg["t_grid"]):
+                raise ValueError(f"t must satisfy n*t >= 2 and t <= 1, got {cfg['t_grid']}")
         # so the manifest lists only this run's files, and a failed run can remove them all
         out_dir = Path(args.out)
         if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
@@ -431,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
                 p.unlink()
         if not isinstance(exc, (ValueError, MemoryError, OSError)):
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(f"{args.command}: wrote {len(outputs)} artifact(s) to {out_dir}")
     return 0

@@ -69,18 +69,6 @@ class EstimateReport:
     n: int
 
 
-def _prefix_sums(trajectory: LeafTrajectory) -> np.ndarray:
-    """P with P[k] = sum of leaf proportions over steps 2..k (P[0] = P[1] = 0)."""
-    out = np.zeros(trajectory.n + 1, dtype=np.float64)
-    np.cumsum(trajectory.proportions(), out=out[2:])
-    return out
-
-
-def _window_bounds(n: int, epsilon: float) -> int:
-    """Left window edge: steps strictly above n*epsilon are averaged."""
-    return max(int(math.floor(n * epsilon)), 1)
-
-
 def dn_curve(trajectory: LeafTrajectory, epsilon: float) -> DnCurve:
     """Evaluate D_n at t = m/n for every step m with n*epsilon < m < n, then at t = 1.
 
@@ -92,8 +80,9 @@ def dn_curve(trajectory: LeafTrajectory, epsilon: float) -> DnCurve:
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     n = trajectory.n
-    m_lo = _window_bounds(n, epsilon)
-    prefix = _prefix_sums(trajectory)
+    m_lo = max(int(math.floor(n * epsilon)), 1)  # steps strictly above n*epsilon are averaged
+    prefix = np.zeros(n + 1)  # prefix[k] = sum of leaf proportions over steps 2..k
+    np.cumsum(trajectory.proportions(), out=prefix[2:])
     k = n - 1 - m_lo  # steps m_lo+1 .. n-1
     ts = np.empty(k + 1)
     values = np.empty(k + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leaf_process import LeafTrajectory, checked_steps
+from .leaf_process import LeafTrajectory
 from .model_core import ChangePointSchedule, write_csv
 
 _MAGIC = b"PACT"
@@ -78,14 +78,13 @@ class GrowingTree:
         first_child[parent[:1:-1].astype(index)] = np.arange(n, 1, -1, dtype=index)
         counts = np.empty(n - 1, dtype=np.int64)
         counts[0] = 2  # at m=2 both the root (out-degree 1) and vertex 2 have degree 1
-        if n > 2:
-            # the root never matches, since first_child[1] = 2 < every step here
-            counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
-            del first_child
-            np.cumsum(counts, out=counts)
-            root_children = np.flatnonzero(parent[3:] == 1)
-            if root_children.size:  # the root's second child ends its time as a leaf
-                counts[root_children[0] + 1 :] -= 1
+        # the root never matches, since first_child[1] = 2 < every step here
+        counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
+        del first_child
+        np.cumsum(counts, out=counts)
+        root_children = np.flatnonzero(parent[3:] == 1)
+        if root_children.size:  # the root's second child ends its time as a leaf
+            counts[root_children[0] + 1 :] -= 1
         return LeafTrajectory(n=n, counts=counts)
 
     def check_invariants(self) -> None:
@@ -161,6 +160,14 @@ def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -
         pending = pending[unresolved[pending]]
 
     return GrowingTree(n=n, parent=parent)
+
+
+def checked_steps(steps, n: int) -> np.ndarray:
+    """steps as an int64 array, or ValueError unless they are sorted and lie in 2..n."""
+    steps = np.asarray(steps, dtype=np.int64)
+    if steps.size and (steps[0] < 2 or steps[-1] > n or np.any(np.diff(steps) < 0)):
+        raise ValueError(f"steps must be sorted and lie in 2..{n}")
+    return steps
 
 
 def leaf_counts(schedule: ChangePointSchedule, n: int, gen: np.random.Generator,

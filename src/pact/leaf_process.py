@@ -26,14 +26,6 @@ import numpy as np
 from .model_core import ChangePointSchedule, write_csv
 
 
-def checked_steps(steps, n: int) -> np.ndarray:
-    """steps as an int64 array, or ValueError unless they are sorted and lie in 2..n."""
-    steps = np.asarray(steps, dtype=np.int64)
-    if steps.size and (steps[0] < 2 or steps[-1] > n or np.any(np.diff(steps) < 0)):
-        raise ValueError(f"steps must be sorted and lie in 2..{n}")
-    return steps
-
-
 @dataclass
 class LeafTrajectory:
     """Per-step leaf counts N(m) for m = 2..n.
@@ -50,10 +42,6 @@ class LeafTrajectory:
 
     def proportions(self) -> np.ndarray:
         return self.counts / self.steps()
-
-    def leaf_counts(self, steps) -> np.ndarray:
-        """Leaf counts N(m) at sorted steps m in 2..n."""
-        return self.counts[checked_steps(steps, self.n) - 2]
 
     def check_invariants(self) -> None:
         ms = self.steps()
@@ -78,6 +66,7 @@ def read_trajectory_csv(path) -> LeafTrajectory:
         header = fh.readline().rstrip("\r\n")
     if header != "m,leaf_count":
         raise ValueError(f"trajectory file {path}: header must be 'm,leaf_count', got {header!r}")
+    # a path, not the open handle: loadtxt reads a path in blocks but a handle line by line
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty body warns; the shape check rejects it
         rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2,

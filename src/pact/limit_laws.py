@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generator import DegreeHistogram
 from .model_core import ChangePointSchedule, write_csv
 
 
@@ -55,8 +56,7 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     ks = np.arange(1, kmax, dtype=np.float64)
     ratios = (ks + alpha) / (ks + 3.0 + 2.0 * alpha)
     table[1] = (2.0 + alpha) / (3.0 + 2.0 * alpha)
-    if kmax > 1:
-        table[2:] = table[1] * np.cumprod(ratios)
+    table[2:] = table[1] * np.cumprod(ratios)
     return table
 
 
@@ -117,10 +117,7 @@ class DegreeSampleBatch:
 
     def pmf(self, kmax: int) -> np.ndarray:
         """Empirical pmf over degrees 1..kmax, indexed 0..kmax with [0] = 0."""
-        out = np.zeros(kmax + 1, dtype=np.float64)
-        binc = np.bincount(np.minimum(self.values, kmax + 1), minlength=kmax + 2)
-        out[1:] = binc[1 : kmax + 1] / self.values.size
-        return out
+        return DegreeHistogram(np.bincount(self.values), self.values.size).proportions(kmax)
 
 
 def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 _CSV_CHUNK = 4096
 _CSV_SPECIAL = re.compile('[\0,"\r\n]')  # NUL, or a character the csv module quotes
 _MAX_OFFSET = 2.0**53  # above it, float64 rounds away the +1 and +2 of out_degree + 1 + c
-_MIN_FRACTION = 1e-100  # least gamma_1 and fclt t: below it the limit curves overflow
+_MIN_FRACTION = 1e-100  # least gamma_1: below it the limit curves overflow
 
 
 class Segment(NamedTuple):

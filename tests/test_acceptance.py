@@ -5,6 +5,7 @@ criteria use fixed seeds so the suite is deterministic.
 """
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy import stats
 
 from oracles import expected_leaves, nonroot_leaf_counts
 from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
-from pact.generator import degree_histogram, grow_tree, max_degree
+from pact.generator import degree_histogram, grow_tree, leaf_counts, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
 from pact.limit_laws import (
     ccdf_from_samples,
@@ -129,8 +130,8 @@ def _c06(tag: str, schedule: ChangePointSchedule, seed: int, t: float, target: f
     grid = np.array([0.25, 0.5, 0.75, 1.0])
     rows = np.empty((reps, grid.size))
     for r in range(reps):
-        tree = grow_tree(schedule, n, seeded_generator(seed, r))
-        rows[r] = gn_path(n, tree.leaf_trajectory().leaf_counts, schedule, grid)
+        counts_at = partial(leaf_counts, schedule, n, seeded_generator(seed, r))
+        rows[r] = gn_path(n, counts_at, schedule, grid)
     var_t = rows[:, np.flatnonzero(grid == t)[0]].var(ddof=1)
     means = rows.mean(axis=0)
     ses = rows.std(axis=0, ddof=1) / np.sqrt(reps)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pact import cli
 from pact.cli import _DEFAULTS, _KEYS, _merge_config, _pool_map, build_parser, main
 from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
@@ -231,12 +232,21 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--alpha", "6", "--beta", "1e308", "--gamma", "0.5"],
     ["fclt", "--n", "100000", "--alpha", "6", "--beta", "1e307", "--gamma", "0.5"],
     ["limits", "--alpha", str(2**53 + 2**1)],
-    # gamma_1 or t below 1e-100, where phi, g and the segment constants overflow
+    # gamma_1 below 1e-100, where phi, g and the segment constants overflow, and t below 2/n
     ["fclt", "--n", "1000", "--reps", "2", "--alpha", "6", "--beta", "1", "--gamma", "1e-150"],
     ["fclt", "--n", "1000", "--reps", "2", "--alpha", "6", "--beta", "1", "--gamma", "0.5",
      "--t", "1e-300"],
     ["limits", "--alpha", "0", "--beta", "657", "--gamma", "1e-148", "--beta", "1e-10",
      "--gamma", "0.5", "--epsilon", "1e-149", "--draws", "10"],
+    # n*t < 2: G_n(t) would read N(2) in place of N(nt)
+    ["fclt", "--n", "1000", "--reps", "2", "--alpha", "6", "--beta", "1", "--gamma", "0.5",
+     "--t", "0.001", "--t", "1"],
+    # integers above 2^53
+    ["limits", "--curve-points", str(2**63 - 1)],
+    ["limits", "--curve-points", str(10**400)],
+    ["fclt", "--n", str(10**400)],
+    ["simulate", "--n", "100", "--reps", str(2**63)],
+    ["maxdeg", "--n", "100", "--reps", str(2**63)],
 ])
 def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     good = tmp_path / "good.csv"
@@ -246,6 +256,18 @@ def test_invalid_values_fail_before_side_effects(tmp_path, capsys, argv):
     assert _run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "good.csv" not in err
+    assert err[len("error: "):].strip()
+    assert not out.exists()
+
+
+def test_an_error_without_a_message_prints_its_type(tmp_path, monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", no_memory)
+    out = tmp_path / "never"
+    assert _run("simulate", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
     assert not out.exists()
 
 

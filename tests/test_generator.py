@@ -172,18 +172,15 @@ def test_leaf_counts_match_trajectory_and_sequential_reference(case, seed, data)
     assert np.array_equal(leaf_counts(schedule, n, seeded_generator(seed, 6), steps),
                           counts[steps - 2])
     trajectory = grow_tree(schedule, n, seeded_generator(seed, 6)).leaf_trajectory()
-    assert np.array_equal(trajectory.leaf_counts(steps), counts[steps - 2])
+    assert np.array_equal(trajectory.counts, counts)
     every = np.arange(2, n + 1)
     assert np.array_equal(leaf_counts(schedule, n, seeded_generator(seed, 6), every), counts)
 
 
 @pytest.mark.parametrize("steps", [[1], [5, 3], [2, 11]], ids=["below-2", "unsorted", "above-n"])
 def test_leaf_counts_reject_steps_outside_the_tree(steps):
-    trajectory = grow_tree(SINGLE, 10, seeded_generator(16)).leaf_trajectory()
     with pytest.raises(ValueError, match="sorted and lie in 2..10"):
         leaf_counts(SINGLE, 10, seeded_generator(16), steps)
-    with pytest.raises(ValueError, match="sorted and lie in 2..10"):
-        trajectory.leaf_counts(steps)
 
 
 def test_leaf_trajectory_matches_truncated_histograms():

@@ -334,7 +334,7 @@ def test_gn_path_centering_identity():
     exact = ms * np.asarray(p_inf(ms / n, SINGLE))
     traj = LeafTrajectory(n=n, counts=exact)
     grid = ms[49::100] / n
-    path = gn_path(n, traj.leaf_counts, SINGLE, grid)
+    path = gn_path(n, lambda steps: traj.counts[steps - 2], SINGLE, grid)
     assert np.max(np.abs(path)) < 1e-12
 
 
@@ -355,7 +355,7 @@ def _gn_path_every_step(trajectory, schedule, grid):
 def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
     trajectory = grow_tree(SINGLE, n, seeded_generator(52, n)).leaf_trajectory()
-    path = gn_path(n, trajectory.leaf_counts, SINGLE, grid)
+    path = gn_path(n, lambda steps: trajectory.counts[steps - 2], SINGLE, grid)
     assert np.array_equal(path, _gn_path_every_step(trajectory, SINGLE, grid))
     # the counts read straight from the tree's draws give the same bits
     counts_at = partial(leaf_counts, SINGLE, n, seeded_generator(52, n))
@@ -366,7 +366,7 @@ def test_gn_path_brackets_match_interpolating_every_step(n, grid):
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
     trajectory = grow_tree(SINGLE, 100, seeded_generator(53)).leaf_trajectory()
     with pytest.raises(ValueError, match="grid must lie"):
-        gn_path(100, trajectory.leaf_counts, SINGLE, grid)
+        gn_path(100, lambda steps: trajectory.counts[steps - 2], SINGLE, grid)
 
 
 def test_gn_ensemble_light():
@@ -375,7 +375,7 @@ def test_gn_ensemble_light():
     rows = np.empty((reps, grid.size))
     for r in range(reps):
         trajectory = grow_tree(SINGLE, n, seeded_generator(50, r)).leaf_trajectory()
-        rows[r] = gn_path(n, trajectory.leaf_counts, SINGLE, grid)
+        rows[r] = gn_path(n, lambda steps: trajectory.counts[steps - 2], SINGLE, grid)
     se = rows.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(rows.mean(axis=0)) < 4 * se)
     target = variance_gn(0.5, SINGLE)
