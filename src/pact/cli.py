@@ -198,12 +198,16 @@ def _pool_map(fn, tasks: list, threads: int) -> list:
     if workers > 1:
         # imported here: it costs every single-process run about 25 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # under fork every worker starts up front, so start no more than tasks or CPUs
         # tasks go out in chunks, about 8 per worker, instead of one round trip each
         chunksize = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunksize))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, tasks, chunksize=chunksize))
+        except BrokenProcessPool:  # a RuntimeError, which main() would re-raise
+            raise OSError("a worker process died (killed, or out of memory)") from None
     return [fn(t) for t in tasks]
 
 
@@ -283,8 +287,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule | None,
         d_lim = None if schedule is None else limit_D(curve.ts, schedule, eps)
         write_report_json(report, out_dir / f"report_{i:03d}.json")
         write_dn_csv(curve, out_dir / f"dn_curve_{i:03d}.csv", d_lim)
-        rows.append((Path(traj_path).name, "" if report.gamma_hat is None else report.gamma_hat,
-                     report.dn_star, int(report.detected)))
+        rows.append((Path(traj_path).name, report.gamma_hat, report.dn_star, int(report.detected)))
     write_csv(out_dir / "gamma_hats.csv", ["file", "gamma_hat", "dn_star", "detected"],
               list(zip(*rows)))
     return []

@@ -90,9 +90,7 @@ def point_counts_nb(start_ranks, beta: float, durations, gen: np.random.Generato
 
     The ranks or the durations are an array; the other may be a scalar.
     """
-    ranks = np.asarray(start_ranks, dtype=np.float64)
-    durs = np.asarray(durations, dtype=np.float64)
-    return gen.negative_binomial(ranks + beta, np.exp(-durs))
+    return gen.negative_binomial(start_ranks + beta, np.exp(-durations))
 
 
 def sample_age(a: float, rate: float, gen: np.random.Generator, size: int) -> np.ndarray:

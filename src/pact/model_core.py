@@ -52,8 +52,6 @@ class ChangePointSchedule:
         for seg in self.segments:
             if not 0 < seg.beta <= _MAX_OFFSET:
                 raise ValueError(f"beta must be > 0 and <= 2^53, got {seg.beta}")
-            if not np.isfinite(seg.gamma):
-                raise ValueError(f"gamma must be finite, got {seg.gamma}")
         gammas = [s.gamma for s in self.segments]
         for prev, cur in zip([0.0] + gammas, gammas + [1.0]):
             if not prev < cur:

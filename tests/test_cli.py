@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -561,7 +562,9 @@ def test_estimate_quotes_a_file_name_that_needs_it(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n", "m,leaf_count\r\n",
-                                  "m,count\r\n2,2\r\n"], ids=["jump-of-2", "no-steps", "header"])
+                                  "m,count\r\n2,2\r\n", "m,leaf_count\r\n\r\n",
+                                  "m,leaf_count\r\n\r\n2,2\r\n3,2\r\n"],
+                         ids=["jump-of-2", "no-steps", "header", "blank-body", "blank-first-line"])
 def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsys, body):
     good = tmp_path / "good.csv"
     good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
@@ -703,6 +706,42 @@ def test_pool_map_starts_no_more_workers_than_cpus(monkeypatch):
     unknown = _spy_pool(monkeypatch, None)  # os.cpu_count() may not know: one process
     assert _pool_map(abs, [-1, -2, -3], 4) == [1, 2, 3]
     assert unknown == []
+
+
+def _die_on_one(x):
+    """A pool task whose process SIGKILLs itself on task 1, as the out-of-memory killer would."""
+    if x == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _simulate_rep_dies_on_one(cfg, schedule, out_dir, stream):
+    (out_dir / f"partial_{stream}.csv").write_text("m\r\n")
+    _die_on_one(stream)
+
+
+def test_pool_map_turns_a_dead_worker_into_an_oserror(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU: never kill pytest
+    with pytest.raises(OSError, match="worker process died"):
+        _pool_map(_die_on_one, [0, 1], 2)
+
+
+def test_a_dead_worker_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("pact.cli._simulate_rep", _simulate_rep_dies_on_one)
+    out = tmp_path / "never"
+    assert _run("simulate", "--n", "100", "--reps", "2", "--threads", "2", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S.*\n", err)
+    assert not out.exists()
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, pact.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert result.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():

@@ -372,7 +372,6 @@ MALFORMED_TRAJECTORIES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 @pytest.mark.parametrize("text", MALFORMED_TRAJECTORIES.values(), ids=MALFORMED_TRAJECTORIES.keys())
 def test_read_trajectory_csv_rejects_malformed_files(tmp_path, text):
     path = tmp_path / "bad.csv"

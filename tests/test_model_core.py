@@ -49,7 +49,8 @@ def test_validate_rejects_bad_offsets(alpha, beta):
         ChangePointSchedule.single(alpha, beta, 0.5)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.5, float("nan"), float("inf"),
+                                   float("-inf")])
 def test_validate_rejects_boundary_gammas(gamma):
     with pytest.raises(ValueError, match="change points must satisfy"):
         ChangePointSchedule.single(1.0, 1.0, gamma)
