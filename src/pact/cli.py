@@ -24,7 +24,10 @@ wrote and exits the same way.  The same merged config reproduces
 byte-identical CSVs.  simulate, fclt and maxdeg run their replicates on up to
 --threads workers, never more than there are tasks or CPUs, and give the
 same bytes with any pool size; limits and estimate run in one process and
-only record --threads, which defaults to 1 everywhere.
+only record --threads, which defaults to 1 everywhere.  Unless the
+environment sets OPENBLAS_NUM_THREADS, the CLI sets it to 1 before numpy
+loads: no command makes a BLAS call, and OpenBLAS's idle worker threads
+would only spin.
 """
 from __future__ import annotations
 
@@ -37,6 +40,8 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no command calls BLAS; skip its thread pool
 
 import numpy as np
 

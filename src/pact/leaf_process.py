@@ -60,22 +60,22 @@ def write_trajectory_csv(trajectory: LeafTrajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> LeafTrajectory:
-    """Load a trajectory CSV; ValueError unless it is a valid trajectory for steps 2..n."""
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        first = fh.readline().rstrip("\r\n")
-    if header != "m,leaf_count":
-        raise ValueError(f"trajectory file {path}: header must be 'm,leaf_count', got {header!r}")
-    if not first:  # so loadtxt never meets an empty body, which it warns about
-        raise ValueError(f"trajectory file {path}: the line after the header must hold step 2")
-    # a path, not the open handle: loadtxt reads a path in blocks but a handle line by line
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, comments=None)
-    if rows.shape[1] != 2 or not np.array_equal(rows[:, 0], np.arange(2, len(rows) + 2)):
-        raise ValueError(f"trajectory file {path} must cover every step m = 2..n")
-    trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))
+    """Load a trajectory CSV; a ValueError naming the file unless it is valid for steps 2..n."""
     try:
+        with open(path, newline="") as fh:
+            header = fh.readline().rstrip("\r\n")
+            first = fh.readline().rstrip("\r\n")
+        if header != "m,leaf_count":
+            raise ValueError(f"header must be 'm,leaf_count', got {header!r}")
+        if not first:  # so loadtxt never meets an empty body, which it warns about
+            raise ValueError("the line after the header must hold step 2")
+        # a path, not the open handle: loadtxt reads a path in blocks but a handle line by line
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2, comments=None)
+        if rows.shape[1] != 2 or not np.array_equal(rows[:, 0], np.arange(2, len(rows) + 2)):
+            raise ValueError("the rows must cover every step m = 2..n")
+        trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))
         trajectory.check_invariants()
-    except AssertionError as exc:
+    except (ValueError, AssertionError) as exc:  # a UnicodeDecodeError is a ValueError too
         raise ValueError(f"trajectory file {path}: {exc}") from None
     return trajectory
 

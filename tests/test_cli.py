@@ -561,15 +561,20 @@ def test_estimate_quotes_a_file_name_that_needs_it(tmp_path):
     assert [row[0] for row in rows] == ["file", 'a,"b".csv']
 
 
-@pytest.mark.parametrize("body", ["m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n", "m,leaf_count\r\n",
-                                  "m,count\r\n2,2\r\n", "m,leaf_count\r\n\r\n",
-                                  "m,leaf_count\r\n\r\n2,2\r\n3,2\r\n"],
-                         ids=["jump-of-2", "no-steps", "header", "blank-body", "blank-first-line"])
+@pytest.mark.parametrize("body", [b"m,leaf_count\r\n2,2\r\n3,2\r\n4,4\r\n", b"m,leaf_count\r\n",
+                                  b"m,count\r\n2,2\r\n", b"m,leaf_count\r\n\r\n",
+                                  b"m,leaf_count\r\n\r\n2,2\r\n3,2\r\n",
+                                  b"m,leaf_count\r\n2,2\r\nx,2\r\n",
+                                  b"m,leaf_count\r\n2,2\r\n3,2,\r\n",
+                                  b"m,leaf_count\r\n2,2\r\n3,99999999999999999999\r\n",
+                                  b"\xff\xfem,leaf_count\r\n2,2\r\n"],
+                         ids=["jump-of-2", "no-steps", "header", "blank-body", "blank-first-line",
+                              "text-step", "extra-column", "overflow", "non-utf-8"])
 def test_estimate_malformed_trajectory_fails_before_side_effects(tmp_path, capsys, body):
     good = tmp_path / "good.csv"
     good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(body.encode())
+    bad.write_bytes(body)
     out = tmp_path / "never"
     assert _run("estimate", "--out", str(out), "--trajectory", str(good),
                 "--trajectory", str(bad)) == 2
@@ -749,6 +754,21 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_thread():
+    # pytest's own os.environ holds the variable once any test has imported pact.cli
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = "import os, pact.cli; print(len(os.listdir('/proc/self/task')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=env)
+    assert result.stdout.strip() == "1"
+    code = "import os, pact.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**env, "OPENBLAS_NUM_THREADS": "2"})
+    assert result.stdout.strip() == "2"
 
 
 def test_estimate_requires_trajectory(tmp_path):
