@@ -251,7 +251,7 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     ts = np.linspace(1.0 / cfg["curve_points"], 1.0, cfg["curve_points"])
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
-    if schedule.num_change_points >= 1:
+    if schedule.segments:
         batch = sample_d_theta_multi(schedule, seeded_generator(cfg["seed"]), cfg["draws"],
                                      cfg["horizon_t"])
         write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
@@ -310,7 +310,7 @@ def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int) -> list[fl
 def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
     reps, t_grid = cfg["reps"], cfg["t_grid"]
     streams = list(range(reps))
-    z_stream = [_UPSILON_STREAM_BASE] if schedule.num_change_points == 1 else []
+    z_stream = [_UPSILON_STREAM_BASE] if len(schedule.segments) == 1 else []
     if z_stream:
         z = upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"],
                                seeded_generator(cfg["seed"], _UPSILON_STREAM_BASE))

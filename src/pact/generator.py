@@ -47,10 +47,10 @@ class DegreeHistogram:
 
     def check_invariants(self) -> None:
         if int(self.counts.sum()) != self.n:
-            raise AssertionError("histogram mass != vertex count")
+            raise ValueError("histogram mass != vertex count")
         total = int((np.arange(self.counts.size) * self.counts).sum())
         if total != 2 * (self.n - 1):
-            raise AssertionError("degree sum != 2 * edge count")
+            raise ValueError("degree sum != 2 * edge count")
 
 
 @dataclass
@@ -89,10 +89,10 @@ class GrowingTree:
 
     def check_invariants(self) -> None:
         if self.parent[1] != 0:
-            raise AssertionError("root sentinel parent must be 0")
+            raise ValueError("root sentinel parent must be 0")
         ms = np.arange(2, self.n + 1)
         if np.any(self.parent[ms] >= ms) or np.any(self.parent[ms] < 1):
-            raise AssertionError("parents must be earlier vertices")
+            raise ValueError("parents must be earlier vertices")
 
 
 def _step_tables(schedule: ChangePointSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,14 +162,6 @@ def grow_tree(schedule: ChangePointSchedule, n: int, gen: np.random.Generator) -
     return GrowingTree(n=n, parent=parent)
 
 
-def checked_steps(steps, n: int) -> np.ndarray:
-    """steps as an int64 array, or ValueError unless they are sorted and lie in 2..n."""
-    steps = np.asarray(steps, dtype=np.int64)
-    if steps.size and (steps[0] < 2 or steps[-1] > n or np.any(np.diff(steps) < 0)):
-        raise ValueError(f"steps must be sorted and lie in 2..{n}")
-    return steps
-
-
 def leaf_counts(schedule: ChangePointSchedule, n: int, gen: np.random.Generator,
                 steps) -> np.ndarray:
     """Leaf counts N(m) at sorted steps m in 2..n of the tree grow_tree(schedule, n, gen)
@@ -183,7 +175,9 @@ def leaf_counts(schedule: ChangePointSchedule, n: int, gen: np.random.Generator,
     grow_tree truncates to find the parent.  Then
     N(m) = m - #{v >= 2 with a child by m} - [m >= that step].
     """
-    steps = checked_steps(steps, n)
+    steps = np.asarray(steps, dtype=np.int64)
+    if steps.size and (steps[0] < 2 or steps[-1] > n or np.any(np.diff(steps) < 0)):
+        raise ValueError(f"steps must be sorted and lie in 2..{n}")
     sizes, copy_p = _shared_step_tables(schedule, n)
     pick, is_copy = _draw_steps(copy_p, gen)
     second, lo = n + 1, 1  # step index 1 is m = 3; search windows that double
@@ -229,30 +223,30 @@ def save_tree(tree: GrowingTree, path) -> None:
 
 
 def load_tree(path) -> GrowingTree:
-    """Read a tree written by save_tree; ValueError unless it is a valid tree."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"{path}: header holds {len(header)} of its 16 bytes")
-        version, n = struct.unpack("<QQ", header)
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        if n < 2:  # grow_tree's smallest tree; leaf_trajectory() cannot read n = 1
-            raise ValueError(f"{path}: header n={n}, but a tree has n >= 2")
-        size = os.fstat(fh.fileno()).st_size
-        if size != 20 + 8 * n:
-            raise ValueError(f"{path}: header n={n} needs {20 + 8 * n} bytes, file has {size}")
-        raw = fh.read(8 * n)
-    parent = np.zeros(n + 1, dtype=np.int64)
-    parent[1:] = np.frombuffer(raw, dtype="<u8").astype(np.int64)
-    tree = GrowingTree(n=int(n), parent=parent)
+    """Read a tree written by save_tree; a ValueError naming the file unless it is a valid tree."""
     try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != _MAGIC:
+                raise ValueError(f"bad magic {magic!r}")
+            header = fh.read(16)
+            if len(header) != 16:
+                raise ValueError(f"header holds {len(header)} of its 16 bytes")
+            version, n = struct.unpack("<QQ", header)
+            if version != _FORMAT_VERSION:
+                raise ValueError(f"unsupported version {version}")
+            if n < 2:  # grow_tree's smallest tree; leaf_trajectory() cannot read n = 1
+                raise ValueError(f"header n={n}, but a tree has n >= 2")
+            size = os.fstat(fh.fileno()).st_size
+            if size != 20 + 8 * n:
+                raise ValueError(f"header n={n} needs {20 + 8 * n} bytes, file has {size}")
+            raw = fh.read(8 * n)
+        parent = np.zeros(n + 1, dtype=np.int64)
+        parent[1:] = np.frombuffer(raw, dtype="<u8").astype(np.int64)
+        tree = GrowingTree(n=int(n), parent=parent)
         tree.check_invariants()
-    except AssertionError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"tree file {path}: {exc}") from None
     return tree
 
 

@@ -43,16 +43,14 @@ class LeafTrajectory:
         return self.counts / self.steps()
 
     def check_invariants(self) -> None:
-        ms = self.steps()
-        if self.counts.shape != ms.shape:
-            raise AssertionError("trajectory length mismatch")
-        if np.any(self.counts < 0) or np.any(self.counts > ms):
-            raise AssertionError("leaf count outside [0, m]")
-        if np.any(self.counts[:2] != 2):  # so N(m) <= m - 1 from m = 3 on
-            raise AssertionError("the 2- and 3-vertex trees must have 2 leaves")
+        if self.counts.shape != self.steps().shape:
+            raise ValueError("trajectory length mismatch")
+        # with the steps of 0 or 1 below, this keeps N(m) in [2, m - 1] from m = 3 on
+        if np.any(self.counts[:2] != 2):
+            raise ValueError("the 2- and 3-vertex trees must have 2 leaves")
         steps = np.diff(self.counts)
         if np.any((steps != 0) & (steps != 1)):
-            raise AssertionError("leaf count must stay or rise by 1 in each step")
+            raise ValueError("leaf count must stay or rise by 1 in each step")
 
 
 def write_trajectory_csv(trajectory: LeafTrajectory, path) -> None:
@@ -75,7 +73,7 @@ def read_trajectory_csv(path) -> LeafTrajectory:
             raise ValueError("the rows must cover every step m = 2..n")
         trajectory = LeafTrajectory(n=len(rows) + 1, counts=np.ascontiguousarray(rows[:, 1]))
         trajectory.check_invariants()
-    except (ValueError, AssertionError) as exc:  # a UnicodeDecodeError is a ValueError too
+    except ValueError as exc:  # a UnicodeDecodeError is a ValueError too
         raise ValueError(f"trajectory file {path}: {exc}") from None
     return trajectory
 
@@ -271,10 +269,10 @@ def gn_path(n: int, counts_at: Callable[[np.ndarray], np.ndarray],
     interpolating over every step, bit for bit.
     """
     grid_arr = np.asarray(grid, dtype=np.float64)
-    if not np.all((grid_arr > 0.0) & (grid_arr <= 1.0)):
-        raise ValueError(f"grid must lie in (0, 1], got {grid}")
     x = n * grid_arr
-    below = np.clip(np.floor(x).astype(np.int64).ravel(), 2, n)
+    if not np.all((x >= 2.0) & (grid_arr <= 1.0)):  # N(m) exists for m = 2..n
+        raise ValueError(f"grid must lie in [2/n, 1] for n = {n}, got {grid}")
+    below = np.floor(x).astype(np.int64).ravel()  # in 2..n, as 2 <= x <= n
     steps = np.unique(np.concatenate([below, np.minimum(below + 1, n)]))
     counts = np.interp(x, steps, counts_at(steps))
     centred = counts - x * np.asarray(p_inf(grid_arr, schedule))

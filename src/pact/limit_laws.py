@@ -137,7 +137,7 @@ def upsilon_clt_sample(
     m = max(floor(gamma n), 1) and d = 1/(2+beta): the law of the sum of the
     after-change holding times, at one variate per replicate (module docstring).
     """
-    if schedule.num_change_points != 1:
+    if len(schedule.segments) != 1:
         raise ValueError("standardization defined for exactly one change point")
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -169,7 +169,7 @@ def sample_d_theta_multi(
     epoch = #{j : u >= gamma_j/t}, so the same seed replays them; the epochs
     are then filled from the last one down to epoch 0.
     """
-    k = schedule.num_change_points
+    k = len(schedule.segments)
     if k < 1:
         raise ValueError("sample_d_theta_multi needs at least one change point")
     last = schedule.segments[-1].gamma

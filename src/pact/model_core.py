@@ -65,10 +65,6 @@ class ChangePointSchedule:
     def single(cls, alpha: float, beta: float, gamma: float) -> "ChangePointSchedule":
         return cls(alpha=alpha, segments=(Segment(gamma, beta),))
 
-    @property
-    def num_change_points(self) -> int:
-        return len(self.segments)
-
     def offsets(self) -> tuple[float, ...]:
         """Offsets per segment: (alpha, beta_1, ..., beta_k)."""
         return (self.alpha,) + tuple(s.beta for s in self.segments)

@@ -275,7 +275,7 @@ def holding_times(schedule: ChangePointSchedule, n: int, gen) -> EmbeddingClock:
 def upsilon(clock: EmbeddingClock, gamma: float | None = None) -> float:
     """Duration between reaching size floor(gamma*n) and size n."""
     if gamma is None:
-        if clock.schedule.num_change_points != 1:
+        if len(clock.schedule.segments) != 1:
             raise ValueError("upsilon needs exactly one change point (or an explicit gamma)")
         gamma = clock.schedule.segments[0].gamma
     m = int(np.floor(gamma * clock.n))

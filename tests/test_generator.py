@@ -6,6 +6,7 @@ from scipy import stats
 
 from oracles import AttachmentSampler, grow_tree_sequential
 from pact.generator import (
+    DegreeHistogram,
     GrowingTree,
     degree_histogram,
     grow_tree,
@@ -15,7 +16,7 @@ from pact.generator import (
     save_tree,
     write_edge_csv,
 )
-from pact.leaf_process import read_trajectory_csv, write_trajectory_csv
+from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
 from pact.limit_laws import p_alpha_table, tv_distance_upto
 from pact.model_core import ChangePointSchedule, seeded_generator
 
@@ -328,8 +329,10 @@ CORRUPT_TREES = {
 
 @pytest.mark.parametrize("edit", CORRUPT_TREES.values(), ids=CORRUPT_TREES.keys())
 def test_load_tree_rejects_corrupt_files(tmp_path, edit):
-    with pytest.raises(ValueError):
-        load_tree(_corrupt_tree_file(tmp_path, edit))
+    path = _corrupt_tree_file(tmp_path, edit)
+    with pytest.raises(ValueError) as excinfo:
+        load_tree(path)
+    assert str(excinfo.value).startswith(f"tree file {path}: ")
 
 
 def test_edge_csv_format(tmp_path):
@@ -378,3 +381,13 @@ def test_read_trajectory_csv_rejects_malformed_files(tmp_path, text):
     path.write_bytes(text.encode())
     with pytest.raises(ValueError):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("bad", [
+    DegreeHistogram(counts=np.array([0, 2, 1]), n=4),  # mass 3, not n
+    GrowingTree(n=3, parent=np.array([0, 0, 1, 3])),  # vertex 3 its own parent
+    LeafTrajectory(n=4, counts=np.array([2, 3, 3])),  # N(3) = 3
+], ids=["histogram-mass", "forward-parent", "trajectory-starts-2-3"])
+def test_check_invariants_raise_value_error(bad):
+    with pytest.raises(ValueError):
+        bad.check_invariants()

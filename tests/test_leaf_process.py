@@ -294,7 +294,7 @@ def test_closed_forms_are_finite_on_the_accepted_domain(schedule, ts, eps_share,
         eps = schedule.segments[0].gamma * eps_share
         grid = np.concatenate([[eps, 1.0], ts[ts >= eps]])
         assert np.all(np.isfinite(limit_D(grid, schedule, eps)))
-    if schedule.num_change_points == 1:
+    if len(schedule.segments) == 1:
         z = upsilon_clt_sample(schedule, n, 4, seeded_generator(54))
         assert np.all(np.isfinite(z))
 
@@ -346,14 +346,23 @@ def _gn_path_every_step(trajectory, schedule, grid):
     return (counts_at - n * ts * np.asarray(p_inf(ts, schedule))) / np.sqrt(n)
 
 
+@st.composite
+def _gn_path_grids(draw):
+    """(n, grid) with every t in [2/n, 1] by gn_path's float predicate n t >= 2, which
+    the filter applies because n (2 / n) < 2 for some n."""
+    n = draw(st.integers(2, 2000))
+    t = st.floats(2 / n, 1.0).filter(lambda t: n * t >= 2)
+    return n, draw(st.lists(t, min_size=1, max_size=12))
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(n=st.integers(2, 2000),
-       grid=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=12))
-@example(n=2, grid=[0.25, 0.5, 1.0])
-@example(n=3, grid=[0.1, 0.5, 2 / 3, 0.9, 1.0])
-@example(n=997, grid=[1e-9, 1 / 997, 1.5 / 997, 2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0])
-def test_gn_path_brackets_match_interpolating_every_step(n, grid):
-    # grids with n t < 2, non-integer n t, repeats, unsorted points and t = 1
+@given(case=_gn_path_grids())
+@example(case=(2, [1.0]))
+@example(case=(3, [2 / 3, 0.9, 1.0]))
+@example(case=(997, [2 / 997, 0.3, 0.5, 0.5, 0.25, 1.0]))
+def test_gn_path_brackets_match_interpolating_every_step(case):
+    # grids with n t = 2, non-integer n t, repeats, unsorted points and t = 1
+    n, grid = case
     trajectory = grow_tree(SINGLE, n, seeded_generator(52, n)).leaf_trajectory()
     path = gn_path(n, lambda steps: trajectory.counts[steps - 2], SINGLE, grid)
     assert np.array_equal(path, _gn_path_every_step(trajectory, SINGLE, grid))
@@ -362,7 +371,8 @@ def test_gn_path_brackets_match_interpolating_every_step(n, grid):
     assert np.array_equal(gn_path(n, counts_at, SINGLE, grid), path)
 
 
-@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf]])
+@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.nan], [0.0, 0.5], [0.5, 1.5], [-np.inf],
+                                  [1e-9], [0.01], [0.015]])
 def test_gn_path_rejects_grid_outside_unit_interval(grid):
     trajectory = grow_tree(SINGLE, 100, seeded_generator(53)).leaf_trajectory()
     with pytest.raises(ValueError, match="grid must lie"):

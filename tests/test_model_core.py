@@ -25,7 +25,7 @@ def test_validate_accepts_basic_single_change_point():
 
 def test_validate_accepts_empty_segments():
     s = ChangePointSchedule(alpha=1.0)
-    assert s.num_change_points == 0
+    assert s.segments == ()
 
 
 def test_validate_accepts_alpha_zero():

@@ -16,6 +16,10 @@ This spelling match is looser still.  It cannot see a dead member whose name
 is spelled the same as a live one: a schedule method named `dumps` or `loads`
 would pass because of `json.dumps` and `json.loads`.  A use inside a dead
 member also counts.
+
+Every `raise` in src/pact is a bare re-raise or raises ValueError, the one
+error type of a refusal, or OSError, which `_pool_map` raises for a dead
+worker.
 """
 import ast
 import re
@@ -78,3 +82,14 @@ def test_every_public_member_is_used():
     text = "\n".join(path.read_text() for path in [*SOURCES, *ROOT_FILES])
     used = set(re.findall(r"\.([A-Za-z_]\w*)", text)) | set(re.findall(r"(\w+)=(?!=)", text))
     assert sorted(f"{c}.{m}" for c, m in _members() if m not in used) == []
+
+
+def test_every_raise_is_a_value_error_or_os_error():
+    odd = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id in ("ValueError", "OSError")):
+                    odd.append(f"{path.name}:{node.lineno}")
+    assert odd == []
