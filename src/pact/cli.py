@@ -75,6 +75,7 @@ from .limit_laws import (
     ccdf_from_samples,
     p_alpha_table,
     sample_d_theta_multi,
+    segment_durations,
     upsilon_clt_sample,
     write_pmf_csv,
     write_zsample_csv,
@@ -408,9 +409,7 @@ def main(argv: list[str] | None = None) -> int:
             if bad:
                 raise ValueError(f"checkpoints must be <= n = {cfg['n']}, got {bad}")
         elif args.command == "limits" and schedule.segments:
-            last = schedule.segments[-1].gamma
-            if not last < cfg["horizon_t"] <= 1.0:
-                raise ValueError(f"horizon_t must lie in ({last}, 1], got {cfg['horizon_t']}")
+            segment_durations(schedule, cfg["horizon_t"])  # refuses a horizon it cannot serve
         elif args.command == "fclt":
             if cfg["reps"] < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")

@@ -64,8 +64,8 @@ class GrowingTree:
         """Total degree of vertices 1..m of the tree truncated at its first m = upto
         vertices (all n by default); the root's degree is its out-degree."""
         m = self.n if upto is None else upto
-        deg = np.bincount(self.parent[2 : m + 1], minlength=m + 1)[1:] + 1
-        deg[0] -= 1
+        deg = np.bincount(self.parent[2 : m + 1], minlength=m + 1)[1:]
+        deg[1:] += 1  # every vertex but the root has its parent's edge
         return deg
 
     def leaf_trajectory(self) -> LeafTrajectory:
@@ -74,24 +74,21 @@ class GrowingTree:
         parent, n = self.parent, self.n
         index = np.int32 if n + 1 < 2**31 else np.int64  # first_child holds up to n + 1
         first_child = np.full(n + 1, n + 1, dtype=index)
-        # children in descending order: the last write, the smallest child, wins
-        first_child[parent[:1:-1].astype(index)] = np.arange(n, 1, -1, dtype=index)
+        # children 3..n in descending order: the last write, the smallest child, wins.  With
+        # vertex 2 left out, first_child[1] is the root's second, the step it stops being a leaf
+        first_child[parent[:2:-1].astype(index)] = np.arange(n, 2, -1, dtype=index)
         counts = np.empty(n - 1, dtype=np.int64)
         counts[0] = 2  # at m=2 both the root (out-degree 1) and vertex 2 have degree 1
-        # the root never matches, since first_child[1] = 2 < every step here
         counts[1:] = first_child[parent[3:]] != np.arange(3, n + 1, dtype=index)
         del first_child
         np.cumsum(counts, out=counts)
-        root_children = np.flatnonzero(parent[3:] == 1)
-        if root_children.size:  # the root's second child ends its time as a leaf
-            counts[root_children[0] + 1 :] -= 1
         return LeafTrajectory(n=n, counts=counts)
 
     def check_invariants(self) -> None:
         if self.parent[1] != 0:
             raise ValueError("root sentinel parent must be 0")
-        ms = np.arange(2, self.n + 1)
-        if np.any(self.parent[ms] >= ms) or np.any(self.parent[ms] < 1):
+        parents = self.parent[2 : self.n + 1]
+        if np.any(parents >= np.arange(2, self.n + 1)) or np.any(parents < 1):
             raise ValueError("parents must be earlier vertices")
 
 
@@ -170,9 +167,12 @@ def leaf_counts(schedule: ChangePointSchedule, n: int, gen: np.random.Generator,
     A copy step attaches to parent[u], which already has the child u, so every
     vertex's first child arrives on a direct step: the vertices v >= 2 with a
     child by step m are the distinct direct targets 1 + floor(pick s) >= 2 of
-    steps <= m.  The root, a leaf while it has one child, gains its second at
-    the first step m >= 3 whose pick (s - is_copy) is below 1, the same product
-    grow_tree truncates to find the parent.  Then
+    steps <= m.  The root, a leaf until its first child among vertices 3..m,
+    gains it at the first step m >= 3 whose pick (s - is_copy) is below 1, the
+    same product grow_tree truncates to find the parent.  A copy step through
+    the edge (2, 1), pick (s - 1) < 1, has no direct target, so a doubling
+    search finds that step; the full pick (s - is_copy) pass that folding it
+    into has_child would need measured slower (BENCH_trims.json).  Then
     N(m) = m - #{v >= 2 with a child by m} - [m >= that step].
     """
     steps = np.asarray(steps, dtype=np.int64)
@@ -219,7 +219,7 @@ def save_tree(tree: GrowingTree, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQ", _FORMAT_VERSION, tree.n))
-        fh.write(tree.parent[1 : tree.n + 1].astype("<u8").tobytes())
+        fh.write(tree.parent[1 : tree.n + 1].astype("<u8"))
 
 
 def load_tree(path) -> GrowingTree:
@@ -242,7 +242,7 @@ def load_tree(path) -> GrowingTree:
                 raise ValueError(f"header n={n} needs {20 + 8 * n} bytes, file has {size}")
             raw = fh.read(8 * n)
         parent = np.zeros(n + 1, dtype=np.int64)
-        parent[1:] = np.frombuffer(raw, dtype="<u8").astype(np.int64)
+        parent[1:] = np.frombuffer(raw, dtype="<u8")  # a u64 >= 2^63 wraps negative: refused
         tree = GrowingTree(n=int(n), parent=parent)
         tree.check_invariants()
     except ValueError as exc:

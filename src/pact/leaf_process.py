@@ -43,7 +43,7 @@ class LeafTrajectory:
         return self.counts / self.steps()
 
     def check_invariants(self) -> None:
-        if self.counts.shape != self.steps().shape:
+        if self.counts.shape != (self.n - 1,):
             raise ValueError("trajectory length mismatch")
         # with the steps of 0 or 1 below, this keeps N(m) in [2, m - 1] from m = 3 on
         if np.any(self.counts[:2] != 2):

@@ -119,11 +119,13 @@ class DegreeSampleBatch:
 
 
 def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:
-    """Durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k; gamma_{k+1} = horizon."""
-    gs = [s.gamma for s in schedule.segments] + [horizon]
-    return np.array(
-        [np.log(gs[j + 1] / gs[j]) / (2.0 + schedule.segments[j].beta) for j in range(len(gs) - 1)]
-    )
+    """Durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k; gamma_{k+1} = horizon,
+    which must lie in (gamma_k, 1], gamma_0 = 0."""
+    gs = [0.0] + [s.gamma for s in schedule.segments] + [horizon]
+    if not gs[-2] < horizon <= 1.0:
+        raise ValueError(f"horizon must lie in ({gs[-2]}, 1], got {horizon}")
+    return np.array([np.log(end / seg.gamma) / (2.0 + seg.beta)
+                     for seg, end in zip(schedule.segments, gs[2:])])
 
 
 def upsilon_clt_sample(
@@ -172,9 +174,6 @@ def sample_d_theta_multi(
     k = len(schedule.segments)
     if k < 1:
         raise ValueError("sample_d_theta_multi needs at least one change point")
-    last = schedule.segments[-1].gamma
-    if not last < horizon <= 1.0:
-        raise ValueError(f"horizon must lie in ({last}, 1], got {horizon}")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
     u = gen.random(size)
@@ -219,8 +218,6 @@ def tail_exponent(ks: np.ndarray, ccdf: np.ndarray, k_lo: int, k_hi: int) -> flo
     For the limiting degree laws here the CCDF decays like k^-(alpha+2).
     Requires at least 30 distinct positive-mass points in the window.
     """
-    if not k_lo < k_hi:
-        raise ValueError(f"need k_lo < k_hi, got [{k_lo}, {k_hi}]")
     ks = np.asarray(ks)
     ccdf = np.asarray(ccdf, dtype=np.float64)
     sel = (ks >= k_lo) & (ks <= k_hi) & (ccdf > 0.0)

@@ -202,6 +202,7 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--curve-points", "0"],
     ["limits", *SINGLE, "--epsilon", "0.6"],
     ["limits", *SINGLE, "--horizon-t", "0.4"],
+    ["limits", *SINGLE, "--horizon-t", "1.5"],
     ["fclt", "--reps", "0"],
     ["fclt", "--reps", "1"],
     ["fclt", "--t", "1.5"],

@@ -193,6 +193,16 @@ def test_leaf_trajectory_matches_truncated_histograms():
         assert traj.counts[m - 2] == hist.counts[1]
 
 
+@pytest.mark.parametrize("parent, counts", [
+    ([0, 0, 1, 2, 3, 4], [2, 2, 2, 2]),  # a path: the root keeps one child and stays a leaf
+    ([0, 0, 1, 1, 1, 1], [2, 2, 3, 4]),  # a star: vertex 3, the root's second child, ends it
+    ([0, 0, 1, 2, 3, 1], [2, 2, 2, 2]),  # the root's second child arrives last
+], ids=["path", "star", "late-second-root-child"])
+def test_leaf_trajectory_on_hand_built_trees(parent, counts):
+    tree = GrowingTree(n=len(parent) - 1, parent=np.array(parent, dtype=np.int64))
+    assert tree.leaf_trajectory().counts.tolist() == counts
+
+
 def test_leaf_fraction_alpha_zero_no_change_point():
     tree = grow_tree(ChangePointSchedule(alpha=0.0), 100_000, seeded_generator(9))
     frac = tree.leaf_trajectory().counts[-1] / 100_000

@@ -240,6 +240,14 @@ def test_epoch_probabilities_and_durations():
         sample_d_theta_multi(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
 
 
+def test_segment_durations_refuse_a_horizon_outside_the_last_segment():
+    multi = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+    for schedule, horizon in [(SINGLE, 0.4), (SINGLE, 0.5), (SINGLE, 1.2), (multi, 0.7)]:
+        with pytest.raises(ValueError, match="horizon must lie in"):
+            segment_durations(schedule, horizon)
+    assert segment_durations(ChangePointSchedule(alpha=1.0)).shape == (0,)
+
+
 def test_multi_sampler_epochs_follow_gap_masses():
     sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
     batch = sample_d_theta_multi(sched, seeded_generator(47), 300_000)
@@ -289,8 +297,9 @@ def test_ccdf_from_histogram_matches_samples():
 
 def test_tail_exponent_insufficient_support():
     ks, cc = ccdf_from_pmf(p_alpha_table(0.0, 40))
-    with pytest.raises(ValueError, match="support points"):
-        tail_exponent(ks, cc, 20, 35)
+    for k_lo, k_hi in [(20, 35), (200, 20)]:  # too few points, and a reversed window
+        with pytest.raises(ValueError, match="support points"):
+            tail_exponent(ks, cc, k_lo, k_hi)
 
 
 def test_geometric_tail_slope_diverges():
