@@ -33,6 +33,7 @@ suite builds the full clock (tests/oracles.py) to check this identity.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .model_core import ChangePointSchedule, write_csv
 
 
 _TAIL_TOL = 1e-12
+_BLOCK = 1 << 16  # draws per block in sample_d_theta_multi
 
 
 def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
@@ -54,9 +56,13 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     table = np.zeros(kmax + 1, dtype=np.float64)
     ks = np.arange(1, kmax, dtype=np.float64)
-    ratios = (ks + alpha) / (ks + 3.0 + 2.0 * alpha)
+    den = ks + 3.0
+    den += 2.0 * alpha
+    ks += alpha
+    ks /= den  # the ratios (k + a) / (k + 3 + 2a), in place
     table[1] = (2.0 + alpha) / (3.0 + 2.0 * alpha)
-    table[2:] = table[1] * np.cumprod(ratios)
+    np.cumprod(ks, out=table[2:])
+    table[2:] *= table[1]
     return table
 
 
@@ -73,14 +79,13 @@ def _alpha_cdf(alpha: float) -> np.ndarray:
         if tail < _TAIL_TOL or kmax >= (1 << 24):
             break
         kmax *= 4
-    return np.cumsum(table[1:])
+    return np.cumsum(table[1:], out=table[1:])
 
 
-def sample_d_alpha(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from p_alpha over its prefix table."""
-    cdf = _alpha_cdf(alpha)
-    u = gen.random(size)
-    idx = np.searchsorted(cdf, u)
+def sample_d_alpha(alpha: float, size: int, gen: np.random.Generator, cdf=None) -> np.ndarray:
+    """Inverse-CDF draws from p_alpha over its prefix table: cdf, or _alpha_cdf(alpha) if None."""
+    cdf = _alpha_cdf(alpha) if cdf is None else cdf
+    idx = np.searchsorted(cdf, gen.random(size))
     # u beyond the table (probability < 1e-12 per draw) clamps to the last entry
     return np.minimum(idx, cdf.size - 1).astype(np.int64) + 1
 
@@ -168,38 +173,44 @@ def sample_d_theta_multi(
     runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
     The rank carries across segment boundaries, increasing by one per
     collected point.  The generator's first `size` uniforms pick the epochs,
-    epoch = #{j : u >= gamma_j/t}, so the same seed replays them; the epochs
-    are then filled from the last one down to epoch 0.
+    epoch = #{j : u >= gamma_j/t}, so the same seed replays them.  Then each
+    epoch, from the last down to epoch 0, takes one seed uniform per member
+    (Age, or p_alpha degree), then one negative-binomial pass per later
+    segment, each in member order.  Every phase runs in blocks of _BLOCK
+    draws, so memory beyond `values` and one epoch byte per draw is one
+    block's; the seed uniforms come from a copy of gen, which then skips
+    them with `gen.bit_generator.advance` (PCG64DXSM has it).
     """
     k = len(schedule.segments)
     if k < 1:
         raise ValueError("sample_d_theta_multi needs at least one change point")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
-    u = gen.random(size)
-    epochs = np.zeros(size, dtype=np.min_scalar_type(k))  # one byte per draw up to k = 255
-    for seg in schedule.segments:
-        epochs += u >= seg.gamma / horizon
-    del u
-
     values = np.empty(size, dtype=np.int64)
+    epochs = np.zeros(size, dtype=np.min_scalar_type(k))  # one byte per draw up to k = 255
+    counts = np.zeros(k + 1, dtype=np.int64)
+    for start in range(0, size, _BLOCK):
+        block = epochs[start:start + _BLOCK]
+        u = gen.random(block.size)
+        for seg in schedule.segments:
+            block += u >= seg.gamma / horizon
+        counts += np.bincount(block, minlength=k + 1)
     for i in range(k, -1, -1):
-        sel = epochs == i
-        count = int(np.count_nonzero(sel))
-        if count == 0:
+        if counts[i] == 0:
             continue
-        if i == 0:
-            ranks = sample_d_alpha(schedule.alpha, count, gen)
-        else:
-            beta = betas[i - 1]
-            ages = sample_age(durations[i - 1], 2.0 + beta, gen, count)
-            ranks = 1 + point_counts_nb(1.0, beta, ages, gen)
-            del ages
-        for j in range(i + 1, k + 1):
-            ranks = ranks + point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
-        # rank = seed degree + collected points = final degree
-        values[sel] = ranks
-        del ranks  # 8 bytes per draw of this epoch: free them before the next epoch is drawn
+        seeds = copy.deepcopy(gen)
+        gen.bit_generator.advance(int(counts[i]))  # gen now stands where the passes start
+        cdf = _alpha_cdf(schedule.alpha) if i == 0 else None
+        for j in range(i, k + 1):
+            for start in range(0, size, _BLOCK):
+                idx = start + np.flatnonzero(epochs[start:start + _BLOCK] == i)
+                if j > i:  # rank = seed degree + collected points = final degree
+                    values[idx] += point_counts_nb(values[idx], betas[j - 1], durations[j - 1], gen)
+                elif i == 0:
+                    values[idx] = sample_d_alpha(schedule.alpha, idx.size, seeds, cdf)
+                else:
+                    ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], seeds, idx.size)
+                    values[idx] = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
     return DegreeSampleBatch(values=values)
 
 

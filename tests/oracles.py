@@ -5,7 +5,9 @@ closed form: a step-by-step attachment sampler, the sequential growth loop
 that grow_tree vectorizes, point counts from explicit
 exponential waits, the full holding-time clock of the continuous-time
 embedding, the exact leaf expectation recursion with its scalar weights,
-non-root leaf counts, window means and the D_n curve as one array expression.
+non-root leaf counts, window means, the D_n curve as one array expression,
+the p_alpha table from whole-array temporaries and the limit-law mixture
+sampler in one shot, with every temporary at full sample size.
 None of them is used by `pact` itself.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pact.limit_laws import point_counts_nb, sample_age, sample_d_alpha, segment_durations
 from pact.model_core import ChangePointSchedule
 
 
@@ -111,6 +114,48 @@ def ccdf_from_pmf(pmf_by_degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CCDF k -> P(D >= k) from a pmf table indexed by degree (entry 0 ignored)."""
     tail = pmf_by_degree[::-1].cumsum()[::-1]
     return np.arange(1, pmf_by_degree.size), tail[1:]
+
+
+def p_alpha_table_direct(alpha: float, kmax: int) -> np.ndarray:
+    """p_alpha_table's running product, each step a new whole array."""
+    table = np.zeros(kmax + 1, dtype=np.float64)
+    ks = np.arange(1, kmax, dtype=np.float64)
+    ratios = (ks + alpha) / (ks + 3.0 + 2.0 * alpha)
+    table[1] = (2.0 + alpha) / (3.0 + 2.0 * alpha)
+    table[2:] = table[1] * np.cumprod(ratios)
+    return table
+
+
+def sample_d_theta_oneshot(
+    schedule: ChangePointSchedule, gen, size: int, horizon: float = 1.0
+) -> np.ndarray:
+    """sample_d_theta_multi's draws with every phase one call over its whole epoch.
+
+    `size` epoch uniforms, then per epoch from the last down to 0: its seed
+    uniforms, then its negative-binomial passes.
+    """
+    k = len(schedule.segments)
+    durations = segment_durations(schedule, horizon)
+    betas = [s.beta for s in schedule.segments]
+    u = gen.random(size)
+    epochs = np.zeros(size, dtype=np.min_scalar_type(k))
+    for seg in schedule.segments:
+        epochs += u >= seg.gamma / horizon
+    values = np.empty(size, dtype=np.int64)
+    for i in range(k, -1, -1):
+        sel = epochs == i
+        count = int(np.count_nonzero(sel))
+        if count == 0:
+            continue
+        if i == 0:
+            ranks = sample_d_alpha(schedule.alpha, count, gen)
+        else:
+            ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], gen, count)
+            ranks = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
+        for j in range(i + 1, k + 1):
+            ranks = ranks + point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
+        values[sel] = ranks
+    return values
 
 
 def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, float]:

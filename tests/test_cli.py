@@ -491,6 +491,16 @@ def test_limits_outputs(tmp_path):
     assert digests == {"leaf_curve.csv": "0864d67a3a1ddd72", "d_limit.csv": "0f2b17a07a716e75"}
 
 
+def test_limits_sampled_tables_keep_their_bytes(tmp_path):
+    # 200000 draws fill several of the sampler's blocks of 2^16 draws
+    out = tmp_path / "lim"
+    assert _run("limits", "--out", str(out), *SINGLE, "--seed", "7", "--draws", "200000") == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("d_theta_pmf.csv", "d_theta_ccdf.csv")}
+    assert digests == {"d_theta_pmf.csv": "1487cae5f51fe222",
+                       "d_theta_ccdf.csv": "62780aa316f65370"}
+
+
 def test_limits_without_change_point_writes_the_leaf_curve(tmp_path):
     out = tmp_path / "lim"
     assert _run("limits", "--out", str(out), "--alpha", "6", "--draws", "1000") == 0

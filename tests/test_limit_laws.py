@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,14 @@ from oracles import (
     age_cdf,
     ccdf_from_pmf,
     expected_point_count,
+    p_alpha_table_direct,
     point_counts_direct,
+    sample_d_theta_oneshot,
     sample_point_count,
 )
 from pact.limit_laws import (
+    _BLOCK,
+    _alpha_cdf,
     ccdf_from_samples,
     p_alpha_table,
     point_counts_nb,
@@ -309,3 +314,43 @@ def test_geometric_tail_slope_diverges():
     shallow = tail_exponent(ks, cc, 10, 60)
     steep = tail_exponent(ks, cc, 10, 150)
     assert steep < shallow - 0.5
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.3, 1.0, 2.5, 6.0, 100.0, 2.0**53])
+def test_p_alpha_table_in_place_matches_whole_array_form(alpha):
+    for kmax in (1, 2, 3, 200, 4097):
+        assert np.array_equal(p_alpha_table(alpha, kmax), p_alpha_table_direct(alpha, kmax))
+    cdf = _alpha_cdf(alpha)
+    assert np.array_equal(cdf, np.cumsum(p_alpha_table_direct(alpha, cdf.size)[1:]))
+
+
+BLOCK_SCHEDULES = {
+    "single": SINGLE,
+    "multi": ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0))),
+    "alpha0": ChangePointSchedule.single(0.0, 2.0, 0.5),
+    "three": ChangePointSchedule(alpha=0.5, segments=((0.1, 3.0), (0.2, 0.5), (0.6, 7.0))),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 2**63 + 5])
+@pytest.mark.parametrize("horizon", [1.0, 0.9])
+@pytest.mark.parametrize("name", sorted(BLOCK_SCHEDULES))
+def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(name, horizon, seed):
+    schedule = BLOCK_SCHEDULES[name]
+    for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        gen, ref_gen = seeded_generator(seed), seeded_generator(seed)
+        values = sample_d_theta_multi(schedule, gen, size, horizon).values
+        assert np.array_equal(values, sample_d_theta_oneshot(schedule, ref_gen, size, horizon))
+        assert gen.random() == ref_gen.random()  # the generator ends where it did
+
+
+def test_sampler_peak_memory_stays_values_epochs_and_one_block():
+    # Measured peak: 20.7 MB, of which values is 16 MB and epochs 2 MB; the
+    # one-shot sampler, with whole-epoch temporaries, peaks at 52 MB.
+    tracemalloc.start()
+    try:
+        sample_d_theta_multi(SINGLE, seeded_generator(7), 2_000_000)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= 24.0
