@@ -33,7 +33,6 @@ suite builds the full clock (tests/oracles.py) to check this identity.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +81,8 @@ def _alpha_cdf(alpha: float) -> np.ndarray:
     return np.cumsum(table[1:], out=table[1:])
 
 
-def sample_d_alpha(alpha: float, size: int, gen: np.random.Generator, cdf=None) -> np.ndarray:
-    """Inverse-CDF draws from p_alpha over its prefix table: cdf, or _alpha_cdf(alpha) if None."""
-    cdf = _alpha_cdf(alpha) if cdf is None else cdf
+def sample_d_alpha(cdf: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws from p_alpha over its prefix table cdf = _alpha_cdf(alpha)."""
     idx = np.searchsorted(cdf, gen.random(size))
     # u beyond the table (probability < 1e-12 per draw) clamps to the last entry
     return np.minimum(idx, cdf.size - 1).astype(np.int64) + 1
@@ -172,45 +170,36 @@ def sample_d_theta_multi(
     durations a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and
     runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
     The rank carries across segment boundaries, increasing by one per
-    collected point.  The generator's first `size` uniforms pick the epochs,
-    epoch = #{j : u >= gamma_j/t}, so the same seed replays them.  Then each
-    epoch, from the last down to epoch 0, takes one seed uniform per member
-    (Age, or p_alpha degree), then one negative-binomial pass per later
-    segment, each in member order.  Every phase runs in blocks of _BLOCK
-    draws, so memory beyond `values` and one epoch byte per draw is one
-    block's; the seed uniforms come from a copy of gen, which then skips
-    them with `gen.bit_generator.advance` (PCG64DXSM has it).
+    collected point.  The draws are iid, so each block of _BLOCK draws is an
+    independent sample, drawn in turn: the block's epoch uniforms, epoch =
+    #{j : u >= gamma_j/t}, then each epoch, from the last down to epoch 0,
+    takes one seed uniform per member (Age, or p_alpha degree), then one
+    negative-binomial pass per later segment, each in member order.  Memory
+    beyond `values` is one block's.
     """
     k = len(schedule.segments)
     if k < 1:
         raise ValueError("sample_d_theta_multi needs at least one change point")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
-    values = np.empty(size, dtype=np.int64)
-    epochs = np.zeros(size, dtype=np.min_scalar_type(k))  # one byte per draw up to k = 255
-    counts = np.zeros(k + 1, dtype=np.int64)
+    values = np.empty(size, dtype=np.int64)  # before the table: a huge size fails first
+    cdf = _alpha_cdf(schedule.alpha)
     for start in range(0, size, _BLOCK):
-        block = epochs[start:start + _BLOCK]
+        block = values[start:start + _BLOCK]
         u = gen.random(block.size)
+        epochs = np.zeros(block.size, dtype=np.min_scalar_type(k))
         for seg in schedule.segments:
-            block += u >= seg.gamma / horizon
-        counts += np.bincount(block, minlength=k + 1)
-    for i in range(k, -1, -1):
-        if counts[i] == 0:
-            continue
-        seeds = copy.deepcopy(gen)
-        gen.bit_generator.advance(int(counts[i]))  # gen now stands where the passes start
-        cdf = _alpha_cdf(schedule.alpha) if i == 0 else None
-        for j in range(i, k + 1):
-            for start in range(0, size, _BLOCK):
-                idx = start + np.flatnonzero(epochs[start:start + _BLOCK] == i)
-                if j > i:  # rank = seed degree + collected points = final degree
-                    values[idx] += point_counts_nb(values[idx], betas[j - 1], durations[j - 1], gen)
-                elif i == 0:
-                    values[idx] = sample_d_alpha(schedule.alpha, idx.size, seeds, cdf)
-                else:
-                    ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], seeds, idx.size)
-                    values[idx] = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
+            epochs += u >= seg.gamma / horizon
+        for i in range(k, -1, -1):
+            idx = np.flatnonzero(epochs == i)
+            if i == 0:
+                ranks = sample_d_alpha(cdf, idx.size, gen)
+            else:
+                ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], gen, idx.size)
+                ranks = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
+            for j in range(i + 1, k + 1):  # rank = seed degree + collected points
+                ranks += point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
+            block[idx] = ranks
     return DegreeSampleBatch(values=values)
 
 

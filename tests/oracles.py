@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pact.limit_laws import point_counts_nb, sample_age, sample_d_alpha, segment_durations
+from pact.limit_laws import (
+    _alpha_cdf,
+    point_counts_nb,
+    sample_age,
+    sample_d_alpha,
+    segment_durations,
+)
 from pact.model_core import ChangePointSchedule
 
 
@@ -128,11 +134,12 @@ def p_alpha_table_direct(alpha: float, kmax: int) -> np.ndarray:
 
 def sample_d_theta_oneshot(
     schedule: ChangePointSchedule, gen, size: int, horizon: float = 1.0
-) -> np.ndarray:
-    """sample_d_theta_multi's draws with every phase one call over its whole epoch.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The limit-law mixture drawn in one shot, each phase one call over its whole epoch.
 
     `size` epoch uniforms, then per epoch from the last down to 0: its seed
-    uniforms, then its negative-binomial passes.
+    uniforms, then its negative-binomial passes.  Returns the draws and
+    their birth epochs; sample_d_theta_multi draws this on each block.
     """
     k = len(schedule.segments)
     durations = segment_durations(schedule, horizon)
@@ -148,14 +155,14 @@ def sample_d_theta_oneshot(
         if count == 0:
             continue
         if i == 0:
-            ranks = sample_d_alpha(schedule.alpha, count, gen)
+            ranks = sample_d_alpha(_alpha_cdf(schedule.alpha), count, gen)
         else:
             ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], gen, count)
             ranks = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
         for j in range(i + 1, k + 1):
             ranks = ranks + point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
         values[sel] = ranks
-    return values
+    return values, epochs
 
 
 def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, float]:

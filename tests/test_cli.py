@@ -492,13 +492,22 @@ def test_limits_outputs(tmp_path):
 
 
 def test_limits_sampled_tables_keep_their_bytes(tmp_path):
-    # 200000 draws fill several of the sampler's blocks of 2^16 draws
-    out = tmp_path / "lim"
-    assert _run("limits", "--out", str(out), *SINGLE, "--seed", "7", "--draws", "200000") == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
-               for name in ("d_theta_pmf.csv", "d_theta_ccdf.csv")}
-    assert digests == {"d_theta_pmf.csv": "1487cae5f51fe222",
-                       "d_theta_ccdf.csv": "62780aa316f65370"}
+    # 200000 draws fill several of the sampler's blocks of 2^16 draws; p_alpha_pmf.csv
+    # draws nothing, and the d_theta_* digests pin the per-block stream layout
+    cases = {
+        "single": (SINGLE, {"p_alpha_pmf.csv": "14820c5ae5e8205b",
+                            "d_theta_pmf.csv": "35c831f204bbe2c5",
+                            "d_theta_ccdf.csv": "02481810ce9c749b"}),
+        "two-at-0.9": ([*TWO, "--horizon-t", "0.9"], {"p_alpha_pmf.csv": "6b6b47edc3238a30",
+                                                      "d_theta_pmf.csv": "2a10c06ab997b6a1",
+                                                      "d_theta_ccdf.csv": "007b906b55f50f5d"}),
+    }
+    for name, (flags, expected) in cases.items():
+        out = tmp_path / name
+        assert _run("limits", "--out", str(out), *flags, "--seed", "7", "--draws", "200000") == 0
+        digests = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()[:16]
+                   for file in expected}
+        assert digests == expected, name
 
 
 def test_limits_without_change_point_writes_the_leaf_curve(tmp_path):
