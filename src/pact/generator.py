@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leaf_process import LeafTrajectory
-from .model_core import ChangePointSchedule, write_csv
+from .model_core import ChangePointSchedule, step_offsets, write_csv
 
 _MAGIC = b"PACT"
 _FORMAT_VERSION = 1
@@ -96,11 +96,12 @@ def _step_tables(schedule: ChangePointSchedule, n: int) -> tuple[np.ndarray, np.
     """Per step i, entering vertex m = i + 2: the size s = i + 1 of the tree it joins, and
     the probability (s - 1)/((2 + c)s - 1) that it copies, c the offset of its segment."""
     sizes = np.arange(1, n, dtype=np.float64)
-    copy_p = np.empty(n - 1, dtype=np.float64)
-    bounds = schedule.boundaries(n)
-    for c, lo, hi in zip(schedule.offsets(), bounds, bounds[1:]):
-        seg = slice(max(lo - 1, 0), max(hi - 1, 0))  # steps max(lo + 1, 2)..hi
-        copy_p[seg] = (sizes[seg] - 1.0) / ((2.0 + c) * sizes[seg] - 1.0)
+    den = step_offsets(schedule, n)  # c, then (2 + c)s - 1 in place
+    den += 2.0
+    den *= sizes
+    den -= 1.0
+    copy_p = sizes - 1.0
+    copy_p /= den
     return sizes, copy_p
 
 

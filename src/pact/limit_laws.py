@@ -5,15 +5,18 @@ Without a change point the limiting degree law is
     p_a(k) = (2+a) * prod_{j=1}^{k-1}(j+a) / prod_{j=3}^{k+2}(j+2a),
 
 with the empty product equal to 1 at k=1; p_alpha_table(a, kmax)[k] gives it
-exactly.  Under a change point the limit is a two-branch mixture over birth
-epoch: a vertex born after the change has lived a truncated-exponential Age
-and collects points of a pure birth process with rates (1+b), (2+b), ...; a
-vertex born before carries a p_a-distributed degree and keeps collecting
-points, at rates starting from its degree + b, for the residual duration
-a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
-full-size tree), which segment_durations gives.  With several change points
-the same mixture runs over the birth epochs between them, segment by
-segment; sample_d_theta_multi draws from it at any k >= 1.
+exactly.  It is beta-negative-binomial, D - 1 ~ NB(1+a, B) with B ~ Beta(2+a, 1)
+(the law of e^{-T}, T ~ Exp(2+a) a vertex's age), and its tail telescopes:
+P(D > k) = p_a(k)(k+a)/(2+a) = prod_{j=1}^{k}(j+a)/(j+2+2a) ~ Gamma(3+2a)/Gamma(1+a)
+k^{-(2+a)}, which sample_d_alpha inverts past its table.  Under a change point the
+limit is a two-branch mixture over birth epoch: a vertex born after the change has
+lived a truncated-exponential Age and collects points of a pure birth process with
+rates (1+b), (2+b), ...; a vertex born before carries a p_a-distributed degree and
+keeps collecting points, at rates starting from its degree + b, for the residual
+duration a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
+full-size tree), which segment_durations gives.  With several change points the
+same mixture runs over the birth epochs between them, segment by segment, and
+sample_d_theta_multi draws from it at any k >= 1.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -33,6 +36,8 @@ suite builds the full clock (tests/oracles.py) to check this identity.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +46,16 @@ from .generator import DegreeHistogram
 from .model_core import ChangePointSchedule, write_csv
 
 
-_TAIL_TOL = 1e-12
 _BLOCK = 1 << 16  # draws per block in sample_d_theta_multi
+_TABLE = 4096  # p_alpha entries sample_d_alpha searches; past them it inverts the tail
 
 
 def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     """pmf values indexed by degree: table[k] = p_alpha(k) for k = 1..kmax (table[0] = 0).
 
     The running product keeps about 1e-13 relative accuracy up to k = 1e6,
-    where a difference of log-gamma values would lose half the digits.
+    where a difference of log-gamma values would lose half the digits.  D - 1 ~
+    NB(1+a, Beta(2+a, 1)), and P(D > kmax) = table[kmax](kmax+a)/(2+a) exactly.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
@@ -65,27 +71,24 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
     return table
 
 
-def _alpha_cdf(alpha: float) -> np.ndarray:
-    """Prefix sums of p_alpha, extended until the analytic tail is below ~1e-12.
+def sample_d_alpha(cdf: np.ndarray, tail: float, alpha: float, size: int,
+                   gen: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draws from p_alpha, given the prefix sums cdf of p_alpha_table(alpha, K)[1:]
+    and tail = P(D > K).  A u past cdf takes the smallest k >= K with log P(D > k) =
+    log(tail) + g(k) - g(K) <= log(1 - u), K when tail is 0, where g(x) = lgamma(x+1+a) -
+    lgamma(x+3+2a) by Stirling's series (math.lgamma is 2.4e9 at 1e8: 6 digits lost)."""
+    def g(k: int) -> float:
+        z1, z2, d = k + 1.0 + alpha, k + 3.0 + 2.0 * alpha, 2.0 + alpha
+        return ((z1 - 0.5) * math.log1p(-d / z2) - d * math.log(z2)
+                + (1.0 / z1 - 1.0 / z2) / 12.0 - (z1**-3 - z2**-3) / 360.0)
 
-    The tail completion uses the power-law envelope: sum_{j>k} p(j) is about
-    p(k) * k / (2 + alpha).
-    """
-    kmax = 4096
-    while True:
-        table = p_alpha_table(alpha, kmax)
-        tail = table[-1] * kmax / (2.0 + alpha)
-        if tail < _TAIL_TOL or kmax >= (1 << 24):
-            break
-        kmax *= 4
-    return np.cumsum(table[1:], out=table[1:])
-
-
-def sample_d_alpha(cdf: np.ndarray, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from p_alpha over its prefix table cdf = _alpha_cdf(alpha)."""
-    idx = np.searchsorted(cdf, gen.random(size))
-    # u beyond the table (probability < 1e-12 per draw) clamps to the last entry
-    return np.minimum(idx, cdf.size - 1).astype(np.int64) + 1
+    u = gen.random(size)
+    ks = np.searchsorted(cdf, u) + 1
+    for i in np.flatnonzero(ks > cdf.size):  # P(D > 2^53) < 2^-53 <= 1 - u
+        target = math.log1p(-u[i]) - (math.log(tail) if tail else -math.inf) + g(cdf.size)
+        ks[i] = cdf.size + bisect.bisect_left(range(cdf.size, 1 << 53), True,
+                                              key=lambda k: g(k) <= target)
+    return ks
 
 
 def point_counts_nb(start_ranks, beta: float, durations, gen: np.random.Generator) -> np.ndarray:
@@ -117,7 +120,8 @@ class DegreeSampleBatch:
     values: np.ndarray
 
     def pmf(self, kmax: int) -> np.ndarray:
-        """Empirical pmf over degrees 1..kmax, indexed 0..kmax with [0] = 0."""
+        """Empirical pmf over degrees 1..kmax, indexed 0..kmax with [0] = 0.  Its bincount
+        spans the largest draw, unclamped: P(D > 1e7) is about 2e-14 per draw at alpha = 0."""
         return DegreeHistogram(np.bincount(self.values), self.values.size).proportions(kmax)
 
 
@@ -182,8 +186,10 @@ def sample_d_theta_multi(
         raise ValueError("sample_d_theta_multi needs at least one change point")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
-    values = np.empty(size, dtype=np.int64)  # before the table: a huge size fails first
-    cdf = _alpha_cdf(schedule.alpha)
+    values = np.empty(size, dtype=np.int64)
+    table = p_alpha_table(schedule.alpha, _TABLE)
+    tail = table[-1] * (_TABLE + schedule.alpha) / (2.0 + schedule.alpha)  # P(D > _TABLE)
+    cdf = np.cumsum(table[1:], out=table[1:])
     for start in range(0, size, _BLOCK):
         block = values[start:start + _BLOCK]
         u = gen.random(block.size)
@@ -193,7 +199,7 @@ def sample_d_theta_multi(
         for i in range(k, -1, -1):
             idx = np.flatnonzero(epochs == i)
             if i == 0:
-                ranks = sample_d_alpha(cdf, idx.size, gen)
+                ranks = sample_d_alpha(cdf, tail, schedule.alpha, idx.size, gen)
             else:
                 ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], gen, idx.size)
                 ranks = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
@@ -204,7 +210,7 @@ def sample_d_theta_multi(
 
 
 def ccdf_from_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical map k -> P(D >= k) on the observed support 1..max."""
+    """Empirical map k -> P(D >= k) on the observed support 1..max, the largest draw unclamped."""
     values = np.asarray(values)
     counts = np.bincount(values)
     ccdf = counts[::-1].cumsum()[::-1] / values.size

@@ -77,6 +77,12 @@ class ChangePointSchedule:
         return [0] + [int(np.floor(s.gamma * n)) for s in self.segments] + [n]
 
 
+def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
+    """Offset c of the vertex entering at each step m = 2..n, as boundaries(n) assigns it."""
+    ends = [max(b - 1, 0) for b in schedule.boundaries(n)[1:]]
+    return np.repeat(schedule.offsets(), np.diff([0] + ends))
+
+
 def seeded_generator(seed: int, stream_id: int = 0) -> np.random.Generator:
     """PCG64DXSM keyed by SeedSequence(seed, spawn_key=(stream_id,)), numpy's own
     stream_id-th spawned child of seed.  Identical pairs replay the identical

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pact.limit_laws import (
-    _alpha_cdf,
-    point_counts_nb,
-    sample_age,
-    sample_d_alpha,
-    segment_durations,
-)
-from pact.model_core import ChangePointSchedule
+from pact import limit_laws
+from pact.limit_laws import point_counts_nb, sample_age, sample_d_alpha, segment_durations
+from pact.model_core import ChangePointSchedule, step_offsets
 
 
 class AttachmentSampler:
@@ -132,6 +127,14 @@ def p_alpha_table_direct(alpha: float, kmax: int) -> np.ndarray:
     return table
 
 
+def alpha_sampler_table(alpha: float) -> tuple[np.ndarray, float]:
+    """sample_d_alpha's cdf and tail at the library's _TABLE, read at call time: the prefix
+    sums of p_alpha up to K = _TABLE and P(D > K) = p(K) (K + alpha)/(2 + alpha)."""
+    kmax = limit_laws._TABLE
+    table = p_alpha_table_direct(alpha, kmax)
+    return np.cumsum(table[1:]), table[-1] * (kmax + alpha) / (2.0 + alpha)
+
+
 def sample_d_theta_oneshot(
     schedule: ChangePointSchedule, gen, size: int, horizon: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +158,7 @@ def sample_d_theta_oneshot(
         if count == 0:
             continue
         if i == 0:
-            ranks = sample_d_alpha(_alpha_cdf(schedule.alpha), count, gen)
+            ranks = sample_d_alpha(*alpha_sampler_table(schedule.alpha), schedule.alpha, count, gen)
         else:
             ages = sample_age(durations[i - 1], 2.0 + betas[i - 1], gen, count)
             ranks = 1 + point_counts_nb(1.0, betas[i - 1], ages, gen)
@@ -177,19 +180,6 @@ def segment_of(schedule: ChangePointSchedule, m: int, n: int) -> tuple[int, floa
         if bounds[j] < m <= bounds[j + 1]:
             return j, offset
     raise AssertionError("unreachable: boundaries partition (0, n]")
-
-
-def step_offsets(schedule: ChangePointSchedule, n: int) -> np.ndarray:
-    """Active offset for each entering vertex m = 2..n, as an array of length n-1."""
-    offs = np.empty(n - 1, dtype=np.float64)
-    bounds = schedule.boundaries(n)
-    offsets = schedule.offsets()
-    for j, c in enumerate(offsets):
-        lo = max(bounds[j] + 1, 2)
-        hi = bounds[j + 1]
-        if hi >= lo:
-            offs[lo - 2 : hi - 1] = c
-    return offs
 
 
 def grow_tree_sequential(schedule: ChangePointSchedule, n: int, gen) -> tuple[np.ndarray, np.ndarray]:

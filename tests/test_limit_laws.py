@@ -7,6 +7,7 @@ from scipy import stats
 
 from oracles import (
     age_cdf,
+    alpha_sampler_table,
     ccdf_from_pmf,
     expected_point_count,
     p_alpha_table_direct,
@@ -14,9 +15,10 @@ from oracles import (
     sample_d_theta_oneshot,
     sample_point_count,
 )
+from pact import limit_laws
 from pact.limit_laws import (
     _BLOCK,
-    _alpha_cdf,
+    _TABLE,
     ccdf_from_samples,
     p_alpha_table,
     point_counts_nb,
@@ -119,10 +121,74 @@ def test_table_matches_pointwise_pmf():
 
 
 def test_sample_d_alpha_matches_pmf():
-    draws = sample_d_alpha(_alpha_cdf(6.0), 1_000_000, seeded_generator(30))
+    draws = sample_d_alpha(*alpha_sampler_table(6.0), 6.0, 1_000_000, seeded_generator(30))
     emp = np.bincount(draws, minlength=22)[: 21] / draws.size
     exact = p_alpha_table(6.0, 20)
     assert tv_distance_upto(emp, exact, 20) < 0.005
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 6.0, 30.0])
+def test_p_alpha_tail_telescopes(alpha):
+    # P(D > k) = p(k)(k + a)/(2 + a) = prod_{j<=k} (j + a)/(j + 2 + 2a)
+    kmax = 65_536
+    table = p_alpha_table(alpha, kmax)
+    ks = np.arange(1, kmax + 1, dtype=np.float64)
+    tail = table[1:] * (ks + alpha) / (2.0 + alpha)
+    product = np.cumprod((ks + alpha) / (ks + 2.0 + 2.0 * alpha))
+    np.testing.assert_allclose(tail, product, rtol=1e-13, atol=0)
+    # 1 - cumsum cancels, so it meets the tail only to k terms' rounding, k 2^-52
+    assert np.all(np.abs(tail - (1.0 - np.cumsum(table[1:]))) <= ks * 2.0**-52)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("kmax", [16, 64])
+def test_tail_draws_match_a_long_running_product_table(monkeypatch, kmax, alpha):
+    monkeypatch.setattr(limit_laws, "_TABLE", kmax)
+    size = 500_000
+    draws = sample_d_alpha(*alpha_sampler_table(alpha), alpha, size, seeded_generator(8))
+    cdf = np.cumsum(p_alpha_table(alpha, 1 << 20)[1:])
+    ref = np.searchsorted(cdf, seeded_generator(8).random(size)) + 1
+    assert ref.max() <= cdf.size  # every reference draw lies inside the long table
+    assert np.count_nonzero(draws > kmax) >= 1  # the tail branch ran
+    assert np.array_equal(draws, ref)
+
+
+class _FixedUniform:
+    """A generator stand-in: its uniforms are us in turn, the last one repeated, and it
+    collects no points (every negative-binomial count is 0)."""
+
+    def __init__(self, *us: float):
+        self.us = list(us)
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.us.pop(0) if len(self.us) > 1 else self.us[0])
+
+    def negative_binomial(self, n, p) -> np.ndarray:
+        return np.zeros(np.broadcast(n, p).shape, dtype=np.int64)
+
+
+def test_tail_quantile_of_the_largest_uniform_is_exact():
+    # at alpha = 0, P(D > k) = 2/((k+1)(k+2)), so u = 1 - 2^-53 maps to the smallest k
+    # with (k+1)(k+2) >= 2^54
+    u = 1.0 - 2.0**-53
+    k = int(sample_d_alpha(*alpha_sampler_table(0.0), 0.0, 1, _FixedUniform(u))[0])
+    assert k == 134_217_727
+    one_minus_u = 1 - Fraction(u)
+    assert Fraction(2, k * (k + 1)) > one_minus_u >= Fraction(2, (k + 1) * (k + 2))
+
+
+def test_no_tail_past_the_table_returns_its_last_degree():
+    # at alpha = 1e6, P(D > _TABLE) underflows to 5e-324, yet cdf[-1] = 1 - 2^-52 leaves
+    # u = 1 - 2^-53 past the table; a tail of 0 takes no log (warnings are errors)
+    u = 1.0 - 2.0**-53
+    cdf, tail = alpha_sampler_table(1e6)
+    assert 0.0 < tail < 1e-300 and cdf[-1] < u
+    for t in (tail, 0.0):
+        assert sample_d_alpha(cdf, t, 1e6, 3, _FixedUniform(u)).tolist() == [_TABLE] * 3
+    # the sampler's own tail: epoch uniforms 0.25 put all three draws before the change
+    values = sample_d_theta_multi(ChangePointSchedule.single(1e6, 1.0, 0.5),
+                                  _FixedUniform(0.25, u), 3).values
+    assert values.tolist() == [_TABLE] * 3
 
 
 def test_tv_distance_needs_kmax_plus_one_entries():
@@ -326,7 +392,7 @@ def test_geometric_tail_slope_diverges():
 def test_p_alpha_table_in_place_matches_whole_array_form(alpha):
     for kmax in (1, 2, 3, 200, 4097):
         assert np.array_equal(p_alpha_table(alpha, kmax), p_alpha_table_direct(alpha, kmax))
-    cdf = _alpha_cdf(alpha)
+    cdf = np.cumsum(p_alpha_table(alpha, _TABLE)[1:])  # the sampler's table
     assert np.array_equal(cdf, np.cumsum(p_alpha_table_direct(alpha, cdf.size)[1:]))
 
 
@@ -344,15 +410,18 @@ BIT_GENERATORS = (np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64)
 @pytest.mark.parametrize("seed", [11, 2**63 + 5])
 @pytest.mark.parametrize("horizon", [1.0, 0.9])
 @pytest.mark.parametrize("name", sorted(BLOCK_SCHEDULES))
-def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(name, horizon, seed):
+def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(monkeypatch, name, horizon, seed):
     schedule = BLOCK_SCHEDULES[name]
-    for bit_generator in BIT_GENERATORS:  # any numpy Generator will do
-        for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
-            gen = np.random.Generator(bit_generator(seed))
-            ref_gen = np.random.Generator(bit_generator(seed))
-            values = sample_d_theta_multi(schedule, gen, size, horizon).values
-            assert np.array_equal(values, _oneshot_by_block(schedule, ref_gen, size, horizon)[0])
-            assert gen.random() == ref_gen.random()  # the generator ends where it did
+    for table in (_TABLE, 16):  # 16 entries: tail draws in blocks on either side of each edge
+        monkeypatch.setattr(limit_laws, "_TABLE", table)
+        for bit_generator in BIT_GENERATORS:  # any numpy Generator will do
+            for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+                gen = np.random.Generator(bit_generator(seed))
+                ref_gen = np.random.Generator(bit_generator(seed))
+                values = sample_d_theta_multi(schedule, gen, size, horizon).values
+                ref = _oneshot_by_block(schedule, ref_gen, size, horizon)[0]
+                assert np.array_equal(values, ref)
+                assert gen.random() == ref_gen.random()  # the generator ends where it did
 
 
 def test_sampler_peak_memory_stays_values_and_one_block():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_of, step_offsets
+from oracles import segment_of
 from pact import model_core
 from pact.generator import degree_histogram, grow_tree, write_edge_csv, write_histogram_csv
 from pact.leaf_process import write_trajectory_csv
@@ -14,6 +14,7 @@ from pact.limit_laws import ccdf_from_samples, p_alpha_table, write_pmf_csv, wri
 from pact.model_core import (
     ChangePointSchedule,
     seeded_generator,
+    step_offsets,
     write_csv,
 )
 
@@ -91,6 +92,15 @@ def test_step_offsets_agrees_with_segment_of():
     offs = step_offsets(s, n)
     for m in range(2, n + 1):
         assert offs[m - 2] == segment_of(s, m, n)[1]
+
+
+@pytest.mark.parametrize("segments", [(), ((1e-100, 2.0),), ((0.5, 1.0), (0.5005, 3.0))])
+def test_step_offsets_at_the_smallest_sizes(segments):
+    s = ChangePointSchedule(alpha=0.5, segments=segments)
+    for n in (2, 3, 4, 7, 2000):
+        offs = step_offsets(s, n)
+        assert offs.shape == (n - 1,)
+        assert offs.tolist() == [segment_of(s, m, n)[1] for m in range(2, n + 1)]
 
 
 def test_seeded_rng_replays_identically():
