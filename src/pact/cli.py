@@ -55,6 +55,7 @@ from .estimator import (
     write_report_json,
 )
 from .generator import (
+    DegreeHistogram,
     degree_histogram,
     grow_tree,
     leaf_counts,
@@ -72,7 +73,8 @@ from .leaf_process import (
     write_trajectory_csv,
 )
 from .limit_laws import (
-    ccdf_from_samples,
+    _BLOCK,
+    ccdf_from_samples,  # bench/traced.py wraps this name on pact.cli; no command calls it
     p_alpha_table,
     sample_d_theta_multi,
     segment_durations,
@@ -253,11 +255,17 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.segments:
-        batch = sample_d_theta_multi(schedule, seeded_generator(cfg["seed"]), cfg["draws"],
-                                     cfg["horizon_t"])
-        write_pmf_csv(range(1, kmax + 1), batch.pmf(kmax)[1:], out_dir / "d_theta_pmf.csv")
-        ks, cc = ccdf_from_samples(batch.values)
-        write_pmf_csv(ks, cc, out_dir / "d_theta_ccdf.csv")
+        gen, draws, counts = seeded_generator(cfg["seed"]), cfg["draws"], np.zeros(0, np.int64)
+        for start in range(0, draws, _BLOCK):  # the sampler's blocks, one held at a time
+            batch = sample_d_theta_multi(schedule, gen, min(_BLOCK, draws - start),
+                                         cfg["horizon_t"])
+            block = np.bincount(batch.values)
+            if block.size > counts.size:  # grown only past the largest draw so far
+                counts = np.pad(counts, (0, block.size - counts.size))
+            counts[:block.size] += block
+        hist = DegreeHistogram(counts, draws)
+        write_pmf_csv(range(1, kmax + 1), hist.proportions(kmax)[1:], out_dir / "d_theta_pmf.csv")
+        write_pmf_csv(*hist.ccdf(), out_dir / "d_theta_ccdf.csv")
         eps = cfg["epsilon"]
         grid = np.linspace(eps, 1.0, cfg["curve_points"])
         dvals = limit_D(grid, schedule, eps)

@@ -45,6 +45,10 @@ class DegreeHistogram:
         out[:upto] = self.counts[:upto] / self.n
         return out
 
+    def ccdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ks, P(D >= k)) for k = 1..counts.size - 1, the largest degree when counts ends there."""
+        return np.arange(1, self.counts.size), (self.counts[::-1].cumsum()[::-1] / self.n)[1:]
+
     def check_invariants(self) -> None:
         if int(self.counts.sum()) != self.n:
             raise ValueError("histogram mass != vertex count")

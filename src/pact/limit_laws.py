@@ -212,10 +212,7 @@ def sample_d_theta_multi(
 def ccdf_from_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical map k -> P(D >= k) on the observed support 1..max, the largest draw unclamped."""
     values = np.asarray(values)
-    counts = np.bincount(values)
-    ccdf = counts[::-1].cumsum()[::-1] / values.size
-    ks = np.arange(1, counts.size)
-    return ks, ccdf[1:]
+    return DegreeHistogram(np.bincount(values), values.size).ccdf()
 
 
 def tail_exponent(ks: np.ndarray, ccdf: np.ndarray, k_lo: int, k_hi: int) -> float:

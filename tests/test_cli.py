@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 from pact import cli
 from pact.cli import _DEFAULTS, _KEYS, _merge_config, _pool_map, build_parser, main
 from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
+from pact.generator import DegreeHistogram
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
-from pact.model_core import ChangePointSchedule
+from pact.limit_laws import _BLOCK, sample_d_theta_multi
+from pact.model_core import ChangePointSchedule, seeded_generator
 
 
 def _run(*argv) -> int:
@@ -302,8 +305,9 @@ def test_empty_out_directory_is_used(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "100000000000000"],
     ["limits", "--kmax", "100000000000000000000"],
-    ["limits", *SINGLE, "--draws", "100000000000000"],  # after two CSVs are written
-], ids=["simulate-n", "limits-kmax", "limits-draws"])
+    # after p_alpha_pmf.csv is written; limits draws in blocks, so a huge --draws only runs long
+    ["limits", *SINGLE, "--curve-points", "100000000000000"],
+], ids=["simulate-n", "limits-kmax", "limits-curve-points"])
 @pytest.mark.parametrize("empty_out", [False, True], ids=["new-out", "empty-out"])
 def test_run_that_fails_late_removes_what_it_wrote(tmp_path, capsys, argv, empty_out):
     out = tmp_path / "parent" / "run"
@@ -508,6 +512,48 @@ def test_limits_sampled_tables_keep_their_bytes(tmp_path):
         digests = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()[:16]
                    for file in expected}
         assert digests == expected, name
+
+
+def _limits_histogram(monkeypatch, out, *flags) -> np.ndarray:
+    """The running histogram of draws that a limits run hands to DegreeHistogram."""
+    seen = []
+    monkeypatch.setattr(cli, "DegreeHistogram", lambda counts, n: seen.append(counts.copy())
+                        or DegreeHistogram(counts, n))
+    assert _run("limits", "--out", str(out), *flags) == 0
+    (counts,) = seen
+    return counts
+
+
+ALPHA0_TWO = ChangePointSchedule(alpha=0.0, segments=((0.3, 2.0), (0.6, 0.5)))
+
+
+@pytest.mark.parametrize("schedule, horizon, flags", [
+    (ChangePointSchedule.single(6.0, 1.0, 0.5), 1.0, SINGLE),
+    (ALPHA0_TWO, 0.9, ["--alpha", "0", "--beta", "2", "--gamma", "0.3", "--beta", "0.5",
+                       "--gamma", "0.6"]),
+], ids=["single", "alpha0-two"])
+def test_limits_histogram_is_the_bincount_of_one_sample(monkeypatch, tmp_path, schedule,
+                                                        horizon, flags):
+    draws = 3 * _BLOCK + 5  # the last block is short
+    counts = _limits_histogram(monkeypatch, tmp_path / "lim", *flags, "--horizon-t", str(horizon),
+                               "--seed", "7", "--draws", str(draws))
+    values = sample_d_theta_multi(schedule, seeded_generator(7), draws, horizon).values
+    assert counts.dtype == np.int64 and np.array_equal(counts, np.bincount(values))
+    if schedule is ALPHA0_TWO:  # a later block's largest draw outgrew the running histogram
+        assert values[_BLOCK:].max() > values[:_BLOCK].max()
+
+
+def test_limits_holds_one_block_of_draws(tmp_path):
+    # Measured peak: 3.3 MB, 4.2 MB in a fresh interpreter; holding the 2^21 draws as
+    # int64 values took 19.1 MB
+    tracemalloc.start()
+    try:
+        assert _run("limits", "--out", str(tmp_path / "lim"), *SINGLE,
+                    "--draws", str(1 << 21)) == 0
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= 5.0
 
 
 def test_limits_without_change_point_writes_the_leaf_curve(tmp_path):

@@ -16,6 +16,7 @@ from oracles import (
     sample_point_count,
 )
 from pact import limit_laws
+from pact.generator import DegreeHistogram
 from pact.limit_laws import (
     _BLOCK,
     _TABLE,
@@ -370,6 +371,23 @@ def test_ccdf_from_histogram_matches_samples():
     ks_s, cc_s = ccdf_from_samples(tree.total_degrees())
     assert np.array_equal(ks_h, ks_s)
     assert np.allclose(cc_h, cc_s, atol=1e-15)
+
+
+def test_histogram_ccdf_is_ccdf_from_samples_bit_for_bit():
+    schedule = ChangePointSchedule(alpha=0.0, segments=((0.3, 2.0), (0.6, 0.5)))
+    gen, counts, parts = seeded_generator(6), np.zeros(0, dtype=np.int64), []
+    for _ in range(3):  # the running histogram limits keeps: one bincount per block
+        parts.append(sample_d_theta_multi(schedule, gen, 10_000).values)
+        block = np.bincount(parts[-1])
+        counts = np.pad(counts, (0, max(block.size - counts.size, 0)))
+        counts[:block.size] += block
+    assert parts[0].max() < parts[1].max() < parts[2].max()  # each block grew the histogram
+    values = np.concatenate(parts)
+    ks, cc = DegreeHistogram(counts, values.size).ccdf()
+    ks_s, cc_s = ccdf_from_samples(values)
+    assert ks.tobytes() == ks_s.tobytes() and cc.tobytes() == cc_s.tobytes()
+    assert ks[-1] == values.max() and cc[-1] > 0.0  # the largest draw, unclamped
+    assert np.array_equal(cc, [(values >= k).mean() for k in ks])  # P(D >= k), exactly
 
 
 def test_tail_exponent_insufficient_support():

@@ -17,6 +17,10 @@ is spelled the same as a live one: a schedule method named `dumps` or `loads`
 would pass because of `json.dumps` and `json.loads`.  A use inside a dead
 member also counts.
 
+Every `pact.cli` name that bench/traced.py wraps is an attribute of
+`pact.cli`, so removing one fails here by name rather than inside the
+benchmark's traced run.
+
 Every `raise` in src/pact is a bare re-raise or raises ValueError, the one
 error type of a refusal, or OSError, which `_pool_map` raises for a dead
 worker.
@@ -93,3 +97,28 @@ def test_every_raise_is_a_value_error_or_os_error():
                 if not (isinstance(exc, ast.Name) and exc.id in ("ValueError", "OSError")):
                     odd.append(f"{path.name}:{node.lineno}")
     assert odd == []
+
+
+def _bench_wrapped_cli_names() -> set[str]:
+    """The pact.cli names bench/traced.py wraps: the keys of SPANS and WRITERS, the names of
+    a `for attr in (...)` tuple and every `cli.<name>` it reads."""
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "bench" / "traced.py").read_text())):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SPANS", "WRITERS") for t in node.targets):
+            names |= {key.value for key in node.value.keys}
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            names |= {e.value for e in node.iter.elts if isinstance(e, ast.Constant)}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "cli"):
+            names.add(node.attr)
+    return names
+
+
+def test_every_cli_name_the_bench_wraps_exists():
+    from pact import cli
+
+    names = _bench_wrapped_cli_names()
+    assert {"ccdf_from_samples", "write_pmf_csv", "sample_d_theta", "sample_d_theta_multi",
+            "grow_tree", "_COMMANDS"} <= names
+    assert sorted(name for name in names if not hasattr(cli, name)) == []
