@@ -73,10 +73,10 @@ from .leaf_process import (
     write_trajectory_csv,
 )
 from .limit_laws import (
-    _BLOCK,
     ccdf_from_samples,  # bench/traced.py wraps this name on pact.cli; no command calls it
+    d_theta_blocks,
     p_alpha_table,
-    sample_d_theta_multi,
+    sample_d_theta_multi,  # bench/traced.py wraps this name on pact.cli; no command calls it
     segment_durations,
     upsilon_clt_sample,
     write_pmf_csv,
@@ -84,8 +84,7 @@ from .limit_laws import (
 )
 from .model_core import _MAX_OFFSET, ChangePointSchedule, seeded_generator, write_csv
 
-# bench/traced.py wraps this name on pact.cli; the next change to the benchmark deletes it
-sample_d_theta = sample_d_theta_multi
+sample_d_theta = sample_d_theta_multi  # bench/traced.py wraps this alias on pact.cli too
 
 _UPSILON_STREAM_BASE = 1 << 32  # keep duration draws off the tree streams
 
@@ -255,15 +254,13 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     if schedule.segments:
-        gen, draws, counts = seeded_generator(cfg["seed"]), cfg["draws"], np.zeros(0, np.int64)
-        for start in range(0, draws, _BLOCK):  # the sampler's blocks, one held at a time
-            batch = sample_d_theta_multi(schedule, gen, min(_BLOCK, draws - start),
-                                         cfg["horizon_t"])
-            block = np.bincount(batch.values)
+        gen, counts = seeded_generator(cfg["seed"]), np.zeros(0, np.int64)
+        for values in d_theta_blocks(schedule, gen, cfg["draws"], cfg["horizon_t"]):
+            block = np.bincount(values)  # the sampler's blocks, one held at a time
             if block.size > counts.size:  # grown only past the largest draw so far
                 counts = np.pad(counts, (0, block.size - counts.size))
             counts[:block.size] += block
-        hist = DegreeHistogram(counts, draws)
+        hist = DegreeHistogram(counts, cfg["draws"])
         write_pmf_csv(range(1, kmax + 1), hist.proportions(kmax)[1:], out_dir / "d_theta_pmf.csv")
         write_pmf_csv(*hist.ccdf(), out_dir / "d_theta_ccdf.csv")
         eps = cfg["epsilon"]

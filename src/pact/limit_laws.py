@@ -16,7 +16,7 @@ keeps collecting points, at rates starting from its degree + b, for the residual
 duration a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
 full-size tree), which segment_durations gives.  With several change points the
 same mixture runs over the birth epochs between them, segment by segment, and
-sample_d_theta_multi draws from it at any k >= 1.
+d_theta_blocks draws from it at any k >= 1, one block at a time.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .generator import DegreeHistogram
 from .model_core import ChangePointSchedule, write_csv
 
 
-_BLOCK = 1 << 16  # draws per block in sample_d_theta_multi
+_BLOCK = 1 << 16  # draws per block that d_theta_blocks yields
 _TABLE = 4096  # p_alpha entries sample_d_alpha searches; past them it inverts the tail
 
 
@@ -163,10 +164,9 @@ def write_zsample_csv(z: np.ndarray, path) -> None:
     write_csv(path, ["rep", "z"], [range(len(z)), z])
 
 
-def sample_d_theta_multi(
-    schedule: ChangePointSchedule, gen: np.random.Generator, size: int, horizon: float = 1.0
-) -> DegreeSampleBatch:
-    """Draws from the limiting degree law with k >= 1 change points at horizon t.
+def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size: int,
+                   horizon: float = 1.0) -> Iterator[np.ndarray]:
+    """Yields the degree law's draws (k >= 1 change points, horizon t) as new int64 blocks.
 
     The birth epoch takes the gaps of (0, gamma_1, ..., gamma_k, t) divided
     by t as its masses.  Epoch i >= 1 starts at rank 1, collects points over
@@ -174,24 +174,23 @@ def sample_d_theta_multi(
     durations a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and
     runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
     The rank carries across segment boundaries, increasing by one per
-    collected point.  The draws are iid, so each block of _BLOCK draws is an
-    independent sample, drawn in turn: the block's epoch uniforms, epoch =
-    #{j : u >= gamma_j/t}, then each epoch, from the last down to epoch 0,
-    takes one seed uniform per member (Age, or p_alpha degree), then one
-    negative-binomial pass per later segment, each in member order.  Memory
-    beyond `values` is one block's.
+    collected point.  The draws are iid, so each block of _BLOCK draws, the
+    last one shorter, is an independent sample, drawn in turn: its epoch
+    uniforms, epoch = #{j : u >= gamma_j/t}, then each epoch, from the last
+    down to epoch 0, takes one seed uniform per member (Age, or p_alpha
+    degree), then one negative-binomial pass per later segment, each in
+    member order.  Inputs are checked and tables built once, on first next().
     """
     k = len(schedule.segments)
     if k < 1:
-        raise ValueError("sample_d_theta_multi needs at least one change point")
+        raise ValueError("d_theta_blocks needs at least one change point")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
-    values = np.empty(size, dtype=np.int64)
     table = p_alpha_table(schedule.alpha, _TABLE)
     tail = table[-1] * (_TABLE + schedule.alpha) / (2.0 + schedule.alpha)  # P(D > _TABLE)
     cdf = np.cumsum(table[1:], out=table[1:])
     for start in range(0, size, _BLOCK):
-        block = values[start:start + _BLOCK]
+        block = np.empty(min(_BLOCK, size - start), dtype=np.int64)
         u = gen.random(block.size)
         epochs = np.zeros(block.size, dtype=np.min_scalar_type(k))
         for seg in schedule.segments:
@@ -206,6 +205,15 @@ def sample_d_theta_multi(
             for j in range(i + 1, k + 1):  # rank = seed degree + collected points
                 ranks += point_counts_nb(ranks, betas[j - 1], durations[j - 1], gen)
             block[idx] = ranks
+        yield block
+
+
+def sample_d_theta_multi(schedule: ChangePointSchedule, gen: np.random.Generator, size: int,
+                         horizon: float = 1.0) -> DegreeSampleBatch:
+    """d_theta_blocks' draws in `values`, allocated first so that a huge size fails at once."""
+    values = np.empty(size, dtype=np.int64)
+    for n, block in enumerate(d_theta_blocks(schedule, gen, size, horizon)):
+        values[n * _BLOCK:n * _BLOCK + block.size] = block
     return DegreeSampleBatch(values=values)
 
 

@@ -142,7 +142,7 @@ def sample_d_theta_oneshot(
 
     `size` epoch uniforms, then per epoch from the last down to 0: its seed
     uniforms, then its negative-binomial passes.  Returns the draws and
-    their birth epochs; sample_d_theta_multi draws this on each block.
+    their birth epochs; d_theta_blocks draws this on each block.
     """
     k = len(schedule.segments)
     durations = segment_durations(schedule, horizon)

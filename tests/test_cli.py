@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pact import cli
+from pact import cli, limit_laws
 from pact.cli import _DEFAULTS, _KEYS, _merge_config, _pool_map, build_parser, main
 from pact.estimator import DN_CSV_ROWS, dn_curve, limit_D, write_dn_csv
 from pact.generator import DegreeHistogram
 from pact.leaf_process import LeafTrajectory, read_trajectory_csv, write_trajectory_csv
-from pact.limit_laws import _BLOCK, sample_d_theta_multi
+from pact.limit_laws import _BLOCK, p_alpha_table, sample_d_theta_multi
 from pact.model_core import ChangePointSchedule, seeded_generator
 
 
@@ -304,7 +304,7 @@ def test_empty_out_directory_is_used(tmp_path):
 # each fails when numpy first allocates: >= 1e14 elements exceed the address space at once
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "100000000000000"],
-    ["limits", "--kmax", "100000000000000000000"],
+    ["limits", "--kmax", "100000000000000"],  # within 2^53, so _merge_config takes it
     # after p_alpha_pmf.csv is written; limits draws in blocks, so a huge --draws only runs long
     ["limits", *SINGLE, "--curve-points", "100000000000000"],
 ], ids=["simulate-n", "limits-kmax", "limits-curve-points"])
@@ -541,6 +541,15 @@ def test_limits_histogram_is_the_bincount_of_one_sample(monkeypatch, tmp_path, s
     assert counts.dtype == np.int64 and np.array_equal(counts, np.bincount(values))
     if schedule is ALPHA0_TWO:  # a later block's largest draw outgrew the running histogram
         assert values[_BLOCK:].max() > values[:_BLOCK].max()
+
+
+def test_limits_builds_the_sampler_tables_once(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(limit_laws, "p_alpha_table", lambda *args: calls.append(args)
+                        or p_alpha_table(*args))
+    assert _run("limits", "--out", str(tmp_path / "lim"), *SINGLE,
+                "--draws", str(3 * _BLOCK + 5)) == 0
+    assert len(calls) == 1  # one set-up for all four blocks
 
 
 def test_limits_holds_one_block_of_draws(tmp_path):

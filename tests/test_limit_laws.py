@@ -21,6 +21,7 @@ from pact.limit_laws import (
     _BLOCK,
     _TABLE,
     ccdf_from_samples,
+    d_theta_blocks,
     p_alpha_table,
     point_counts_nb,
     sample_age,
@@ -260,10 +261,11 @@ def test_sample_age_rejects_bad_a():
 
 
 def test_d_theta_horizon_validation():
-    with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta_multi(SINGLE, seeded_generator(38), 10, horizon=0.5)
-    with pytest.raises(ValueError, match="horizon must lie in"):
-        sample_d_theta_multi(SINGLE, seeded_generator(38), 10, horizon=1.2)
+    for size in (10, 0):  # size 0 draws nothing, yet the sampler's checks still run
+        with pytest.raises(ValueError, match="horizon must lie in"):
+            sample_d_theta_multi(SINGLE, seeded_generator(38), size, horizon=0.5)
+        with pytest.raises(ValueError, match="horizon must lie in"):
+            sample_d_theta_multi(SINGLE, seeded_generator(38), size, horizon=1.2)
 
 
 def test_d_theta_degenerates_to_d_alpha_at_gamma():
@@ -314,8 +316,9 @@ def test_epoch_probabilities_and_durations():
     assert durs[0] == pytest.approx(np.log(3.0) / 3.0, abs=1e-15)
     assert durs[1] == pytest.approx(np.log(1.0 / 0.75) / 4.0, abs=1e-15)
     assert segment_durations(multi, horizon=0.9)[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
-    with pytest.raises(ValueError, match="needs at least one change point"):
-        sample_d_theta_multi(ChangePointSchedule(alpha=1.0), seeded_generator(38), 10)
+    for size in (10, 0):
+        with pytest.raises(ValueError, match="needs at least one change point"):
+            sample_d_theta_multi(ChangePointSchedule(alpha=1.0), seeded_generator(38), size)
 
 
 def test_segment_durations_refuse_a_horizon_outside_the_last_segment():
@@ -440,6 +443,12 @@ def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(monkeypatch, name
                 ref = _oneshot_by_block(schedule, ref_gen, size, horizon)[0]
                 assert np.array_equal(values, ref)
                 assert gen.random() == ref_gen.random()  # the generator ends where it did
+                blocks = list(d_theta_blocks(schedule, np.random.Generator(bit_generator(seed)),
+                                             size, horizon))
+                assert [b.size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+                assert 0 < blocks[-1].size <= _BLOCK
+                for n, block in enumerate(blocks):  # each block is one one-shot sample
+                    assert np.array_equal(block, ref[n * _BLOCK:(n + 1) * _BLOCK])
 
 
 def test_sampler_peak_memory_stays_values_and_one_block():

@@ -19,7 +19,8 @@ member also counts.
 
 Every `pact.cli` name that bench/traced.py wraps is an attribute of
 `pact.cli`, so removing one fails here by name rather than inside the
-benchmark's traced run.
+benchmark's traced run.  Every name `pact.cli` imports from a `pact` module
+is used in it outside the import, or is one that bench/traced.py wraps.
 
 Every `raise` in src/pact is a bare re-raise or raises ValueError, the one
 error type of a refusal, or OSError, which `_pool_map` raises for a dead
@@ -122,3 +123,13 @@ def test_every_cli_name_the_bench_wraps_exists():
     assert {"ccdf_from_samples", "write_pmf_csv", "sample_d_theta", "sample_d_theta_multi",
             "grow_tree", "_COMMANDS"} <= names
     assert sorted(name for name in names if not hasattr(cli, name)) == []
+
+
+def test_every_name_the_cli_imports_from_pact_is_used():
+    tree = ast.parse((ROOT / "src" / "pact" / "cli.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "pact")
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - _bench_wrapped_cli_names()) == []
