@@ -253,22 +253,20 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     ts = np.linspace(1.0 / cfg["curve_points"], 1.0, cfg["curve_points"])
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
-    if schedule.segments:
-        gen, counts = seeded_generator(cfg["seed"]), np.zeros(0, np.int64)
-        for values in d_theta_blocks(schedule, gen, cfg["draws"], cfg["horizon_t"]):
-            block = np.bincount(values)  # the sampler's blocks, one held at a time
-            if block.size > counts.size:  # grown only past the largest draw so far
-                counts = np.pad(counts, (0, block.size - counts.size))
-            counts[:block.size] += block
-        hist = DegreeHistogram(counts, cfg["draws"])
-        write_pmf_csv(range(1, kmax + 1), hist.proportions(kmax)[1:], out_dir / "d_theta_pmf.csv")
-        write_pmf_csv(*hist.ccdf(), out_dir / "d_theta_ccdf.csv")
-        eps = cfg["epsilon"]
-        grid = np.linspace(eps, 1.0, cfg["curve_points"])
-        dvals = limit_D(grid, schedule, eps)
-        write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
-        return [0]
-    return []  # no change point: nothing is drawn
+    gen, counts = seeded_generator(cfg["seed"]), np.zeros(0, np.int64)
+    for values in d_theta_blocks(schedule, gen, cfg["draws"], cfg["horizon_t"]):
+        block = np.bincount(values)  # the sampler's blocks, one held at a time
+        if block.size > counts.size:  # grown only past the largest draw so far
+            counts = np.pad(counts, (0, block.size - counts.size))
+        counts[:block.size] += block
+    hist = DegreeHistogram(counts, cfg["draws"])
+    write_pmf_csv(range(1, kmax + 1), hist.proportions(kmax)[1:], out_dir / "d_theta_pmf.csv")
+    write_pmf_csv(*hist.ccdf(), out_dir / "d_theta_ccdf.csv")
+    eps = cfg["epsilon"]
+    grid = np.linspace(eps, 1.0, cfg["curve_points"])
+    dvals = limit_D(grid, schedule, eps)
+    write_csv(out_dir / "d_limit.csv", ["t", "d"], [grid, dvals])
+    return [0]
 
 
 # ---------------------------------------------------------------- estimate
@@ -413,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
             bad = [m for m in cfg["checkpoints"] if m > cfg["n"]]
             if bad:
                 raise ValueError(f"checkpoints must be <= n = {cfg['n']}, got {bad}")
-        elif args.command == "limits" and schedule.segments:
+        elif args.command == "limits":
             segment_durations(schedule, cfg["horizon_t"])  # refuses a horizon it cannot serve
         elif args.command == "fclt":
             if cfg["reps"] < 2:

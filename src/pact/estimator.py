@@ -138,7 +138,7 @@ def limit_H(s: float, t, schedule: ChangePointSchedule):
 
 
 def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
-    """Population counterpart of D_n, (1-t)|H[eps,t] - H[t,1]|, for k >= 1 change points.
+    """Population counterpart of D_n, (1-t)|H[eps,t] - H[t,1]|; exactly 0 with no change point.
 
     p_inf is constant before the first change point gamma_1, so D is the
     constant (1-gamma_1)|p(gamma_1) - H[gamma_1,1]| on [eps, gamma_1]; above
@@ -149,16 +149,15 @@ def limit_D(t, schedule: ChangePointSchedule, epsilon: float):
     (2(gamma_1-eps)), so the right edge of {t : D(t) >= plateau - threshold}
     is gamma_1 + sqrt(threshold/kappa) to leading order.
     """
-    if not schedule.segments:
-        raise ValueError("limit_D needs a change point")
-    gamma = schedule.segments[0].gamma
+    gamma = schedule.segments[0].gamma if schedule.segments else 1.0  # k = 0: a plateau of 0
     if not 0.0 < epsilon < gamma:
         raise ValueError(f"need 0 < epsilon < gamma_1={gamma}, got {epsilon}")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < epsilon) or np.any(t_arr > 1.0):
         raise ValueError(f"t must lie in [{epsilon}, 1], got {t}")
     p_gamma = float(p_inf(gamma, schedule))
-    plateau = (1.0 - gamma) * abs(p_gamma - limit_H(gamma, 1.0, schedule))
+    h_gamma = limit_H(gamma, 1.0, schedule) if gamma < 1.0 else p_gamma  # H[1,1] = p(1)
+    plateau = (1.0 - gamma) * abs(p_gamma - h_gamma)
     h_eps_t = limit_H(epsilon, np.maximum(t_arr, gamma), schedule)
     decay = (1.0 - epsilon) * np.abs(h_eps_t - limit_H(epsilon, 1.0, schedule))
     out = np.where(t_arr <= gamma, plateau, decay)

@@ -16,7 +16,7 @@ keeps collecting points, at rates starting from its degree + b, for the residual
 duration a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
 full-size tree), which segment_durations gives.  With several change points the
 same mixture runs over the birth epochs between them, segment by segment, and
-d_theta_blocks draws from it at any k >= 1, one block at a time.
+d_theta_blocks draws from it at any k (p_a itself at k = 0), one block at a time.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -62,13 +62,8 @@ def p_alpha_table(alpha: float, kmax: int) -> np.ndarray:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     table = np.zeros(kmax + 1, dtype=np.float64)
     ks = np.arange(1, kmax, dtype=np.float64)
-    den = ks + 3.0
-    den += 2.0 * alpha
-    ks += alpha
-    ks /= den  # the ratios (k + a) / (k + 3 + 2a), in place
     table[1] = (2.0 + alpha) / (3.0 + 2.0 * alpha)
-    np.cumprod(ks, out=table[2:])
-    table[2:] *= table[1]
+    table[2:] = table[1] * np.cumprod((ks + alpha) / (ks + 3.0 + 2.0 * alpha))
     return table
 
 
@@ -166,7 +161,7 @@ def write_zsample_csv(z: np.ndarray, path) -> None:
 
 def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size: int,
                    horizon: float = 1.0) -> Iterator[np.ndarray]:
-    """Yields the degree law's draws (k >= 1 change points, horizon t) as new int64 blocks.
+    """Yields the degree law's draws (k >= 0 change points, horizon t) as new int64 blocks.
 
     The birth epoch takes the gaps of (0, gamma_1, ..., gamma_k, t) divided
     by t as its masses.  Epoch i >= 1 starts at rank 1, collects points over
@@ -182,8 +177,6 @@ def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size
     member order.  Inputs are checked and tables built once, on first next().
     """
     k = len(schedule.segments)
-    if k < 1:
-        raise ValueError("d_theta_blocks needs at least one change point")
     durations = segment_durations(schedule, horizon)
     betas = [s.beta for s in schedule.segments]
     table = p_alpha_table(schedule.alpha, _TABLE)

@@ -5,9 +5,9 @@ closed form: a step-by-step attachment sampler, the sequential growth loop
 that grow_tree vectorizes, point counts from explicit
 exponential waits, the full holding-time clock of the continuous-time
 embedding, the exact leaf expectation recursion with its scalar weights,
-non-root leaf counts, window means, the D_n curve as one array expression,
-the p_alpha table from whole-array temporaries and the limit-law mixture
-sampler in one shot, with every temporary at full sample size.
+the exact mean degree of a fixed vertex, non-root leaf counts, window means,
+the D_n curve as one array expression and the limit-law mixture sampler in
+one shot, with every temporary at full sample size.
 None of them is used by `pact` itself.
 """
 from __future__ import annotations
@@ -117,21 +117,11 @@ def ccdf_from_pmf(pmf_by_degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(1, pmf_by_degree.size), tail[1:]
 
 
-def p_alpha_table_direct(alpha: float, kmax: int) -> np.ndarray:
-    """p_alpha_table's running product, each step a new whole array."""
-    table = np.zeros(kmax + 1, dtype=np.float64)
-    ks = np.arange(1, kmax, dtype=np.float64)
-    ratios = (ks + alpha) / (ks + 3.0 + 2.0 * alpha)
-    table[1] = (2.0 + alpha) / (3.0 + 2.0 * alpha)
-    table[2:] = table[1] * np.cumprod(ratios)
-    return table
-
-
 def alpha_sampler_table(alpha: float) -> tuple[np.ndarray, float]:
     """sample_d_alpha's cdf and tail at the library's _TABLE, read at call time: the prefix
     sums of p_alpha up to K = _TABLE and P(D > K) = p(K) (K + alpha)/(2 + alpha)."""
     kmax = limit_laws._TABLE
-    table = p_alpha_table_direct(alpha, kmax)
+    table = limit_laws.p_alpha_table(alpha, kmax)
     return np.cumsum(table[1:]), table[-1] * (kmax + alpha) / (2.0 + alpha)
 
 
@@ -243,6 +233,22 @@ def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
             acc = 1.0 + w[i] * acc
             out[i + 1] = acc
     return out
+
+
+def vertex_degree_mean(schedule: ChangePointSchedule, n: int, i: int) -> float:
+    """Exact E D_i(n), the mean out-degree of vertex i in the tree of size n.
+
+    In a tree of size s the next vertex joins i with probability (D + 1 + c)/W,
+    W = (2+c)s - 1 and c its offset, so E D' = E D (1 + 1/W) + (1 + c)/W from
+    D_i(i) = 0 over s = i..n-1; unrolled, E D_i(n) = sum_s (1 + c_s)/W_s *
+    prod_{r > s} (1 + 1/W_r), the products one reversed cumprod.
+    """
+    if not 1 <= i <= n:
+        raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+    c = step_offsets(schedule, n)[i - 1:]  # c_s of the vertex joining the tree of size s = i..n-1
+    w = (2.0 + c) * np.arange(i, n, dtype=np.float64) - 1.0
+    later = np.append(np.cumprod(1.0 + 1.0 / w[:0:-1])[::-1], 1.0)  # prod_{r > s}(1 + 1/W_r)
+    return float(np.sum((1.0 + c) / w * later))
 
 
 def nonroot_leaf_counts(tree) -> np.ndarray:

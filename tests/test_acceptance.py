@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import expected_leaves, nonroot_leaf_counts
+from oracles import expected_leaves, nonroot_leaf_counts, vertex_degree_mean
 from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
 from pact.generator import degree_histogram, grow_tree, leaf_counts, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
@@ -318,4 +318,25 @@ def test_c10_max_degree_scale():
         ok,
         f"median M(1)/n^{exponent:.2f}: {medians[10_000]:.3f} (n=1e4) vs "
         f"{medians[100_000]:.3f} (n=1e5), factor {hi / lo:.2f} (<=1.5), {elapsed:.1f}s",
+    )
+
+
+def test_c10b_fixed_vertex_change_point_constant():
+    # exact means, no Monte Carlo: E D_1(n) with the change over E D_1(n) without it
+    # tends to gamma^{1/(2+alpha) - 1/(2+beta)}
+    t0 = time.time()
+    gaps, ok = [], True
+    for alpha, beta, gamma in [(0.0, 2.0, 0.5), (6.0, 1.0, 0.5), (0.5, 4.0, 0.3)]:
+        sched = ChangePointSchedule.single(alpha, beta, gamma)
+        target = gamma ** (1.0 / (2.0 + alpha) - 1.0 / (2.0 + beta))
+        gap = {n: vertex_degree_mean(sched, n, 1) / vertex_degree_mean(
+            ChangePointSchedule(alpha=alpha), n, 1) / target - 1.0 for n in (10**5, 10**6)}
+        ok = ok and abs(gap[10**6]) <= 0.01 and abs(gap[10**6]) < abs(gap[10**5])
+        gaps.append(f"({alpha:g}; ({gamma:g}, {beta:g})) {gap[10**5]:+.2e} -> {gap[10**6]:+.2e}")
+    elapsed = time.time() - t0
+    _criterion(
+        "10b fixed-vertex constant",
+        ok,
+        f"R(n)/gamma^(1/(2+a)-1/(2+b)) - 1 at n=1e5 -> 1e6 (|.|<=0.01 and shrinking): "
+        f"{'; '.join(gaps)}, {elapsed:.1f}s",
     )

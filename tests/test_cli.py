@@ -153,8 +153,8 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
     (["maxdeg", "--n", "300", "--n", "200", "--reps", "2", "--seed", "5"], [0, 1, 2, 3]),
     (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5",
       *SINGLE], [0]),
-    # with no change point limits samples nothing
-    (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5"], []),
+    # with no change point limits draws p_alpha on the same stream
+    (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5"], [0]),
     (["estimate", "--trajectory", GOOD_TRAJECTORY], []),
 ], ids=["simulate", "fclt-k1", "fclt-k0", "maxdeg", "limits", "limits-k0", "estimate"])
 def test_manifest_seeds_are_pinned(tmp_path, argv, streams):
@@ -231,6 +231,8 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--threads", "0"],
     ["limits", "--epsilon", "1.5"],  # no change point: eps < 1
     ["limits", "--horizon-t", "nan"],  # no change point: only the finite check sees it
+    ["limits", "--horizon-t", "5"],  # no change point: the horizon still lies in (0, 1]
+    ["limits", "--horizon-t", "0"],
     ["estimate", "--trajectory", str(Path(__file__).with_name("no_such_trajectory.csv"))],
     ["estimate", "--trajectory", str(Path(__file__).parent)],  # a directory
     # offsets above 2^53, where float64 drops the +1 and +2 of out_degree + 1 + c
@@ -569,9 +571,31 @@ def test_limits_without_change_point_writes_the_leaf_curve(tmp_path):
     out = tmp_path / "lim"
     assert _run("limits", "--out", str(out), "--alpha", "6", "--draws", "1000") == 0
     assert {p.name for p in out.iterdir()} == {"p_alpha_pmf.csv", "leaf_curve.csv",
-                                               "manifest.json"}
+                                               "d_theta_pmf.csv", "d_theta_ccdf.csv",
+                                               "d_limit.csv", "manifest.json"}
     digest = hashlib.sha256((out / "leaf_curve.csv").read_bytes()).hexdigest()[:16]
     assert digest == "2cef17ea58ef7c8e"
+    with open(out / "d_limit.csv") as fh:  # no change point: D is 0 on [epsilon, 1]
+        assert {r["d"] for r in csv.DictReader(fh)} == {"0.0"}
+
+
+@pytest.mark.parametrize("flags", [[], SINGLE], ids=["k0", "k1"])
+def test_limits_flags_change_only_their_artifacts(tmp_path, flags):
+    base = ["--draws", "2000", "--kmax", "20", "--curve-points", "10", "--seed", "5", *flags]
+    assert _run("limits", "--out", str(tmp_path / "base"), *base) == 0
+    d_theta = {"d_theta_pmf.csv", "d_theta_ccdf.csv"}
+    changes = {
+        "draws": (["--draws", "3000"], d_theta),
+        "seed": (["--seed", "6"], d_theta),
+        "epsilon": (["--epsilon", "0.2"], {"d_limit.csv"}),
+        # p_alpha, the law at every horizon without a change point, does not depend on t
+        "horizon": (["--horizon-t", "0.9"], d_theta if flags else set()),
+    }
+    before = _all_digests(tmp_path / "base")
+    for name, (change, changed) in changes.items():
+        assert _run("limits", "--out", str(tmp_path / name), *base, *change) == 0
+        after = _all_digests(tmp_path / name)
+        assert {f for f in before if f != "manifest.json" and after[f] != before[f]} == changed
 
 
 def test_limits_flat_d_when_offsets_equal(tmp_path):

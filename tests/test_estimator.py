@@ -243,8 +243,14 @@ def test_limit_D_at_two_change_points_is_the_window_contrast():
     np.testing.assert_allclose(limit_D(ts, two, eps), direct, rtol=0.0, atol=1e-14)
     with pytest.raises(ValueError, match="need 0 < epsilon < gamma_1=0.3"):
         limit_D(0.5, two, 0.35)
-    with pytest.raises(ValueError, match="needs a change point"):
-        limit_D(0.5, ChangePointSchedule(alpha=4.0), eps)
+    # no change point: gamma_1 reads as 1, so the plateau (1 - gamma_1)|...| is 0 on [eps, 1]
+    for alpha in (0.0, 1.0, 6.0, 2.0**53):
+        plain = ChangePointSchedule(alpha=alpha)
+        for eps in (1e-9, 0.1, 0.999):
+            assert np.all(limit_D(np.linspace(eps, 1.0, 101), plain, eps) == 0.0)
+            assert limit_D(eps, plain, eps) == 0.0
+        with pytest.raises(ValueError, match="need 0 < epsilon < gamma_1=1.0"):
+            limit_D(0.5, plain, 1.0)
 
 
 def test_dn_csv(tmp_path):

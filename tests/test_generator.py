@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import AttachmentSampler, grow_tree_sequential
+from oracles import AttachmentSampler, grow_tree_sequential, vertex_degree_mean
 from pact.generator import (
     DegreeHistogram,
     GrowingTree,
@@ -226,6 +226,16 @@ def test_empty_segments_reduce_to_plain_model():
     exp = np.concatenate([expected[:cut], [expected[cut:].sum() + hist.n - expected.sum()]])
     chi2 = stats.chisquare(obs, exp * obs.sum() / exp.sum())
     assert chi2.pvalue > 1e-3
+
+
+def test_root_degree_mean_matches_the_exact_recursion():
+    # the root of (0; (0.5, 2)) at n = 2000 over 4000 trees, each on its own stream
+    schedule = ChangePointSchedule.single(0.0, 2.0, 0.5)
+    degrees = np.array([np.count_nonzero(grow_tree(schedule, 2000, seeded_generator(18, r))
+                                         .parent[2:] == 1) for r in range(4000)])
+    exact = vertex_degree_mean(schedule, 2000, 1)  # 66.0138
+    se = degrees.std(ddof=1) / np.sqrt(degrees.size)
+    assert abs(degrees.mean() - exact) < 4 * se
 
 
 def test_degree_histogram_hand_examples():
