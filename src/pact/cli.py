@@ -77,7 +77,6 @@ from .limit_laws import (
     d_theta_blocks,
     p_alpha_table,
     sample_d_theta_multi,  # bench/traced.py wraps this name on pact.cli; no command calls it
-    segment_durations,
     upsilon_clt_sample,
     write_pmf_csv,
     write_zsample_csv,
@@ -102,8 +101,7 @@ _DEFAULTS: dict[str, dict] = {
                  "beta": [], "gamma": [], "save_trees": True, "edges": False,
                  "checkpoints": []},
     "limits": {"seed": 42, "threads": 1, "alpha": 1.0, "beta": [], "gamma": [],
-               "draws": 100000, "horizon_t": 1.0, "kmax": 200, "curve_points": 200,
-               "epsilon": 0.1},
+               "draws": 100000, "kmax": 200, "curve_points": 200, "epsilon": 0.1},
     "estimate": {"epsilon": 0.1, "trajectories": [], "alpha": None, "beta": [],
                  "gamma": [], "threads": 1},
     "fclt": {"n": 10000, "reps": 200, "seed": 42, "threads": 1, "alpha": 6.0,
@@ -127,7 +125,6 @@ _KEYS: dict[str, tuple] = {
     "checkpoints": ("--checkpoint", [int], 2,
                     "record a degree histogram at this size (repeatable)"),
     "draws": ("--draws", int, 1, None),
-    "horizon_t": ("--horizon-t", float, None, None),
     "kmax": ("--kmax", int, 1, None),
     "curve_points": ("--curve-points", int, 1, None),
     "epsilon": ("--epsilon", float, None, None),
@@ -183,7 +180,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
         merged.update(file_cfg)
     for key, default in _DEFAULTS[command].items():
         value = getattr(args, key, None)
-        if value is not None and value != []:
+        if value is not None:
             merged[key] = value
         if merged[key] is not None or default is not None:  # null only where it is the default
             merged[key] = _typed(key, merged[key], *_KEYS[key][1:3])
@@ -254,7 +251,7 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
     write_curve_csv(schedule, ts, out_dir / "leaf_curve.csv")
 
     gen, counts = seeded_generator(cfg["seed"]), np.zeros(0, np.int64)
-    for values in d_theta_blocks(schedule, gen, cfg["draws"], cfg["horizon_t"]):
+    for values in d_theta_blocks(schedule, gen, cfg["draws"]):
         block = np.bincount(values)  # the sampler's blocks, one held at a time
         if block.size > counts.size:  # grown only past the largest draw so far
             counts = np.pad(counts, (0, block.size - counts.size))
@@ -411,8 +408,6 @@ def main(argv: list[str] | None = None) -> int:
             bad = [m for m in cfg["checkpoints"] if m > cfg["n"]]
             if bad:
                 raise ValueError(f"checkpoints must be <= n = {cfg['n']}, got {bad}")
-        elif args.command == "limits":
-            segment_durations(schedule, cfg["horizon_t"])  # refuses a horizon it cannot serve
         elif args.command == "fclt":
             if cfg["reps"] < 2:
                 raise ValueError(f"fclt needs reps >= 2 for var_gn, got {cfg['reps']}")

@@ -13,10 +13,11 @@ limit is a two-branch mixture over birth epoch: a vertex born after the change h
 lived a truncated-exponential Age and collects points of a pure birth process with
 rates (1+b), (2+b), ...; a vertex born before carries a p_a-distributed degree and
 keeps collecting points, at rates starting from its degree + b, for the residual
-duration a = log(t/gamma)/(2+b) up to the observation horizon t (t = 1 is the
-full-size tree), which segment_durations gives.  With several change points the
-same mixture runs over the birth epochs between them, segment by segment, and
-d_theta_blocks draws from it at any k (p_a itself at k = 0), one block at a time.
+duration a = log(1/gamma)/(2+b), which segment_durations gives.  With several
+change points the same mixture runs over the birth epochs between them, segment
+by segment, and d_theta_blocks draws from it at any k (p_a itself at k = 0), one
+block at a time.  Time enters only as gamma_{j+1}/gamma_j, so the law in the tree
+of size tn, t in (gamma_k, 1], is that of the schedule with change points gamma_j/t.
 
 A pure birth process started at rank j with offset b, run for time t, has a
 negative-binomial count: size j+b, success probability exp(-t).  That closed
@@ -121,14 +122,12 @@ class DegreeSampleBatch:
         return DegreeHistogram(np.bincount(self.values), self.values.size).proportions(kmax)
 
 
-def segment_durations(schedule: ChangePointSchedule, horizon: float = 1.0) -> np.ndarray:
-    """Durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k; gamma_{k+1} = horizon,
-    which must lie in (gamma_k, 1], gamma_0 = 0."""
-    gs = [0.0] + [s.gamma for s in schedule.segments] + [horizon]
-    if not gs[-2] < horizon <= 1.0:
-        raise ValueError(f"horizon must lie in ({gs[-2]}, 1], got {horizon}")
+def segment_durations(schedule: ChangePointSchedule) -> np.ndarray:
+    """Durations a_j = log(gamma_{j+1}/gamma_j) / (2+beta_j), j = 1..k, with gamma_{k+1} = 1;
+    each is positive, since the schedule keeps gamma_k < 1."""
+    ends = [s.gamma for s in schedule.segments[1:]] + [1.0]
     return np.array([np.log(end / seg.gamma) / (2.0 + seg.beta)
-                     for seg, end in zip(schedule.segments, gs[2:])])
+                     for seg, end in zip(schedule.segments, ends)])
 
 
 def upsilon_clt_sample(
@@ -159,25 +158,24 @@ def write_zsample_csv(z: np.ndarray, path) -> None:
     write_csv(path, ["rep", "z"], [range(len(z)), z])
 
 
-def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size: int,
-                   horizon: float = 1.0) -> Iterator[np.ndarray]:
-    """Yields the degree law's draws (k >= 0 change points, horizon t) as new int64 blocks.
+def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator,
+                   size: int) -> Iterator[np.ndarray]:
+    """Yields the degree law's draws (k >= 0 change points) as new int64 blocks.
 
-    The birth epoch takes the gaps of (0, gamma_1, ..., gamma_k, t) divided
-    by t as its masses.  Epoch i >= 1 starts at rank 1, collects points over
-    a truncated-exponential Age_i inside segment i, then over the full
-    durations a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and
-    runs all segments in full.  The last duration is log(t/gamma_k)/(2+beta_k).
-    The rank carries across segment boundaries, increasing by one per
-    collected point.  The draws are iid, so each block of _BLOCK draws, the
-    last one shorter, is an independent sample, drawn in turn: its epoch
-    uniforms, epoch = #{j : u >= gamma_j/t}, then each epoch, from the last
+    The birth epoch takes the gaps of (0, gamma_1, ..., gamma_k, 1) as its
+    masses.  Epoch i >= 1 starts at rank 1, collects points over a
+    truncated-exponential Age_i inside segment i, then over the full durations
+    a_{i+1}..a_k; epoch 0 seeds the rank with a p_alpha degree and runs all
+    segments in full.  The rank carries across segment boundaries, increasing
+    by one per collected point.  The draws are iid, so each block of _BLOCK
+    draws, the last one shorter, is an independent sample, drawn in turn: its
+    epoch uniforms, epoch = #{j : u >= gamma_j}, then each epoch, from the last
     down to epoch 0, takes one seed uniform per member (Age, or p_alpha
-    degree), then one negative-binomial pass per later segment, each in
-    member order.  Inputs are checked and tables built once, on first next().
+    degree), then one negative-binomial pass per later segment, each in member
+    order.  Its tables are built once, on first next().
     """
     k = len(schedule.segments)
-    durations = segment_durations(schedule, horizon)
+    durations = segment_durations(schedule)
     betas = [s.beta for s in schedule.segments]
     table = p_alpha_table(schedule.alpha, _TABLE)
     tail = table[-1] * (_TABLE + schedule.alpha) / (2.0 + schedule.alpha)  # P(D > _TABLE)
@@ -187,7 +185,7 @@ def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size
         u = gen.random(block.size)
         epochs = np.zeros(block.size, dtype=np.min_scalar_type(k))
         for seg in schedule.segments:
-            epochs += u >= seg.gamma / horizon
+            epochs += u >= seg.gamma
         for i in range(k, -1, -1):
             idx = np.flatnonzero(epochs == i)
             if i == 0:
@@ -201,11 +199,11 @@ def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator, size
         yield block
 
 
-def sample_d_theta_multi(schedule: ChangePointSchedule, gen: np.random.Generator, size: int,
-                         horizon: float = 1.0) -> DegreeSampleBatch:
+def sample_d_theta_multi(schedule: ChangePointSchedule, gen: np.random.Generator,
+                         size: int) -> DegreeSampleBatch:
     """d_theta_blocks' draws in `values`, allocated first so that a huge size fails at once."""
     values = np.empty(size, dtype=np.int64)
-    for n, block in enumerate(d_theta_blocks(schedule, gen, size, horizon)):
+    for n, block in enumerate(d_theta_blocks(schedule, gen, size)):
         values[n * _BLOCK:n * _BLOCK + block.size] = block
     return DegreeSampleBatch(values=values)
 

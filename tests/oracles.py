@@ -7,8 +7,10 @@ exponential waits, the full holding-time clock of the continuous-time
 embedding, the exact leaf expectation recursion with its scalar weights,
 the exact mean degree of a fixed vertex, non-root leaf counts, window means,
 the D_n curve as one array expression and the limit-law mixture sampler in
-one shot, with every temporary at full sample size.
-None of them is used by `pact` itself.
+one shot, with every temporary at full sample size.  The exact mean and
+variance of a linear functional of the leaf path come from the leaf-count
+chain's moments, by scalar loops, and, for small n, from an enumeration of
+the chain's states.  None of them is used by `pact` itself.
 """
 from __future__ import annotations
 
@@ -126,7 +128,7 @@ def alpha_sampler_table(alpha: float) -> tuple[np.ndarray, float]:
 
 
 def sample_d_theta_oneshot(
-    schedule: ChangePointSchedule, gen, size: int, horizon: float = 1.0
+    schedule: ChangePointSchedule, gen, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The limit-law mixture drawn in one shot, each phase one call over its whole epoch.
 
@@ -135,12 +137,12 @@ def sample_d_theta_oneshot(
     their birth epochs; d_theta_blocks draws this on each block.
     """
     k = len(schedule.segments)
-    durations = segment_durations(schedule, horizon)
+    durations = segment_durations(schedule)
     betas = [s.beta for s in schedule.segments]
     u = gen.random(size)
     epochs = np.zeros(size, dtype=np.min_scalar_type(k))
     for seg in schedule.segments:
-        epochs += u >= seg.gamma / horizon
+        epochs += u >= seg.gamma
     values = np.empty(size, dtype=np.int64)
     for i in range(k, -1, -1):
         sel = epochs == i
@@ -233,6 +235,104 @@ def expected_leaves(n: int, schedule: ChangePointSchedule) -> np.ndarray:
             acc = 1.0 + w[i] * acc
             out[i + 1] = acc
     return out
+
+
+def _chain_moves(n_leaves: int, r: int, c: float, w: float) -> list[tuple[int, int, float]]:
+    """The leaf-count chain's moves from (N, r) in the tree of size s, W = (2+c)s - 1.
+
+    N counts the leaves, the root among them while r = 1, that is while it has
+    one child.  The next vertex joins the root with probability (2+c)r/W (to
+    (N, 0)), a non-root leaf with probability (1+c)(N - r)/W (to (N, r)), and
+    any other vertex otherwise (to (N + 1, r)).
+    """
+    stay = ((1.0 + c) * n_leaves + r) / w
+    return [(n_leaves, 0, (2.0 + c) * r / w), (n_leaves, r, (1.0 + c) * (n_leaves - r) / w),
+            (n_leaves + 1, r, 1.0 - stay)]
+
+
+def leaf_chain_moments(schedule: ChangePointSchedule, n: int) -> np.ndarray:
+    """Exact E N, E r, E N^2 and E N r of the leaf-count chain at steps m = 2..n, as rows.
+
+    Every move probability is linear in (N, r) and r^2 = r, so the four
+    moments carry forward exactly from N(2) = 2, r = 1, with p = E[N' - N]:
+    E N' = E N + p, E r' = E r (1 - (2+c)/W),
+    E N'^2 = E N^2 + 2(E N - ((1+c) E N^2 + E N r)/W) + p and
+    E N'r' = E N r (1 - (3+2c)/W) + E r (1 - 1/W).
+    """
+    offsets = step_offsets(schedule, n).tolist()
+    out = np.empty((4, n - 1))
+    en, er, en2, enr = 2.0, 1.0, 4.0, 2.0
+    out[:, 0] = en, er, en2, enr
+    for s in range(2, n):
+        c = offsets[s - 1]  # the offset of vertex s + 1
+        w = (2.0 + c) * s - 1.0
+        p = 1.0 - ((1.0 + c) * en + er) / w
+        en2 += 2.0 * (en - ((1.0 + c) * en2 + enr) / w) + p
+        enr = enr * (1.0 - (3.0 + 2.0 * c) / w) + er * (1.0 - 1.0 / w)
+        en += p
+        er *= 1.0 - (2.0 + c) / w
+        out[:, s - 1] = en, er, en2, enr
+    return out
+
+
+def leaf_functional_moments(schedule: ChangePointSchedule, n: int, weights) -> tuple[float, float]:
+    """Exact mean and variance of L = sum_m weights[m - 2] N(m) over the steps m = 2..n.
+
+    E[L | state at s] = const + a_s N + b_s r, with a_n = weights[n - 2], b_n = 0,
+    a_s = weights[s - 2] + a_{s+1}(1 - (1+c)/W) and b_s = b_{s+1}(1 - (2+c)/W) - a_{s+1}/W
+    backwards.  Var L sums E[Var(a_{s+1} dN + b_{s+1} dr | state at s)] over the steps:
+    the increment is a with probability q = 1 - ((1+c)N + r)/W, -b with probability
+    (2+c)r/W and 0 otherwise, and its conditional variance is quadratic in (N, r), so
+    leaf_chain_moments gives its mean.
+    """
+    offsets = step_offsets(schedule, n).tolist()
+    w = [float(x) for x in weights]
+    en, er, en2, enr = (row.tolist() for row in leaf_chain_moments(schedule, n))
+    a, b = [0.0] * (n + 1), [0.0] * (n + 1)
+    a[n] = w[n - 2]
+    for s in range(n - 1, 1, -1):
+        c = offsets[s - 1]
+        big_w = (2.0 + c) * s - 1.0
+        a[s] = w[s - 2] + a[s + 1] * (1.0 - (1.0 + c) / big_w)
+        b[s] = b[s + 1] * (1.0 - (2.0 + c) / big_w) - a[s + 1] / big_w
+    var = 0.0
+    for s in range(2, n):
+        c, i = offsets[s - 1], s - 2
+        big_w = (2.0 + c) * s - 1.0
+        up, down = a[s + 1], b[s + 1]
+        # E[increment | state] = y0 + y1 N + y2 r
+        y0, y1, y2 = up, -up * (1.0 + c) / big_w, -(up + down * (2.0 + c)) / big_w
+        mean_sq = (y0 * y0 + y1 * y1 * en2[i] + y2 * y2 * er[i] + 2.0 * y0 * y1 * en[i]
+                   + 2.0 * y0 * y2 * er[i] + 2.0 * y1 * y2 * enr[i])
+        q = 1.0 - ((1.0 + c) * en[i] + er[i]) / big_w
+        var += up * up * q + down * down * (2.0 + c) * er[i] / big_w - mean_sq
+    return float(np.dot(w, en)), var
+
+
+def leaf_functional_moments_enumerated(schedule: ChangePointSchedule, n: int,
+                                       weights) -> tuple[float, float]:
+    """leaf_functional_moments from the exact law of the chain's states (N, r), step by step.
+
+    Each state carries its probability and the first two moments of the partial sum
+    sum_{m <= s} weights[m - 2] N(m) on it.  O(n^2) states in all: for small n only.
+    """
+    offsets = step_offsets(schedule, n).tolist()
+    x = 2.0 * float(weights[0])
+    states = {(2, 1): (1.0, x, x * x)}  # (N, r) -> (P, E[S; state], E[S^2; state])
+    for s in range(2, n):
+        c, wt = offsets[s - 1], float(weights[s - 1])
+        later: dict = {}
+        for (n_leaves, r), (p, m1, m2) in states.items():
+            for n2, r2, q in _chain_moves(n_leaves, r, c, (2.0 + c) * s - 1.0):
+                if q == 0.0:
+                    continue
+                x = wt * n2
+                acc = later.get((n2, r2), (0.0, 0.0, 0.0))
+                later[n2, r2] = (acc[0] + q * p, acc[1] + q * (m1 + x * p),
+                                 acc[2] + q * (m2 + 2.0 * x * m1 + x * x * p))
+        states = later
+    mean = sum(m1 for _, m1, _ in states.values())
+    return mean, sum(m2 for _, _, m2 in states.values()) - mean * mean
 
 
 def vertex_degree_mean(schedule: ChangePointSchedule, n: int, i: int) -> float:

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import expected_leaves, nonroot_leaf_counts, vertex_degree_mean
+from oracles import (
+    expected_leaves,
+    leaf_functional_moments,
+    nonroot_leaf_counts,
+    vertex_degree_mean,
+)
 from pact.estimator import EstimateReport, dn_curve, gamma_hat, limit_D, near_max_threshold
 from pact.generator import degree_histogram, grow_tree, leaf_counts, max_degree
 from pact.leaf_process import gn_path, p_inf, variance_gn
@@ -281,6 +286,37 @@ def test_c08b_dn_curve_rate():
         ok,
         f"median sup|D_n - D|: {medians[10_000]:.5f} (n=1e4) vs {medians[100_000]:.5f} (n=1e5), "
         f"shrink factor {ratio:.2f} (>=2), {elapsed:.1f}s",
+    )
+
+
+def test_c08c_dn_noise_below_detection_floor():
+    # Without a change D_n(t) = (1 - t)|S_n(t)|, where S_n(t) is dn_curve's mean leaf
+    # proportion before step m = round(tn) less the mean after it: a linear functional
+    # of the leaf path, whose exact sd the leaf-count chain gives.  The bound is fixed.
+    t0 = time.time()
+    n, epsilon = 100_000, 0.1
+    plain = ChangePointSchedule(alpha=6.0)
+    floor = 2.0 * near_max_threshold(n)
+    m_lo = max(math.floor(n * epsilon), 1)
+    steps = np.arange(2, n + 1, dtype=np.float64)
+    ratios, means = {}, {}
+    for t in (0.3, 0.5, 0.7):
+        m = round(t * n)
+        weights = np.zeros(n - 1)
+        before, after = (steps > m_lo) & (steps <= m), steps > m
+        weights[before] = 1.0 / (steps[before] * (m - m_lo))
+        weights[after] = -1.0 / (steps[after] * (n - m))
+        means[t], var = leaf_functional_moments(plain, n, weights)
+        ratios[t] = floor / ((1.0 - t) * math.sqrt(var))
+    elapsed = time.time() - t0
+    ok = min(ratios.values()) >= 50.0
+    _criterion(
+        "8c D_n noise below the detection floor",
+        ok,
+        f"alpha=6, no change, eps={epsilon}, n=1e5: floor {floor:.4f} over the exact "
+        f"sd of (1-t)S_n(t) = " + ", ".join(f"{r:.0f}x at t={t}" for t, r in ratios.items())
+        + " (>=50x); E S_n(t) = " + ", ".join(f"{v:.2e}" for v in means.values())
+        + f"; {elapsed:.1f}s",
     )
 
 

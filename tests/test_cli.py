@@ -204,8 +204,9 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["limits", "--kmax", "0"],
     ["limits", "--curve-points", "0"],
     ["limits", *SINGLE, "--epsilon", "0.6"],
-    ["limits", *SINGLE, "--horizon-t", "0.4"],
-    ["limits", *SINGLE, "--horizon-t", "1.5"],
+    ["limits", "--horizon-t", "0.9"],  # the degree law at t is the schedule with gamma_j/t
+    # the change points that refused horizons rescale to: at or past the tree's size
+    ["limits", "--alpha", "6", "--beta", "1", "--gamma", "1.25"],  # SINGLE at t = 0.4 < gamma
     ["fclt", "--reps", "0"],
     ["fclt", "--reps", "1"],
     ["fclt", "--t", "1.5"],
@@ -215,7 +216,8 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["maxdeg", "--reps", "0"],
     ["maxdeg", "--n", "1"],
     ["estimate", "--trajectory", __file__, "--epsilon", "1.5"],
-    ["limits", *TWO, "--horizon-t", "0.7"],
+    ["limits", "--alpha", "4", "--beta", "1", "--gamma", repr(0.3 / 0.7), "--beta", "2",
+     "--gamma", "1"],  # TWO at t = 0.7 = gamma_2
     ["limits", *TWO, "--epsilon", "0.35"],  # d_limit: eps < gamma_1 = 0.3
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--threads", "0"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.6"],  # d_limit: eps < gamma
@@ -230,9 +232,9 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     [],  # no subcommand
     ["limits", "--threads", "0"],
     ["limits", "--epsilon", "1.5"],  # no change point: eps < 1
-    ["limits", "--horizon-t", "nan"],  # no change point: only the finite check sees it
-    ["limits", "--horizon-t", "5"],  # no change point: the horizon still lies in (0, 1]
-    ["limits", "--horizon-t", "0"],
+    ["limits", "--alpha", "6", "--beta", "1", "--gamma", "1"],  # SINGLE at t = 0.5 = gamma
+    ["limits", "--alpha", "6", "--beta", "1", "--gamma", "nan"],  # a horizon of nan
+    ["limits", "--alpha", "6", "--beta", "1", "--gamma", "inf"],  # a horizon of 0
     ["estimate", "--trajectory", str(Path(__file__).with_name("no_such_trajectory.csv"))],
     ["estimate", "--trajectory", str(Path(__file__).parent)],  # a directory
     # offsets above 2^53, where float64 drops the +1 and +2 of out_degree + 1 + c
@@ -406,12 +408,14 @@ def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, 
 # a schedule is spelled with the flat alpha/beta/gamma keys only
 @pytest.mark.parametrize("command, cfg, key", [
     ("maxdeg", {"k": 1}, "k"),
+    ("limits", {"horizon_t": 0.9}, "horizon_t"),  # a horizon is spelled by its gamma_j/t
     ("simulate", {"schedule": {"alpha": "6", "segments": [{"gamma": "0.5", "beta": True}]}},
      "schedule"),
     ("estimate", {"schedule": {"alpha": 6.0, "segments": [{"gamma": 0.5, "beta": 1.0}]}},
      "schedule"),
     ("simulate", {"schedule": {"alpha": 6.0, "segments": []}, "alpha": 1.0}, "schedule"),
-], ids=["maxdeg-k", "simulate-schedule", "estimate-schedule", "simulate-schedule-and-alpha"])
+], ids=["maxdeg-k", "limits-horizon_t", "simulate-schedule", "estimate-schedule",
+        "simulate-schedule-and-alpha"])
 def test_unknown_config_key_fails_before_side_effects(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -468,7 +472,6 @@ def test_flag_surface_is_pinned():
                      "--checkpoint": ("checkpoints", "int", "append")},
         "limits": {**_COMMON_FLAGS, "--seed": ("seed", "int", "store"),
                    "--draws": ("draws", "int", "store"),
-                   "--horizon-t": ("horizon_t", "float", "store"),
                    "--kmax": ("kmax", "int", "store"),
                    "--curve-points": ("curve_points", "int", "store"),
                    "--epsilon": ("epsilon", "float", "store")},
@@ -504,9 +507,12 @@ def test_limits_sampled_tables_keep_their_bytes(tmp_path):
         "single": (SINGLE, {"p_alpha_pmf.csv": "14820c5ae5e8205b",
                             "d_theta_pmf.csv": "35c831f204bbe2c5",
                             "d_theta_ccdf.csv": "02481810ce9c749b"}),
-        "two-at-0.9": ([*TWO, "--horizon-t", "0.9"], {"p_alpha_pmf.csv": "6b6b47edc3238a30",
-                                                      "d_theta_pmf.csv": "2a10c06ab997b6a1",
-                                                      "d_theta_ccdf.csv": "007b906b55f50f5d"}),
+        # TWO at horizon 0.9: the schedule with change points 0.3/0.9 and 0.7/0.9
+        "two-at-0.9": (["--alpha", "4", "--beta", "1", "--gamma", repr(0.3 / 0.9),
+                        "--beta", "2", "--gamma", repr(0.7 / 0.9)],
+                       {"p_alpha_pmf.csv": "6b6b47edc3238a30",
+                        "d_theta_pmf.csv": "2a10c06ab997b6a1",
+                        "d_theta_ccdf.csv": "007b906b55f50f5d"}),
     }
     for name, (flags, expected) in cases.items():
         out = tmp_path / name
@@ -526,20 +532,20 @@ def _limits_histogram(monkeypatch, out, *flags) -> np.ndarray:
     return counts
 
 
-ALPHA0_TWO = ChangePointSchedule(alpha=0.0, segments=((0.3, 2.0), (0.6, 0.5)))
+# (0; (0.3, 2), (0.6, 0.5)) at horizon 0.9
+ALPHA0_TWO = ChangePointSchedule(alpha=0.0, segments=((0.3 / 0.9, 2.0), (0.6 / 0.9, 0.5)))
 
 
-@pytest.mark.parametrize("schedule, horizon, flags", [
-    (ChangePointSchedule.single(6.0, 1.0, 0.5), 1.0, SINGLE),
-    (ALPHA0_TWO, 0.9, ["--alpha", "0", "--beta", "2", "--gamma", "0.3", "--beta", "0.5",
-                       "--gamma", "0.6"]),
+@pytest.mark.parametrize("schedule, flags", [
+    (ChangePointSchedule.single(6.0, 1.0, 0.5), SINGLE),
+    (ALPHA0_TWO, ["--alpha", "0", "--beta", "2", "--gamma", repr(0.3 / 0.9), "--beta", "0.5",
+                  "--gamma", repr(0.6 / 0.9)]),
 ], ids=["single", "alpha0-two"])
-def test_limits_histogram_is_the_bincount_of_one_sample(monkeypatch, tmp_path, schedule,
-                                                        horizon, flags):
+def test_limits_histogram_is_the_bincount_of_one_sample(monkeypatch, tmp_path, schedule, flags):
     draws = 3 * _BLOCK + 5  # the last block is short
-    counts = _limits_histogram(monkeypatch, tmp_path / "lim", *flags, "--horizon-t", str(horizon),
+    counts = _limits_histogram(monkeypatch, tmp_path / "lim", *flags,
                                "--seed", "7", "--draws", str(draws))
-    values = sample_d_theta_multi(schedule, seeded_generator(7), draws, horizon).values
+    values = sample_d_theta_multi(schedule, seeded_generator(7), draws).values
     assert counts.dtype == np.int64 and np.array_equal(counts, np.bincount(values))
     if schedule is ALPHA0_TWO:  # a later block's largest draw outgrew the running histogram
         assert values[_BLOCK:].max() > values[:_BLOCK].max()
@@ -588,8 +594,6 @@ def test_limits_flags_change_only_their_artifacts(tmp_path, flags):
         "draws": (["--draws", "3000"], d_theta),
         "seed": (["--seed", "6"], d_theta),
         "epsilon": (["--epsilon", "0.2"], {"d_limit.csv"}),
-        # p_alpha, the law at every horizon without a change point, does not depend on t
-        "horizon": (["--horizon-t", "0.9"], d_theta if flags else set()),
     }
     before = _all_digests(tmp_path / "base")
     for name, (change, changed) in changes.items():
@@ -998,7 +1002,7 @@ def test_readme_examples_parse():
     blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.S | re.M)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("pact ")]
-    assert len(commands) == 6
+    assert len(commands) == 7
     for argv in commands:
         args = build_parser().parse_args(argv)
         assert set(_merge_config(args.command, args)) == set(_DEFAULTS[args.command])

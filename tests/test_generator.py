@@ -4,7 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import AttachmentSampler, grow_tree_sequential, vertex_degree_mean
+from oracles import (
+    AttachmentSampler,
+    expected_leaves,
+    grow_tree_sequential,
+    leaf_chain_moments,
+    leaf_functional_moments,
+    leaf_functional_moments_enumerated,
+    vertex_degree_mean,
+)
 from pact.generator import (
     DegreeHistogram,
     GrowingTree,
@@ -124,13 +132,13 @@ def test_grow_tree_replays_bit_identically():
 
 
 @st.composite
-def _sized_schedules(draw):
-    """(n, schedule) with 0-3 change points, each gamma = (floor + eighths/8) / n.
+def _sized_schedules(draw, max_n: int = 3000):
+    """(n, schedule) with n <= max_n and 0-3 change points, each gamma = (floor + eighths/8) / n.
 
     Small floors put floor(gamma n) below 2, and equal floors put two
     boundaries in the same step.
     """
-    n = draw(st.integers(2, 3000))
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(0, 3))
     floor = st.one_of(st.integers(0, min(2, n - 1)), st.integers(0, n - 1))
     floors = sorted(draw(st.lists(floor, min_size=k, max_size=k)))
@@ -236,6 +244,37 @@ def test_root_degree_mean_matches_the_exact_recursion():
     exact = vertex_degree_mean(schedule, 2000, 1)  # 66.0138
     se = degrees.std(ddof=1) / np.sqrt(degrees.size)
     assert abs(degrees.mean() - exact) < 4 * se
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_sized_schedules(max_n=60), seed=st.integers(0, 2**32))
+@example(case=(2, PLAIN), seed=0)
+@example(case=(3, SINGLE), seed=1)
+@example(case=(60, ChangePointSchedule(alpha=0.0, segments=((0.51, 3.0), (0.55, 0.2)))), seed=2)
+def test_leaf_functional_moments_match_the_chain_enumeration(case, seed):
+    n, schedule = case
+    weights = seeded_generator(seed).uniform(-1.0, 1.0, n - 1)
+    mean, var = leaf_functional_moments(schedule, n, weights)
+    ref_mean, ref_var = leaf_functional_moments_enumerated(schedule, n, weights)
+    # the enumeration takes E L^2 - (E L)^2, so it rounds at about 1e-16 E L^2, and
+    # Var L is 0 up to that at n <= 3, where N(n) = 2 surely
+    scale = float(np.abs(weights) @ np.arange(2, n + 1))  # a bound on |L|
+    assert mean == pytest.approx(ref_mean, rel=1e-10, abs=1e-13 * scale)
+    assert var == pytest.approx(ref_var, rel=1e-10, abs=1e-13 * (ref_var + ref_mean**2))
+
+
+@pytest.mark.parametrize("schedule", [
+    SINGLE,
+    ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0))),
+    ChangePointSchedule(alpha=6.0),
+    ChangePointSchedule.single(0.0, 2.0, 0.5),
+], ids=["single", "multi", "none", "alpha0"])
+def test_leaf_chain_means_are_the_expected_non_root_leaves(schedule):
+    # the chain's N - r counts the non-root leaves, whose mean the tree model's own
+    # recursion gives; measured at most 2.8e-14 apart
+    n = 5000
+    moments = leaf_chain_moments(schedule, n)
+    assert np.allclose(moments[0] - moments[1], expected_leaves(n, schedule), rtol=1e-12, atol=0)
 
 
 def test_degree_histogram_hand_examples():

@@ -36,16 +36,21 @@ from pact.model_core import ChangePointSchedule, seeded_generator
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 
 
-def _oneshot_by_block(schedule, gen, size: int, horizon: float = 1.0):
+def _at(schedule: ChangePointSchedule, t: float) -> ChangePointSchedule:
+    """The schedule with change points gamma_j/t: its degree law is schedule's at horizon t."""
+    return ChangePointSchedule(schedule.alpha, tuple((g / t, b) for g, b in schedule.segments))
+
+
+def _oneshot_by_block(schedule, gen, size: int):
     """The one-shot sampler run on consecutive blocks of _BLOCK draws: (values, epochs)."""
-    parts = [sample_d_theta_oneshot(schedule, gen, min(_BLOCK, size - start), horizon)
+    parts = [sample_d_theta_oneshot(schedule, gen, min(_BLOCK, size - start))
              for start in range(0, size, _BLOCK)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _replayed_epochs(schedule, seed: int, size: int, horizon: float = 1.0) -> np.ndarray:
-    """The sampler's birth epochs, #{j : u >= gamma_j/t}, replayed block by block."""
-    return _oneshot_by_block(schedule, seeded_generator(seed), size, horizon)[1]
+def _replayed_epochs(schedule, seed: int, size: int) -> np.ndarray:
+    """The sampler's birth epochs, #{j : u >= gamma_j}, replayed block by block."""
+    return _oneshot_by_block(schedule, seeded_generator(seed), size)[1]
 
 
 def _assert_degree_falls_with_epoch(values: np.ndarray, epochs: np.ndarray) -> None:
@@ -259,17 +264,11 @@ def test_sample_age_rejects_bad_a():
         sample_age(0.0, 3.0, seeded_generator(37), 10)
 
 
-def test_d_theta_horizon_validation():
-    for size in (10, 0):  # size 0 draws nothing, yet the sampler's checks still run
-        with pytest.raises(ValueError, match="horizon must lie in"):
-            sample_d_theta_multi(SINGLE, seeded_generator(38), size, horizon=0.5)
-        with pytest.raises(ValueError, match="horizon must lie in"):
-            sample_d_theta_multi(SINGLE, seeded_generator(38), size, horizon=1.2)
-
-
 def test_d_theta_degenerates_to_d_alpha_at_gamma():
-    batch = sample_d_theta_multi(SINGLE, seeded_generator(39), 200_000,
-                                 horizon=SINGLE.segments[0].gamma + 1e-9)
+    # just after the change point almost every vertex was born before it, and its degree
+    # has had almost no time to move
+    batch = sample_d_theta_multi(_at(SINGLE, SINGLE.segments[0].gamma + 1e-9),
+                                 seeded_generator(39), 200_000)
     emp = batch.pmf(20)
     exact = p_alpha_table(SINGLE.alpha, 20)
     assert tv_distance_upto(emp, exact, 20) < 0.005
@@ -285,7 +284,7 @@ def test_d_theta_leaf_mass_matches_limit_curve():
 
 
 def test_d_theta_time_indexed_leaf_mass():
-    batch = sample_d_theta_multi(SINGLE, seeded_generator(41), 1_000_000, horizon=0.75)
+    batch = sample_d_theta_multi(_at(SINGLE, 0.75), seeded_generator(41), 1_000_000)
     p1 = float(np.mean(batch.values == 1))
     target = float(p_inf(0.75, SINGLE))
     se = np.sqrt(target * (1 - target) / batch.values.size)
@@ -314,14 +313,14 @@ def test_epoch_probabilities_and_durations():
     durs = segment_durations(multi)
     assert durs[0] == pytest.approx(np.log(3.0) / 3.0, abs=1e-15)
     assert durs[1] == pytest.approx(np.log(1.0 / 0.75) / 4.0, abs=1e-15)
-    assert segment_durations(multi, horizon=0.9)[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
+    # at horizon t = 0.9 the last segment lasts log(t/gamma_2)/4
+    assert segment_durations(_at(multi, 0.9))[1] == pytest.approx(np.log(1.2) / 4.0, abs=1e-15)
 
 
-def test_segment_durations_refuse_a_horizon_outside_the_last_segment():
+def test_segment_durations_are_positive_at_every_k():
     multi = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
-    for schedule, horizon in [(SINGLE, 0.4), (SINGLE, 0.5), (SINGLE, 1.2), (multi, 0.7)]:
-        with pytest.raises(ValueError, match="horizon must lie in"):
-            segment_durations(schedule, horizon)
+    for schedule in (SINGLE, multi):  # the last change point just short of the tree's size
+        assert np.all(segment_durations(_at(schedule, schedule.segments[-1].gamma + 1e-9)) > 0)
     assert segment_durations(ChangePointSchedule(alpha=1.0)).shape == (0,)
 
 
@@ -336,15 +335,13 @@ def test_multi_sampler_epochs_follow_gap_masses():
 
 
 def test_multi_sampler_epochs_follow_gap_masses_at_horizon():
-    sched = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.6, 2.0)))
-    batch = sample_d_theta_multi(sched, seeded_generator(47), 300_000, horizon=0.8)
-    epochs = _replayed_epochs(sched, 47, 300_000, horizon=0.8)
+    # at horizon t = 0.8 the epochs' masses are the gaps of (0, 0.3, 0.6, t), divided by t
+    sched = _at(ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.6, 2.0))), 0.8)
+    batch = sample_d_theta_multi(sched, seeded_generator(47), 300_000)
+    epochs = _replayed_epochs(sched, 47, 300_000)
     freqs = np.bincount(epochs, minlength=3) / epochs.size
     assert np.allclose(freqs, np.array([0.3, 0.3, 0.2]) / 0.8, atol=0.005)
     _assert_degree_falls_with_epoch(batch.values, epochs)
-    for horizon in (0.6, 1.2):
-        with pytest.raises(ValueError, match="horizon must lie in"):
-            sample_d_theta_multi(sched, seeded_generator(47), 10, horizon=horizon)
 
 
 def test_ccdf_exact_tail_slope():
@@ -419,22 +416,22 @@ BIT_GENERATORS = (np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64)
 
 
 @pytest.mark.parametrize("seed", [11, 2**63 + 5])
-@pytest.mark.parametrize("horizon", [1.0, 0.9])
+@pytest.mark.parametrize("t", [1.0, 0.9])  # 0.9: every change point off the round values
 @pytest.mark.parametrize("name", sorted(BLOCK_SCHEDULES))
-def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(monkeypatch, name, horizon, seed):
-    schedule = BLOCK_SCHEDULES[name]
+def test_blocked_sampler_draws_what_the_one_shot_sampler_draws(monkeypatch, name, t, seed):
+    schedule = _at(BLOCK_SCHEDULES[name], t)
     for table in (_TABLE, 16):  # 16 entries: tail draws in blocks on either side of each edge
         monkeypatch.setattr(limit_laws, "_TABLE", table)
         for bit_generator in BIT_GENERATORS:  # any numpy Generator will do
             for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
                 gen = np.random.Generator(bit_generator(seed))
                 ref_gen = np.random.Generator(bit_generator(seed))
-                values = sample_d_theta_multi(schedule, gen, size, horizon).values
-                ref = _oneshot_by_block(schedule, ref_gen, size, horizon)[0]
+                values = sample_d_theta_multi(schedule, gen, size).values
+                ref = _oneshot_by_block(schedule, ref_gen, size)[0]
                 assert np.array_equal(values, ref)
                 assert gen.random() == ref_gen.random()  # the generator ends where it did
                 blocks = list(d_theta_blocks(schedule, np.random.Generator(bit_generator(seed)),
-                                             size, horizon))
+                                             size))
                 assert [b.size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
                 assert 0 < blocks[-1].size <= _BLOCK
                 for n, block in enumerate(blocks):  # each block is one one-shot sample
