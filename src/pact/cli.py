@@ -5,7 +5,7 @@ One executable, five subcommands:
     simulate   grow trees, write tree/trajectory/degree-histogram artifacts
     limits     exact pmf, Monte Carlo limit-law pmf/CCDF, limit curves
     estimate   change-point reports and thinned D_n curves from trajectory CSVs
-    fclt       scaled leaf-count marginal moments + standardized duration sample
+    fclt       scaled leaf-count marginal moments + standardized segment durations
     maxdeg     ensemble of maximal degrees across sizes
 
 Every run writes its artifacts plus a manifest.json (config echo, seed list,
@@ -269,12 +269,10 @@ def cmd_limits(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[
 # ---------------------------------------------------------------- estimate
 
 def _overlay(cfg: dict) -> ChangePointSchedule | None:
-    """estimate's d_limit schedule: None unless alpha, beta or gamma is given, then all of them."""
-    if cfg["alpha"] is None and not cfg["beta"] and not cfg["gamma"]:
-        return None
-    if cfg["alpha"] is None or not cfg["gamma"]:
-        raise ValueError("the d_limit overlay needs alpha and at least one beta/gamma pair")
-    return _schedule_from(cfg)
+    """estimate's d_limit schedule at any k (a bare alpha is k = 0), or None without alpha."""
+    if cfg["alpha"] is None and (cfg["beta"] or cfg["gamma"]):
+        raise ValueError("the d_limit overlay's beta/gamma pairs need alpha")
+    return None if cfg["alpha"] is None else _schedule_from(cfg)
 
 
 def cmd_estimate(cfg: dict, out_dir: Path, schedule: ChangePointSchedule | None,
@@ -311,11 +309,9 @@ def _fclt_task(cfg: dict, schedule: ChangePointSchedule, stream: int) -> list[fl
 def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[int]:
     reps, t_grid = cfg["reps"], cfg["t_grid"]
     streams = list(range(reps))
-    z_stream = [_UPSILON_STREAM_BASE] if len(schedule.segments) == 1 else []
-    if z_stream:
-        z = upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"],
-                               seeded_generator(cfg["seed"], _UPSILON_STREAM_BASE))
-        write_zsample_csv(z, out_dir / "upsilon_z.csv")
+    z = upsilon_clt_sample(schedule, cfg["n"], cfg["upsilon_reps"],
+                           seeded_generator(cfg["seed"], _UPSILON_STREAM_BASE))
+    write_zsample_csv(z, out_dir / "upsilon_z.csv")
     results = _pool_map(partial(_fclt_task, cfg, schedule), streams, cfg["threads"])
     rows = np.asarray(results)
 
@@ -325,7 +321,7 @@ def cmd_fclt(cfg: dict, out_dir: Path, schedule: ChangePointSchedule) -> list[in
     ]
     write_csv(out_dir / "gn_moments.csv", ["t", "mean_gn", "var_gn", "target_var", "reps"],
               list(zip(*moments)))
-    return streams + z_stream
+    return streams + [_UPSILON_STREAM_BASE]
 
 
 # ---------------------------------------------------------------- maxdeg
@@ -414,6 +410,11 @@ def main(argv: list[str] | None = None) -> int:
             # G_n(t) reads N(nt), which exists from step 2 on
             if not all(cfg["n"] * t >= 2 and t <= 1.0 for t in cfg["t_grid"]):
                 raise ValueError(f"t must satisfy n*t >= 2 and t <= 1, got {cfg['t_grid']}")
+            # upsilon_z.csv's segment j runs from size sizes[j-1] to sizes[j]: none may be empty
+            sizes = [max(b, 1) for b in schedule.boundaries(cfg["n"])[1:]]
+            if sorted(set(sizes)) != sizes:
+                raise ValueError(f"change points must fall on distinct sizes max(floor(gamma_j"
+                                 f" n), 1) at n = {cfg['n']}, got {sizes[:-1]}")
         # so the manifest lists only this run's files, and a failed run can remove them all
         out_dir = Path(args.out)
         if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):

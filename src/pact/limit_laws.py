@@ -26,13 +26,14 @@ direct exponential-wait simulator before the samplers below rely on it.
 
 In continuous time the tree of size s grows at total rate (2+c)s - 1 (the
 sum of out_degree + 1 + c), with independent exponential holding times, and
-the jump chain is the discrete model.  After one change point the duration
-from size m = max(floor(gamma n), 1) to n is Y = sum_{s=m}^{n-1} E_s /
-((2+beta)s - 1), and with d = 1/(2+beta), (2+beta)Y has the law of -log B,
-B ~ Beta(m - d, n - m): both have Laplace transform prod_{s=m}^{n-1}
-(s-d)/(s-d+lambda) (Renyi's representation of exponential order
-statistics).  Y tends to segment_durations(schedule)[0], and
-upsilon_clt_sample draws it with one Beta variate per replicate; the test
+the jump chain is the discrete model.  Segment j, offset beta_j, runs from
+size m_j = max(floor(gamma_j n), 1) to m_{j+1} (m_{k+1} = n) in time Y_j =
+sum_{s=m_j}^{m_{j+1}-1} E_s / ((2+beta_j)s - 1), and with d = 1/(2+beta_j),
+(2+beta_j)Y_j has the law of -log B_j, B_j ~ Beta(m_j - d, m_{j+1} - m_j):
+both have Laplace transform prod_s (s-d)/(s-d+lambda) (Renyi's representation
+of exponential order statistics).  Disjoint holding times make Y_1..Y_k
+independent.  Y_j tends to segment_durations(schedule)[j-1], and
+upsilon_clt_sample draws each with one Beta variate per replicate; the test
 suite builds the full clock (tests/oracles.py) to check this identity.
 """
 from __future__ import annotations
@@ -133,29 +134,27 @@ def segment_durations(schedule: ChangePointSchedule) -> np.ndarray:
 def upsilon_clt_sample(
     schedule: ChangePointSchedule, n: int, reps: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Standardized after-change durations sqrt(n)(Y - a)(2+beta)sqrt(gamma/(1-gamma)).
-
-    a = log(1/gamma)/(2+beta) = segment_durations(schedule)[0] is the limit of Y.
-    The empirical law approaches standard normal as n grows.  Each replicate
-    draws Y exactly as -log(B)/(2+beta), B ~ Beta(m - d, n - m), with
-    m = max(floor(gamma n), 1) and d = 1/(2+beta): the law of the sum of the
-    after-change holding times, at one variate per replicate (module docstring).
+    """(reps, k) standardized durations z_j = sqrt(n)(Y_j - a_j)(2+beta_j)sqrt(gamma_j
+    gamma_{j+1}/(gamma_{j+1} - gamma_j)), gamma_{k+1} = 1, around a_j = segment_durations(
+    schedule)[j-1], the limit of Y_j; each column tends to standard normal as n grows.
+    One Beta array draws every row's Y_1..Y_k (module docstring), with m_j =
+    max(boundaries(n)[j], 1); a segment with no size, m_{j+1} = m_j, is a ValueError.
+    write_zsample_csv writes the array as rep,z_1,...,z_k (rep alone at k = 0).
     """
-    if len(schedule.segments) != 1:
-        raise ValueError("standardization defined for exactly one change point")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    gamma, beta = schedule.segments[0]
-    m = max(int(np.floor(gamma * n)), 1)
-    y = -np.log(gen.beta(m - 1.0 / (2.0 + beta), n - m, size=reps)) / (2.0 + beta)
-    scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
-    return (y - segment_durations(schedule)[0]) * scale
+    sizes = np.maximum(schedule.boundaries(n)[1:], 1)
+    rate = 2.0 + np.array(schedule.offsets()[1:])
+    gammas = np.array([s.gamma for s in schedule.segments] + [1.0])
+    y = -np.log(gen.beta(sizes[:-1] - 1.0 / rate, np.diff(sizes), size=(reps, rate.size))) / rate
+    scale = rate * np.sqrt(gammas[:-1] * gammas[1:] / np.diff(gammas)) * np.sqrt(n)
+    return (y - segment_durations(schedule)) * scale
 
 
 def write_zsample_csv(z: np.ndarray, path) -> None:
-    write_csv(path, ["rep", "z"], [range(len(z)), z])
+    write_csv(path, ["rep"] + [f"z_{j + 1}" for j in range(z.shape[1])], [range(len(z)), *z.T])
 
 
 def d_theta_blocks(schedule: ChangePointSchedule, gen: np.random.Generator,

@@ -420,14 +420,17 @@ def holding_times(schedule: ChangePointSchedule, n: int, gen) -> EmbeddingClock:
     return EmbeddingClock(n=n, tau=tau, schedule=schedule)
 
 
-def upsilon(clock: EmbeddingClock, gamma: float | None = None) -> float:
-    """Duration between reaching size floor(gamma*n) and size n."""
-    if gamma is None:
-        if len(clock.schedule.segments) != 1:
-            raise ValueError("upsilon needs exactly one change point (or an explicit gamma)")
-        gamma = clock.schedule.segments[0].gamma
-    m = int(np.floor(gamma * clock.n))
-    return float(clock.tau[clock.n] - clock.tau[m])
+def upsilon(clock: EmbeddingClock, j: int = 1) -> float:
+    """Segment j's duration tau[m_{j+1}] - tau[m_j], j = 1..k.
+
+    m_j = max(floor(gamma_j n), 1) and m_{k+1} = n, so segment j spans the
+    holding times at sizes m_j..m_{j+1}-1; one that holds no size gives 0.0.
+    """
+    segments = clock.schedule.segments
+    if not 1 <= j <= len(segments):
+        raise ValueError(f"segment j must lie in 1..{len(segments)}, got {j}")
+    sizes = [max(int(np.floor(s.gamma * clock.n)), 1) for s in segments] + [clock.n]
+    return float(clock.tau[sizes[j]] - clock.tau[sizes[j - 1]])
 
 
 def malthusian_track(schedule: ChangePointSchedule, n: int, gen) -> tuple[np.ndarray, np.ndarray]:

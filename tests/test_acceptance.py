@@ -171,7 +171,7 @@ def test_c07_upsilon_clt():
     checks, parts = [], []
     # n = 1e8 would take the sum of holding times 5e10 exponentials; the Beta draw is exact
     for stream, n in enumerate((100_000, 100_000_000)):
-        z = upsilon_clt_sample(SINGLE, n, reps, seeded_generator(1008, stream))
+        (z,) = upsilon_clt_sample(SINGLE, n, reps, seeded_generator(1008, stream)).T
         ks_dist = stats.kstest(z, "norm").statistic
         scale = (2.0 + beta) * np.sqrt(gamma / (1 - gamma)) * np.sqrt(n)
         ups = segment_durations(SINGLE)[0] + z / scale
@@ -184,6 +184,22 @@ def test_c07_upsilon_clt():
     assert abs(segment_durations(SINGLE)[0] - UPS_TARGET_MEAN) < 5e-6
     _criterion("7 duration CLT", all(checks) and elapsed < 120,
                "; ".join(parts) + f"; {elapsed:.1f}s (<120)")
+
+
+def test_c07b_upsilon_clt_two_change_points():
+    # one column per segment; bounds fixed before measuring: KS p > 1e-3, |corr| < 0.03
+    # (4.2 standard errors of a correlation of 20,000 independent pairs)
+    t0 = time.time()
+    n, reps = 1_000_000, 20_000
+    z = upsilon_clt_sample(MULTI, n, reps, seeded_generator(1021))
+    pvalues = [stats.kstest(col, "norm").pvalue for col in z.T]
+    corr = float(np.corrcoef(z.T)[0, 1])
+    elapsed = time.time() - t0
+    _criterion("7b duration CLT, k = 2",
+               min(pvalues) > 1e-3 and abs(corr) < 0.03 and elapsed < 120,
+               f"n={n:,}, {reps} reps: KS p = {pvalues[0]:.3f}, {pvalues[1]:.3f} (>1e-3), "
+               f"var = {', '.join(f'{v:.3f}' for v in z.var(axis=0, ddof=1))}, "
+               f"corr = {corr:.4f} (|.| < 0.03), {elapsed:.1f}s (<120)")
 
 
 def _estimate_run(n: int, gen: np.random.Generator, epsilon: float) -> EstimateReport:

@@ -146,10 +146,10 @@ GOOD_TRAJECTORY = "<a valid trajectory file>"
 
 @pytest.mark.parametrize("argv, streams", [
     (["simulate", "--n", "300", "--reps", "3", "--threads", "2", "--seed", "5"], [0, 1, 2]),
-    # at k = 1 the duration stream is drawn first in the pool but listed last
+    # the duration stream, at every k, is drawn before the pool but listed last
     (["fclt", "--n", "300", "--reps", "3", "--upsilon-reps", "4", "--seed", "5", *SINGLE],
      [0, 1, 2, 1 << 32]),
-    (["fclt", "--n", "300", "--reps", "3", "--seed", "5"], [0, 1, 2]),
+    (["fclt", "--n", "300", "--reps", "3", "--seed", "5"], [0, 1, 2, 1 << 32]),
     (["maxdeg", "--n", "300", "--n", "200", "--reps", "2", "--seed", "5"], [0, 1, 2, 3]),
     (["limits", "--draws", "100", "--kmax", "20", "--curve-points", "10", "--seed", "5",
       *SINGLE], [0]),
@@ -224,7 +224,9 @@ def test_seed_must_be_u64(tmp_path, capsys, argv):
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *SINGLE, "--epsilon", "0.5"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, *TWO, "--epsilon", "0.35"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--gamma", "0.5", "--beta", "1"],  # no alpha
-    ["estimate", "--trajectory", GOOD_TRAJECTORY, "--alpha", "6"],  # no change point
+    # two change points on one size at n: upsilon_z.csv's first segment would hold no size
+    pytest.param(["fclt", "--n", "1000", "--alpha", "6", "--beta", "1", "--gamma", "0.5",
+                  "--beta", "2", "--gamma", "0.5001"], id="fclt-gamma-0.5001"),
     ["limits", "--reps", "7"],  # flags the subcommand would ignore
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--seed", "99"],
     ["estimate", "--trajectory", GOOD_TRAJECTORY, "--reps", "4"],
@@ -391,7 +393,7 @@ def test_json_integers_for_float_keys_match_the_flags(tmp_path):
     assert manifests[0]["outputs"] == manifests[1]["outputs"]
 
 
-@pytest.mark.parametrize("cfg", [{"alpha": 6.0}], ids=["alpha"])
+@pytest.mark.parametrize("cfg", [{"beta": [1.0], "gamma": [0.5]}], ids=["beta-gamma"])
 def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, capsys, cfg):
     good = tmp_path / "good.csv"
     good.write_text("m,leaf_count\n" + "".join(f"{m},{(m + 2) // 2}\n" for m in range(2, 200)))
@@ -401,7 +403,7 @@ def test_estimate_partial_overlay_in_config_fails_before_side_effects(tmp_path, 
     assert _run("estimate", "--config", str(path), "--trajectory", str(good),
                 "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == "error: the d_limit overlay needs alpha and at least one beta/gamma pair\n"
+    assert err == "error: the d_limit overlay's beta/gamma pairs need alpha\n"
     assert not out.exists()
 
 
@@ -891,8 +893,9 @@ def test_fclt_outputs(tmp_path):
     assert len(z_lines) == 17
     assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
         "05365403e538d645")
+    # header rep,z_1 since fclt writes one column per segment; the z values kept their bytes
     assert hashlib.sha256((out / "upsilon_z.csv").read_bytes()).hexdigest()[:16] == (
-        "a95208ccef613a8d")
+        "377dc48df35b2939")
 
 
 def test_fclt_pool_matches_serial(tmp_path):
@@ -910,7 +913,8 @@ def test_fclt_defaults_to_no_change_point(tmp_path):
     assert _run("fclt", "--out", str(out), "--alpha", "1", "--n", "2000", "--reps", "4") == 0
     assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == (
         "9b4ece910976d5a1")
-    assert not (out / "upsilon_z.csv").exists()
+    # no change point, no duration: the rep column alone, one row per --upsilon-reps
+    assert (out / "upsilon_z.csv").read_text().splitlines() == ["rep", *map(str, range(200))]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -930,25 +934,40 @@ def test_fclt_grows_no_tree(tmp_path, monkeypatch, threads):
         assert hashlib.sha256((out / "gn_moments.csv").read_bytes()).hexdigest()[:16] == pin
 
 
-def test_fclt_limits_and_estimate_run_at_two_change_points(tmp_path):
-    schedule = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["k0", "k1", "k2"])
+def test_fclt_limits_and_estimate_run_at_every_change_point_count(tmp_path, k):
+    # each subcommand writes one artifact set at every k, so no k-special case comes back unseen
+    schedule = [ChangePointSchedule(alpha=6.0), ChangePointSchedule.single(6.0, 1.0, 0.5),
+                ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))][k]
+    flags = [["--alpha", "6"], SINGLE, TWO][k]
     out = tmp_path / "fclt"
-    assert _run("fclt", "--out", str(out), *TWO, "--n", "2000", "--reps", "8") == 0
-    assert set(_hashes(out)) == {"gn_moments.csv"}  # upsilon_z.csv is one change point only
+    assert _run("fclt", "--out", str(out), *flags, "--n", "2000", "--reps", "8",
+                "--upsilon-reps", "5") == 0
+    assert set(_hashes(out)) == {"gn_moments.csv", "upsilon_z.csv"}
     with open(out / "gn_moments.csv") as fh:
         target = [float(r["target_var"]) for r in csv.DictReader(fh)]
     assert len(target) == 4 and all(np.isfinite(v) and v > 0 for v in target)
+    with open(out / "upsilon_z.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rep"] + [f"z_{j}" for j in range(1, k + 1)]
+    table = np.array(rows[1:], dtype=np.float64)
+    assert table.shape == (5, k + 1) and np.array_equal(table[:, 0], range(5))
+    assert np.all(np.isfinite(table))
 
     out = tmp_path / "limits"
-    assert _run("limits", "--out", str(out), *TWO, "--draws", "2000") == 0
-    assert {"leaf_curve.csv", "d_limit.csv", "d_theta_pmf.csv"} <= set(_hashes(out))
+    assert _run("limits", "--out", str(out), *flags, "--draws", "2000") == 0
+    assert set(_hashes(out)) == {"p_alpha_pmf.csv", "leaf_curve.csv", "d_theta_pmf.csv",
+                                 "d_theta_ccdf.csv", "d_limit.csv"}
 
     sim, out = tmp_path / "sim", tmp_path / "est"
-    assert _run("simulate", "--out", str(sim), "--n", "3000", "--no-trees", *TWO) == 0
+    assert _run("simulate", "--out", str(sim), "--n", "3000", "--no-trees", *flags) == 0
     assert _run("estimate", "--out", str(out), "--trajectory", str(sim / "trajectory_r000.csv"),
-                *TWO) == 0
+                *flags) == 0
+    assert set(_hashes(out)) == {"report_000.json", "dn_curve_000.csv", "gamma_hats.csv"}
     rows = _dn_rows(out / "dn_curve_000.csv")
     assert rows[:, 2].tobytes() == limit_D(rows[:, 0], schedule, 0.1).tobytes()
+    if k == 0:  # a bare --alpha: the overlay is exactly 0 in every row
+        assert np.all(rows[:, 2] == 0.0)
 
 
 def test_maxdeg_outputs(tmp_path):

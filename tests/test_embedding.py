@@ -8,6 +8,8 @@ from pact.model_core import ChangePointSchedule, seeded_generator
 
 SINGLE = ChangePointSchedule.single(6.0, 1.0, 0.5)
 PLAIN = ChangePointSchedule(alpha=0.0)
+MULTI = ChangePointSchedule(alpha=4.0, segments=((0.3, 1.0), (0.7, 2.0)))
+THREE = ChangePointSchedule(alpha=1.0, segments=((0.01, 3.0), (0.4, 0.5), (0.8, 2.0)))
 
 
 def test_first_holding_time_mean():
@@ -30,11 +32,20 @@ def test_holding_times_rejects_small_n():
 
 
 def test_upsilon_degenerate_and_errors():
-    clock = holding_times(SINGLE, 100, seeded_generator(23))
-    assert upsilon(clock, gamma=1.0) == 0.0
+    # at n = 100 both change points fall on size 50, so segment 1 holds no size
+    clock = holding_times(ChangePointSchedule(6.0, ((0.5, 1.0), (0.505, 2.0))), 100,
+                          seeded_generator(23))
+    assert upsilon(clock, 1) == 0.0
+    assert upsilon(clock, 2) == clock.tau[100] - clock.tau[50] > 0.0
+    # the segments tile the clock from size m_1 = max(floor(gamma_1 n), 1) = 1 to n
+    clock = holding_times(THREE, 50, seeded_generator(23))
+    parts = [upsilon(clock, j) for j in (1, 2, 3)]
+    assert all(p > 0.0 for p in parts) and sum(parts) == pytest.approx(clock.tau[50])
     plain_clock = holding_times(PLAIN, 100, seeded_generator(23))
-    with pytest.raises(ValueError, match="exactly one change point"):
+    with pytest.raises(ValueError, match=r"segment j must lie in 1\.\.0, got 1"):
         upsilon(plain_clock)
+    with pytest.raises(ValueError, match=r"segment j must lie in 1\.\.3, got 4"):
+        upsilon(clock, 4)
 
 
 def test_upsilon_limit_value():
@@ -52,7 +63,7 @@ def test_upsilon_mean_matches_limit():
 
 
 def test_upsilon_clt_sample_rough_normality():
-    z = upsilon_clt_sample(SINGLE, 20_000, 400, seeded_generator(25))
+    (z,) = upsilon_clt_sample(SINGLE, 20_000, 400, seeded_generator(25)).T
     assert stats.kstest(z, "norm").statistic < 0.1
     assert 0.8 < z.var(ddof=1) < 1.2
 
@@ -73,7 +84,7 @@ def test_upsilon_clt_sample_matches_holding_time_sum(case, alpha, beta, gamma, n
     reps, oracle_reps = 20_000, 5_000
     limit = segment_durations(schedule)[0]
     scale = (2.0 + beta) * np.sqrt(gamma / (1.0 - gamma)) * np.sqrt(n)
-    y = limit + upsilon_clt_sample(schedule, n, reps, seeded_generator(26, 2 * case)) / scale
+    y = limit + upsilon_clt_sample(schedule, n, reps, seeded_generator(26, 2 * case))[:, 0] / scale
     gen = seeded_generator(26, 2 * case + 1)
     y_oracle = np.array([upsilon(holding_times(schedule, n, gen)) for _ in range(oracle_reps)])
     assert stats.ks_2samp(y, y_oracle).pvalue > 1e-3
@@ -82,6 +93,41 @@ def test_upsilon_clt_sample_matches_holding_time_sum(case, alpha, beta, gamma, n
     k1, k2, k4 = (1.0 / r).sum(), (1.0 / r**2).sum(), 6.0 * (1.0 / r**4).sum()
     assert abs(y.mean() - k1) < 4.0 * np.sqrt(k2 / reps)
     assert abs(y.var(ddof=1) - k2) < 4.0 * np.sqrt((k4 + 2.0 * k2**2) / reps)
+
+
+@pytest.mark.parametrize("case, schedule, n", [
+    (0, MULTI, 2000),
+    (1, THREE, 50),  # floor(gamma_1 n) = 0, so segment 1 starts at size 1
+], ids=["k2", "k3"])
+def test_upsilon_clt_sample_matches_each_segment_of_the_clock(case, schedule, n):
+    # column j against the clock's segment-j duration, with the cumulant checks of the
+    # one-change-point test above, segment by segment; reps and bounds as there
+    reps, oracle_reps = 20_000, 5_000
+    z = upsilon_clt_sample(schedule, n, reps, seeded_generator(30, 2 * case))
+    gen = seeded_generator(30, 2 * case + 1)
+    clocks = [holding_times(schedule, n, gen) for _ in range(oracle_reps)]
+    k = len(schedule.segments)
+    assert z.shape == (reps, k)
+    gammas = [s.gamma for s in schedule.segments] + [1.0]
+    sizes = [max(int(np.floor(g * n)), 1) for g in gammas[:-1]] + [n]
+    for j, (beta, limit) in enumerate(zip(schedule.offsets()[1:], segment_durations(schedule))):
+        g0, g1 = gammas[j], gammas[j + 1]
+        scale = (2.0 + beta) * np.sqrt(g0 * g1 / (g1 - g0)) * np.sqrt(n)
+        y = limit + z[:, j] / scale
+        y_oracle = np.array([upsilon(clock, j + 1) for clock in clocks])
+        assert stats.ks_2samp(y, y_oracle).pvalue > 1e-3, j + 1
+
+        r = (2.0 + beta) * np.arange(sizes[j], sizes[j + 1]) - 1.0
+        k1, k2, k4 = (1.0 / r).sum(), (1.0 / r**2).sum(), 6.0 * (1.0 / r**4).sum()
+        assert abs(y.mean() - k1) < 4.0 * np.sqrt(k2 / reps), j + 1
+        assert abs(y.var(ddof=1) - k2) < 4.0 * np.sqrt((k4 + 2.0 * k2**2) / reps), j + 1
+
+
+def test_upsilon_clt_sample_at_no_change_point_draws_nothing():
+    gen = seeded_generator(31)
+    z = upsilon_clt_sample(PLAIN, 1000, 7, gen)
+    assert z.shape == (7, 0)
+    assert gen.random() == seeded_generator(31).random()
 
 
 def test_malthusian_track_positive_and_stabilizing():

@@ -294,9 +294,13 @@ def test_closed_forms_are_finite_on_the_accepted_domain(schedule, ts, eps_share,
         eps = schedule.segments[0].gamma * eps_share
         grid = np.concatenate([[eps, 1.0], ts[ts >= eps]])
         assert np.all(np.isfinite(limit_D(grid, schedule, eps)))
-    if len(schedule.segments) == 1:
+    sizes = [max(b, 1) for b in schedule.boundaries(n)[1:]]  # m_1, ..., m_k, n
+    if sorted(set(sizes)) == sizes:
         z = upsilon_clt_sample(schedule, n, 4, seeded_generator(54))
-        assert np.all(np.isfinite(z))
+        assert z.shape == (4, len(schedule.segments)) and np.all(np.isfinite(z))
+    else:  # two change points on one size: a segment with no holding time is refused
+        with pytest.raises(ValueError):
+            upsilon_clt_sample(schedule, n, 4, seeded_generator(54))
 
 
 def test_continuity_and_jumps_at_change_point():

@@ -271,12 +271,12 @@ def test_writers_send_every_integer_row_through_the_digit_kernel(tmp_path, monke
     tree = grow_tree(ChangePointSchedule.single(6.0, 1.0, 0.5), 10_000, seeded_generator(5))
     hist = degree_histogram(tree)
     ks, ccdf = ccdf_from_samples(tree.total_degrees())
-    z = np.random.default_rng(0).standard_normal(5000)
+    z = np.random.default_rng(0).standard_normal((5000, 2))  # k = 2 duration columns
     writes = [  # writer, its arguments, the integer rows it writes
         (write_edge_csv, (tree,), 2 * (tree.n - 1)),
         (write_trajectory_csv, (tree.leaf_trajectory(),), 2 * (tree.n - 1)),
         (write_histogram_csv, (hist,), 2 * np.count_nonzero(hist.counts)),
-        (write_zsample_csv, (z,), z.size),
+        (write_zsample_csv, (z,), len(z)),
         (write_pmf_csv, (range(1, 201), p_alpha_table(6.0, 200)[1:]), 200),
         (write_pmf_csv, (ks, ccdf), ks.size),
     ]
