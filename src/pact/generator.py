@@ -28,7 +28,7 @@ from .leaf_process import LeafTrajectory
 from .model_core import ChangePointSchedule, step_offsets, write_csv
 
 _MAGIC = b"PACT"
-_FORMAT_VERSION = 1
+_PARENT_DTYPES = {1: np.dtype("<u8"), 2: np.dtype("<u4")}  # file version -> parent width
 
 
 @dataclass
@@ -220,15 +220,17 @@ def max_degree(tree: GrowingTree) -> int:
 
 
 def save_tree(tree: GrowingTree, path) -> None:
-    """Binary format: magic 'PACT', version u64 LE, n u64 LE, then parent[1..n] as u64 LE."""
+    """Binary format: magic 'PACT', version u64 LE, n u64 LE, then parent[1..n] LE: as u32
+    (version 2) when n < 2^32, else as u64 (version 1)."""
+    version = 2 if tree.n < 2**32 else 1
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", _FORMAT_VERSION, tree.n))
-        fh.write(tree.parent[1 : tree.n + 1].astype("<u8"))
+        fh.write(struct.pack("<QQ", version, tree.n))
+        fh.write(tree.parent[1 : tree.n + 1].astype(_PARENT_DTYPES[version]))
 
 
 def load_tree(path) -> GrowingTree:
-    """Read a tree written by save_tree; a ValueError naming the file unless it is a valid tree."""
+    """Read a version 1 or 2 tree file; a ValueError naming the file unless it is a valid tree."""
     try:
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -238,16 +240,18 @@ def load_tree(path) -> GrowingTree:
             if len(header) != 16:
                 raise ValueError(f"header holds {len(header)} of its 16 bytes")
             version, n = struct.unpack("<QQ", header)
-            if version != _FORMAT_VERSION:
+            dtype = _PARENT_DTYPES.get(version)
+            if dtype is None:
                 raise ValueError(f"unsupported version {version}")
             if n < 2:  # grow_tree's smallest tree; leaf_trajectory() cannot read n = 1
                 raise ValueError(f"header n={n}, but a tree has n >= 2")
             size = os.fstat(fh.fileno()).st_size
-            if size != 20 + 8 * n:
-                raise ValueError(f"header n={n} needs {20 + 8 * n} bytes, file has {size}")
-            raw = fh.read(8 * n)
+            need = 20 + dtype.itemsize * n
+            if size != need:
+                raise ValueError(f"header n={n} needs {need} bytes, file has {size}")
+            raw = fh.read(need - 20)
         parent = np.zeros(n + 1, dtype=np.int64)
-        parent[1:] = np.frombuffer(raw, dtype="<u8")  # a u64 >= 2^63 wraps negative: refused
+        parent[1:] = np.frombuffer(raw, dtype=dtype)  # a v1 u64 >= 2^63 wraps negative: refused
         tree = GrowingTree(n=int(n), parent=parent)
         tree.check_invariants()
     except ValueError as exc:

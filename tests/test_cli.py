@@ -60,7 +60,7 @@ def test_simulate_pins_every_artifact(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in out.iterdir() if p.name != "manifest.json"}
     assert digests == {
-        "tree_r000.pact": "dd389b6a4aa94343",
+        "tree_r000.pact": "a0cd9ce96e61eff3",  # version 2: u32 parents
         "trajectory_r000.csv": "7ddcfbbcc03d0878",
         "degree_hist_r000.csv": "65b2763bce212095",
         "degree_hist_r000_m500.csv": "1c3d027513723f6a",

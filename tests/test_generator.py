@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +324,12 @@ def test_total_degrees_are_counted_from_the_parents():
     assert np.array_equal(tree.total_degrees(), tree.total_degrees(500))
 
 
+def _v1_file(tree: GrowingTree) -> bytes:
+    """The version 1 layout, which every tree had before version 2: parents as u64."""
+    header = b"PACT" + struct.pack("<QQ", 1, tree.n)
+    return header + tree.parent[1 : tree.n + 1].astype("<u8").tobytes()
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(case=_sized_schedules(), seed=st.integers(0, 2**32))
 @example(case=(777, SINGLE), seed=13)
@@ -336,7 +344,20 @@ def test_tree_binary_round_trip(tmp_path_factory, case, seed):
     assert np.array_equal(back.total_degrees(), tree.total_degrees())
     raw = path.read_bytes()
     assert raw[:4] == b"PACT"
-    assert int.from_bytes(raw[12:20], "little") == n
+    assert struct.unpack("<QQ", raw[4:20]) == (2, n)
+    assert len(raw) == 20 + 4 * n
+    path.write_bytes(_v1_file(tree))  # files written before version 2 still load
+    assert np.array_equal(load_tree(path).parent, tree.parent)
+
+
+@pytest.mark.parametrize("n, version, width", [(2**32 - 1, 2, 4), (2**32, 1, 8)])
+def test_save_tree_picks_the_parent_width_by_n(tmp_path, n, version, width):
+    # a 4-entry parent array stands in for n vertices: save_tree writes the parents it holds
+    path = tmp_path / "t.pact"
+    save_tree(GrowingTree(n=n, parent=np.array([0, 0, 1, 2], dtype=np.int64)), path)
+    raw = path.read_bytes()
+    assert struct.unpack("<QQ", raw[4:20]) == (version, n)
+    assert raw[20:] == np.array([0, 1, 2], dtype=f"<u{width}").tobytes()
 
 
 def _corrupt_tree_file(tmp_path, edit):
@@ -348,9 +369,15 @@ def _corrupt_tree_file(tmp_path, edit):
     return path
 
 
-def _set_parent(m, value):
+def _set_parent(m, value, width=4):
     def edit(raw):
-        raw[20 + 8 * (m - 1) : 28 + 8 * (m - 1)] = value.to_bytes(8, "little")
+        raw[20 + width * (m - 1) : 20 + width * m] = value.to_bytes(width, "little")
+    return edit
+
+
+def _set_version(version):
+    def edit(raw):
+        raw[4:12] = version.to_bytes(8, "little")
     return edit
 
 
@@ -366,32 +393,50 @@ def _truncate(size):
     return edit
 
 
+def _as_v1(raw):
+    """Rewrite the version 2 file in raw as the version 1 file of the same tree."""
+    n = int.from_bytes(raw[12:20], "little")
+    parent = np.concatenate([[0], np.frombuffer(bytes(raw[20:]), dtype="<u4")])
+    raw[:] = _v1_file(GrowingTree(n=n, parent=parent))
+
+
+def _on_v1(edit_v1):
+    def edit(raw):
+        _as_v1(raw)
+        edit_v1(raw)
+    return edit
+
+
 def _one_vertex(raw):
-    """Magic, version 1, n = 1 and the root's parent 0: 28 bytes that agree on their size."""
+    """Magic, version 2, n = 1 and the root's parent 0: 24 bytes that agree on their size."""
     _set_n(1)(raw)
-    del raw[28:]
+    del raw[24:]
 
 
-CORRUPT_TREES = {
-    "forward-parent": _set_parent(3, 3),
-    "parent-above-n": _set_parent(7, 51),
-    "parent-above-int64": _set_parent(7, 2**64 - 1),
-    "root-not-sentinel": _set_parent(1, 1),
-    "n-above-file": _set_n(2**40),
-    "n-below-file": _set_n(49),
-    "n-zero": _set_n(0),
-    "one-vertex": _one_vertex,
-    "magic-only": _truncate(4),
-    "short-header": _truncate(12),
+CORRUPT_TREES = {  # the edit, and the start of the reason load_tree gives
+    "forward-parent": (_set_parent(3, 3), "parents must be earlier"),
+    "parent-above-n": (_set_parent(7, 51), "parents must be earlier"),
+    "parent-above-u32": (_set_parent(7, 2**32 - 1), "parents must be earlier"),
+    "parent-above-int64": (_on_v1(_set_parent(7, 2**64 - 1, width=8)), "parents must be earlier"),
+    "root-not-sentinel": (_set_parent(1, 1), "root sentinel"),
+    "unknown-version": (_set_version(3), "unsupported version 3"),
+    "v1-header-on-u32-parents": (_set_version(1), "header n=50 needs 420 bytes"),
+    "v2-header-on-u64-parents": (_on_v1(_set_version(2)), "header n=50 needs 220 bytes"),
+    "n-above-file": (_set_n(2**40), "header n=1099511627776 needs"),
+    "n-below-file": (_set_n(49), "header n=49 needs"),
+    "n-zero": (_set_n(0), "header n=0, but"),
+    "one-vertex": (_one_vertex, "header n=1, but"),
+    "magic-only": (_truncate(4), "header holds 0 of"),
+    "short-header": (_truncate(12), "header holds 8 of"),
 }
 
 
-@pytest.mark.parametrize("edit", CORRUPT_TREES.values(), ids=CORRUPT_TREES.keys())
-def test_load_tree_rejects_corrupt_files(tmp_path, edit):
+@pytest.mark.parametrize("edit, reason", CORRUPT_TREES.values(), ids=CORRUPT_TREES.keys())
+def test_load_tree_rejects_corrupt_files(tmp_path, edit, reason):
     path = _corrupt_tree_file(tmp_path, edit)
     with pytest.raises(ValueError) as excinfo:
         load_tree(path)
-    assert str(excinfo.value).startswith(f"tree file {path}: ")
+    assert str(excinfo.value).startswith(f"tree file {path}: {reason}")
 
 
 def test_edge_csv_format(tmp_path):

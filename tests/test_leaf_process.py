@@ -283,6 +283,11 @@ DOMAIN_SCHEDULES = st.builds(
          ts=[1e-100, 1e-50, 1.0], eps_share=0.5, n=1000)
 @example(schedule=ChangePointSchedule.single(6.0, 1.0, 1e-100), ts=[1e-100], eps_share=1e-6,
          n=1000)
+# k = 2 and 3 with every segment holding a size, so the (reps, k) duration draw always runs
+@example(schedule=ChangePointSchedule(657.0, ((1e-50, 2.0**53), (0.5, 1e-300))),
+         ts=[1e-100, 0.5, 1.0], eps_share=0.5, n=2**53)
+@example(schedule=ChangePointSchedule(0.0, ((1e-20, 1e-10), (0.5, 657.0), (1 - 1e-16, 2.0**53))),
+         ts=[1e-20, 0.5, 1 - 1e-16, 1.0], eps_share=1e-6, n=2**53)
 def test_closed_forms_are_finite_on_the_accepted_domain(schedule, ts, eps_share, n):
     # no errstate: an overflow or invalid operation is an error, as is a NaN or inf value
     ts = np.array(ts)
